@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..errors import QuerySyntaxError
 from .documents import MISSING, deep_copy_doc, get_path, set_path
-from .matching import compile_query, ordering_key, _values_equal
+from .matching import compile_query, ordering_key, sort_documents, _values_equal
 
 __all__ = ["run_pipeline", "evaluate_expression", "pipeline_stage_names"]
 
@@ -291,15 +291,9 @@ def _stage_group(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[dic
 
 
 def _stage_sort(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[dict]:
-    docs = list(docs)
-    for field, direction in reversed(list(spec.items())):
-        if direction not in (1, -1):
-            raise QuerySyntaxError("$sort direction must be 1 or -1")
-        docs.sort(
-            key=lambda d, _f=field: ordering_key(get_path(d, _f)),
-            reverse=direction == -1,
-        )
-    return docs
+    if any(direction not in (1, -1) for direction in spec.values()):
+        raise QuerySyntaxError("$sort direction must be 1 or -1")
+    return sort_documents(docs, spec.items())
 
 
 def _stage_skip(docs: List[dict], spec: Any, db: Any) -> List[dict]:

@@ -32,7 +32,7 @@ from ...errors import ClusterError, NotPrimary, ShardingError, StaleEpoch
 from ...obs import get_registry
 from ..database import DocumentStore
 from ..documents import MISSING, deep_copy_doc, get_path
-from ..matching import ordering_key
+from ..matching import descending_key, ordering_key
 from ..objectid import ObjectId
 from ..planner import shard_key_predicate
 from .config import Chunk, ClusterConfig, bound_sort_key
@@ -370,9 +370,8 @@ class ClusterCollection:
 
         def merge_key(doc: dict) -> tuple:
             return tuple(
-                ordering_key(get_path(doc, field))
-                if direction >= 0
-                else _Reversed(ordering_key(get_path(doc, field)))
+                (ordering_key if direction >= 0 else descending_key)(
+                    get_path(doc, field))
                 for field, direction in sort
             )
 
@@ -448,21 +447,6 @@ class ClusterCollection:
             }
 
         return self._with_retries(attempt)
-
-
-class _Reversed:
-    """Inverts an ordering_key so descending sort components merge correctly."""
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Any):
-        self.inner = inner
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.inner < self.inner
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.inner == self.inner
 
 
 class ShardedCluster:

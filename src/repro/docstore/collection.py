@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from ..errors import DocstoreError, DuplicateKeyError
 from .cursor import Cursor, apply_projection
 from .documents import (
     deep_copy_doc,
     doc_size_bytes,
-    get_path,
+    stored_copy,
     validate_document,
 )
 from .indexes import (
@@ -35,7 +38,7 @@ from .indexes import (
     normalize_index_spec,
 )
 from .locks import RWLock
-from .matching import Matcher, compile_query
+from .matching import Matcher, compile_query, sort_documents
 from .objectid import ObjectId
 from .planner import QueryPlanner, iter_plan
 from .updates import apply_update, is_operator_update
@@ -192,7 +195,7 @@ class Collection:
     def _insert(self, document: Mapping[str, Any], _notify: bool = True) -> Any:
         if not isinstance(document, Mapping):
             raise DocstoreError("documents must be mappings")
-        doc = deep_copy_doc(dict(document))
+        doc = stored_copy(dict(document))
         if "_id" not in doc:
             doc["_id"] = ObjectId()
         validate_document(doc)
@@ -222,33 +225,79 @@ class Collection:
             )
             usage["ops"] += 1
 
-    def _candidates(self, query: Mapping[str, Any], matcher: Matcher) -> Iterator[dict]:
-        """Planner-backed candidate stream (no sort/projection push-down).
+    def _select(
+        self,
+        query: Mapping[str, Any],
+        matcher: Matcher,
+        sort: Optional[List[tuple]] = None,
+        skip: int = 0,
+        limit: Optional[int] = None,
+        hint: Optional[str] = None,
+        projection: Optional[Mapping[str, Any]] = None,
+        active: Any = None,
+    ) -> Iterator[Tuple[dict, int]]:
+        """The one selector-resolution path: plan ``query`` once and yield
+        ``(stored_document, position)`` per match, in final order, after
+        ``skip`` and up to ``limit``.
 
-        Used by find_one / count / find_one_and_* under the caller's lock;
-        yields the *stored* documents, so callers must copy before exposure.
+        Every read and write verb resolves its selector here.  The caller
+        holds the collection lock, copies or projects what it exposes (a
+        covered plan yields pseudo-documents rebuilt from index keys), and
+        drains the generator before mutating the collection.  ``active``
+        is the op's ``currentOp`` entry, checked for ``killOp`` per
+        candidate.
         """
-        result = self._planner.plan(query, matcher)
-        winner = result.winner
-        plan_record = QueryPlan(
-            winner.kind, winner.index_name, 0,
-            provides_sort=winner.provides_sort, covered=winner.covered,
-            key_pattern=winner.key_pattern, cache=result.cache_status,
+        result = self._planner.plan(
+            query, matcher, sort_spec=sort, projection=projection, hint=hint,
         )
-        self._plan_local.plan = plan_record
-        if winner.index is not None:
-            self._record_usage(winner.index.name)
+        winner = result.winner
         stats = {"keys": 0, "docs": 0}
+        # skip+limit push down only when candidates arrive in final order
+        # (index-provided, or no sort requested at all); a blocking sort
+        # needs every match before its first result.
+        ordered = not sort or winner.provides_sort
+        stop = skip + limit if limit is not None else None
+        unsorted: List[Tuple[dict, int]] = []
         n = 0
         try:
-            for doc, _pos in iter_plan(self, winner, matcher, stats):
+            for hit in iter_plan(self, winner, matcher, stats):
+                if active is not None:
+                    active.check_killed()
                 n += 1
-                yield doc
+                if not ordered:
+                    unsorted.append(hit)
+                elif n > skip:
+                    yield hit
+                    if n == stop:
+                        break
+            if unsorted:
+                yield from sort_documents(
+                    unsorted, sort, doc_of=itemgetter(0))[skip:stop]
         finally:
-            plan_record.candidates_examined = stats["docs"]
-            plan_record.keys_examined = stats["keys"]
-            plan_record.n_returned = n
+            self._plan_local.plan = QueryPlan(
+                winner.kind, winner.index_name, stats["docs"],
+                keys_examined=stats["keys"], n_returned=n,
+                provides_sort=winner.provides_sort, covered=winner.covered,
+                key_pattern=winner.key_pattern,
+                rejected=[c.describe() for c in result.rejected],
+                cache=result.cache_status,
+            )
+            if winner.index is not None:
+                self._record_usage(winner.index.name)
             self._planner.note_execution(result, stats, n)
+
+    def _matched_positions(
+        self, query: Mapping[str, Any], matcher: Matcher, multi: bool
+    ) -> List[int]:
+        """Positions a write to ``query`` targets, in insertion order.
+
+        Materialised before the first change so a write to an indexed field
+        cannot re-surface its own document mid-scan, and sorted so change
+        streams and the journal see multi-writes oldest document first.  A
+        single-target write takes the document ``find_one(query)`` returns.
+        """
+        return sorted(pos for _doc, pos in self._select(
+            query, matcher, limit=None if multi else 1))
 
     def explain(
         self,
@@ -336,99 +385,29 @@ class Collection:
             registry = self._ops_registry()
             active = (registry.register("find", self.namespace, query)
                       if registry is not None else None)
-            effective_hint = cursor_hint if cursor_hint is not None else hint
-            matched: List[dict] = []
             try:
                 with self._lock.read():
-                    if sort_spec is None and effective_hint is None \
-                            and projection is None:
-                        # Plain unordered read: the shared candidate stream
-                        # (same path find_one / count use).
-                        max_docs = skip + limit if limit is not None else None
-                        gen = self._candidates(query, matcher)
-                        try:
-                            for doc in gen:
-                                if active is not None:
-                                    # Cooperative killOp check point.
-                                    active.check_killed()
-                                matched.append(deep_copy_doc(doc))
-                                if max_docs is not None \
-                                        and len(matched) >= max_docs:
-                                    break
-                        finally:
-                            gen.close()  # flush plan stats eagerly
-                        plan_record = self.last_plan
-                        already_sorted = True
-                    else:
-                        plan_record, already_sorted = self._planned_read(
+                    docs = [
+                        apply_projection(doc, projection)
+                        for doc, _pos in self._select(
                             query, matcher, sort_spec, skip, limit,
-                            effective_hint, projection, matched, active,
+                            cursor_hint if cursor_hint is not None else hint,
+                            projection, active,
                         )
-                    if active is not None and plan_record is not None:
-                        active.plan_summary = plan_record.summary
+                    ]
+                    plan = self.last_plan
+                    if active is not None:
+                        active.plan_summary = plan.summary
             finally:
                 if registry is not None:
                     registry.finish(active)
             self._observe(
-                "find", "query", query, t0, nreturned=len(matched),
-                docs_examined=plan_record.candidates_examined
-                if plan_record else None,
-                plan=plan_record.summary if plan_record else None,
+                "find", "query", query, t0, nreturned=len(docs),
+                docs_examined=plan.candidates_examined, plan=plan.summary,
             )
-            return matched, already_sorted
+            return docs
 
-        return Cursor(executor, projection, planned=True)
-
-    def _planned_read(
-        self,
-        query: Mapping[str, Any],
-        matcher: Matcher,
-        sort_spec: Optional[List[tuple]],
-        skip: int,
-        limit: Optional[int],
-        hint: Optional[str],
-        projection: Optional[Mapping[str, Any]],
-        matched: List[dict],
-        active: Any,
-    ) -> tuple:
-        """Plan-and-execute a find with sort/hint/projection push-down.
-
-        Appends result documents to ``matched`` and returns
-        ``(plan_record, already_sorted)``.  Caller holds the read lock.
-        """
-        result = self._planner.plan(
-            query, matcher, sort_spec=sort_spec,
-            projection=projection, hint=hint,
-        )
-        winner = result.winner
-        # Limit push-down is only sound when results already arrive in
-        # final order (index-provided, or no sort requested at all).
-        max_docs = None
-        if limit is not None and (not sort_spec or winner.provides_sort):
-            max_docs = skip + limit
-        stats = {"keys": 0, "docs": 0}
-        for doc, _pos in iter_plan(self, winner, matcher, stats):
-            if active is not None:
-                # Cooperative killOp check point, per candidate.
-                active.check_killed()
-            matched.append(doc if winner.covered else deep_copy_doc(doc))
-            if max_docs is not None and len(matched) >= max_docs:
-                break
-        plan_record = QueryPlan(
-            winner.kind, winner.index_name, stats["docs"],
-            keys_examined=stats["keys"],
-            n_returned=len(matched),
-            provides_sort=winner.provides_sort,
-            covered=winner.covered,
-            key_pattern=winner.key_pattern,
-            rejected=[c.describe() for c in result.rejected],
-            cache=result.cache_status,
-        )
-        self._plan_local.plan = plan_record
-        if winner.index is not None:
-            self._record_usage(winner.index.name)
-        self._planner.note_execution(result, stats, len(matched))
-        return plan_record, (not sort_spec) or winner.provides_sort
+        return Cursor(executor)
 
     def find_one(
         self,
@@ -440,12 +419,10 @@ class Collection:
         matcher = compile_query(query)
         t0 = time.perf_counter()
         with self._lock.read():
-            for doc in self._candidates(query, matcher):
-                result = apply_projection(doc, projection)
-                self._observe("findOne", "query", query, t0, nreturned=1)
-                return result
-        self._observe("findOne", "query", query, t0, nreturned=0)
-        return None
+            found = [apply_projection(doc, projection)
+                     for doc, _pos in self._select(query, matcher, limit=1)]
+        self._observe("findOne", "query", query, t0, nreturned=len(found))
+        return found[0] if found else None
 
     def count_documents(self, query: Optional[Mapping[str, Any]] = None) -> int:
         query = query or {}
@@ -455,7 +432,7 @@ class Collection:
         else:
             matcher = compile_query(query)
             with self._lock.read():
-                n = sum(1 for _ in self._candidates(query, matcher))
+                n = sum(1 for _ in self._select(query, matcher))
         self._observe("count", "command", query, t0, nreturned=n)
         return n
 
@@ -516,14 +493,7 @@ class Collection:
         matched = 0
         modified = 0
         with self._lock.write():
-            positions = [
-                pos
-                for pos in sorted(self._docs)
-                if matcher.matches(self._docs[pos])
-            ]
-            if not multi:
-                positions = positions[:1]
-            for pos in positions:
+            for pos in self._matched_positions(query, matcher, multi):
                 matched += 1
                 if self._apply_to_position(pos, update):
                     modified += 1
@@ -605,16 +575,8 @@ class Collection:
         matcher = compile_query(query)
         t0 = time.perf_counter()
         with self._lock.write():
-            candidates = list(self._candidates(query, matcher))
-            if sort:
-                from .matching import ordering_key
-
-                for field, direction in reversed(sort):
-                    candidates.sort(
-                        key=lambda d, _f=field: ordering_key(get_path(d, _f)),
-                        reverse=direction == -1,
-                    )
-            if not candidates:
+            hits = list(self._select(query, matcher, sort=sort, limit=1))
+            if not hits:
                 if upsert:
                     new_doc = self._build_upsert_doc(query, update)
                     new_id = self._insert(new_doc)
@@ -626,9 +588,8 @@ class Collection:
                 else:
                     self._observe("findAndModify", "update", query, t0)
                 return None
-            target = candidates[0]
-            pos = self._id_to_pos[self._id_key(target["_id"])]
-            before = deep_copy_doc(self._docs[pos])
+            stored, pos = hits[0]
+            before = deep_copy_doc(stored)
             self._apply_to_position(pos, update)
             result = before if return_document == "before" else deep_copy_doc(
                 self._docs[pos]
@@ -645,19 +606,11 @@ class Collection:
         matcher = compile_query(query)
         t0 = time.perf_counter()
         with self._lock.write():
-            candidates = list(self._candidates(query, matcher))
-            if sort:
-                from .matching import ordering_key
-
-                for field, direction in reversed(sort):
-                    candidates.sort(
-                        key=lambda d, _f=field: ordering_key(get_path(d, _f)),
-                        reverse=direction == -1,
-                    )
-            if not candidates:
+            hits = list(self._select(query, matcher, sort=sort, limit=1))
+            if not hits:
                 self._observe("findAndModify", "delete", query, t0)
                 return None
-            target = candidates[0]
+            target = hits[0][0]
             self._delete_by_id(target["_id"])
             self._observe("findAndModify", "delete", query, t0, nreturned=1)
             return deep_copy_doc(target)
@@ -671,34 +624,15 @@ class Collection:
         return self._delete(query or {}, multi=True)
 
     def _delete(self, query: Mapping[str, Any], multi: bool) -> DeleteResult:
-        # IDHACK: a bare _id equality resolves through the _id map instead
-        # of scanning every document.
-        if len(query) == 1 and "_id" in query and not isinstance(
-                query["_id"], (Mapping, list)):
-            t0 = time.perf_counter()
-            deleted = 0
-            with self._lock.write():
-                if self._id_key(query["_id"]) in self._id_to_pos:
-                    self._delete_by_id(query["_id"])
-                    deleted = 1
-            self._observe("delete", "delete", query, t0, nreturned=deleted)
-            return DeleteResult(deleted)
         matcher = compile_query(query)
-        deleted = 0
         t0 = time.perf_counter()
         with self._lock.write():
-            ids = [
-                self._docs[pos]["_id"]
-                for pos in sorted(self._docs)
-                if matcher.matches(self._docs[pos])
-            ]
-            if not multi:
-                ids = ids[:1]
+            ids = [self._docs[pos]["_id"] for pos in
+                   self._matched_positions(query, matcher, multi)]
             for _id in ids:
                 self._delete_by_id(_id)
-                deleted += 1
-        self._observe("delete", "delete", query, t0, nreturned=deleted)
-        return DeleteResult(deleted)
+        self._observe("delete", "delete", query, t0, nreturned=len(ids))
+        return DeleteResult(len(ids))
 
     def _delete_by_id(self, _id: Any) -> None:
         key = self._id_key(_id)

@@ -9,11 +9,12 @@ find() does no work until iteration starts — so a query that is immediately
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..errors import DocstoreError
+from .aggregation import _group_key
 from .documents import MISSING, deep_copy_doc, get_path, set_path
-from .matching import ordering_key
+from .matching import _values_equal
 
 __all__ = ["Cursor", "apply_projection"]
 
@@ -65,30 +66,18 @@ def apply_projection(doc: Mapping[str, Any], projection: Optional[Mapping[str, A
 
 
 class Cursor:
-    """Lazy, chainable view over a query's results.
+    """Lazy, chainable sort / skip / limit / hint builder over one ``find``.
 
-    ``source`` is a zero-argument callable producing the matching documents
-    (already safety-copied by the collection).  Chaining ``sort``, ``skip``,
-    ``limit`` and re-iterating re-executes the query, like re-running a
-    cursor in the mongo shell.
-
-    Collection-backed cursors are constructed with ``planned=True``; their
-    source is the collection's plan-and-execute closure, called as
-    ``source(sort_spec, skip, limit, hint)`` and returning ``(docs,
-    already_sorted)``.  When the winning plan provides the requested sort
-    order from the index, ``already_sorted`` is True and the cursor skips
-    its blocking in-memory sort.
+    ``source`` is the collection's plan-and-execute closure, called as
+    ``source(sort_spec, skip, limit, hint)`` and returning the final
+    documents — ordered, cut and projected by the collection's one
+    selection path, so the cursor itself touches no document.  Chaining
+    and re-iterating re-executes the query, like re-running a cursor in
+    the mongo shell.
     """
 
-    def __init__(
-        self,
-        source: Callable[..., Any],
-        projection: Optional[Mapping[str, Any]] = None,
-        planned: bool = False,
-    ):
+    def __init__(self, source: Callable[..., List[dict]]):
         self._source = source
-        self._projection = dict(projection) if projection else None
-        self._planned = planned
         self._hint: Optional[str] = None
         self._sort_spec: List[tuple] = []
         self._skip = 0
@@ -133,8 +122,6 @@ class Cursor:
         ``"$natural"`` forces a collection scan.  Unknown index names raise
         :class:`~repro.errors.DocstoreError` when the cursor executes.
         """
-        if not self._planned:
-            raise DocstoreError("hint() requires a collection-backed cursor")
         if not isinstance(index_name, str) or not index_name:
             raise DocstoreError("hint must be an index name string")
         self._hint = index_name
@@ -143,27 +130,9 @@ class Cursor:
     # -- execution ----------------------------------------------------------
 
     def _execute(self) -> List[dict]:
-        if self._planned:
-            docs, already_sorted = self._source(
-                self._sort_spec or None, self._skip, self._limit, self._hint
-            )
-            docs = list(docs)
-        else:
-            docs = list(self._source())
-            already_sorted = False
-        if self._sort_spec and not already_sorted:
-            for field, direction in reversed(self._sort_spec):
-                docs.sort(
-                    key=lambda d, _f=field: ordering_key(get_path(d, _f)),
-                    reverse=direction == -1,
-                )
-        if self._skip:
-            docs = docs[self._skip:]
-        if self._limit is not None:
-            docs = docs[: self._limit]
-        if self._projection:
-            docs = [apply_projection(d, self._projection) for d in docs]
-        return docs
+        return self._source(
+            self._sort_spec or None, self._skip, self._limit, self._hint
+        )
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self._execute())
@@ -186,20 +155,20 @@ class Cursor:
         return docs[0] if docs else None
 
     def distinct(self, field: str) -> List[Any]:
-        """Distinct values of ``field`` across the result set."""
-        seen: List[Any] = []
+        """Distinct values of ``field`` across the result set, first-seen
+        order.  Values are bucketed by a hashable key (bools apart from
+        numbers, as BSON has them) and confirmed by Mongo equality inside
+        the bucket, so the cost is linear in the number of values."""
+        distinct: List[Any] = []
+        buckets: Dict[Any, List[Any]] = {}
         for doc in self._execute():
             value = get_path(doc, field)
             if value is MISSING:
                 continue
-            values = value if isinstance(value, list) else [value]
-            for v in values:
-                if not any(_eq(v, s) for s in seen):
-                    seen.append(v)
-        return seen
-
-
-def _eq(a: Any, b: Any) -> bool:
-    from .matching import _values_equal
-
-    return _values_equal(a, b)
+            for v in value if isinstance(value, list) else [value]:
+                bucket = buckets.setdefault(
+                    (isinstance(v, bool), _group_key(v)), [])
+                if not any(_values_equal(v, s) for s in bucket):
+                    bucket.append(v)
+                    distinct.append(v)
+        return distinct

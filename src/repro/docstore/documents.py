@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, Iterator, List, Mapping, Tuple
 
 from ..errors import DocstoreError
@@ -25,6 +26,7 @@ __all__ = [
     "unset_path",
     "walk",
     "deep_copy_doc",
+    "stored_copy",
     "validate_document",
     "document_to_json",
     "document_from_json",
@@ -242,6 +244,23 @@ def deep_copy_doc(doc: Any) -> Any:
         return [deep_copy_doc(v) for v in doc]
     if isinstance(doc, tuple):
         return [deep_copy_doc(v) for v in doc]
+    return doc
+
+
+def stored_copy(doc: Any) -> Any:
+    """:func:`deep_copy_doc` for a document on its way *into* a collection:
+    field names are interned.
+
+    A JSON decoder gives every document its own copy of each key string;
+    stored documents share one per distinct name, which is ~6 % of the
+    server's resident memory on the bench ladder.  Copy-out keeps the plain
+    walk above: its keys are already the shared ones.
+    """
+    if isinstance(doc, dict):
+        return {sys.intern(k) if type(k) is str else k: stored_copy(v)
+                for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [stored_copy(v) for v in doc]
     return doc
 
 

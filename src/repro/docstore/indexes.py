@@ -140,6 +140,9 @@ class _AscKey:
 class _DescKey:
     """One descending key component: inverts the component order."""
 
+    # Not matching.descending_key: the bisect hot loop needs the precomputed
+    # type rank and the _MAX_KEY probe sentinel, which sort keys never see.
+
     __slots__ = ("value", "rank", "fast")
 
     def __init__(self, value: Any):

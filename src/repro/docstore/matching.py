@@ -29,13 +29,16 @@ numbers, strings with strings); ``$ne``/``$nin`` match missing fields.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..errors import QuerySyntaxError
-from .documents import MISSING, get_path_multi
+from .documents import MISSING, get_path, get_path_multi
 from .objectid import ObjectId
 
-__all__ = ["Matcher", "compile_query", "type_rank", "ordering_key", "compare_values"]
+__all__ = [
+    "Matcher", "compile_query", "type_rank", "ordering_key", "descending_key",
+    "sort_documents", "compare_values",
+]
 
 
 # --------------------------------------------------------------------------
@@ -123,6 +126,36 @@ class ordering_key:
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict key
         return 0
+
+
+class descending_key(ordering_key):
+    """:class:`ordering_key` with the comparison inverted — the descending
+    components of a tuple merge key (``heapq.merge`` takes no ``reverse``)."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "ordering_key") -> bool:
+        return compare_values(other.value, self.value) < 0
+
+
+def sort_documents(
+    items: Iterable[Any],
+    spec: Sequence[Tuple[str, int]],
+    doc_of: Callable[[Any], Mapping[str, Any]] = lambda item: item,
+) -> List[Any]:
+    """The blocking sort: ``items`` ordered by ``[(field, direction), ...]``.
+
+    One stable pass per sort field, least significant first, so ties keep
+    their input order under either direction.  ``doc_of`` extracts the
+    document when the items carry more than it (``(doc, pos)`` pairs).
+    """
+    out = list(items)
+    for field, direction in reversed(list(spec)):
+        out.sort(
+            key=lambda item, _f=field: ordering_key(get_path(doc_of(item), _f)),
+            reverse=direction == -1,
+        )
+    return out
 
 
 # Names accepted by the $type operator, mapped to rank buckets.

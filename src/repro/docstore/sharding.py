@@ -33,7 +33,7 @@ from ..errors import ShardingError
 from ..obs import active_span
 from .collection import Collection, DeleteResult, InsertResult, UpdateResult
 from .documents import MISSING, document_to_json, get_path
-from .matching import ordering_key
+from .matching import descending_key, ordering_key
 
 __all__ = ["ShardedCollection", "hash_shard_key"]
 
@@ -50,21 +50,6 @@ def hash_shard_key(value: Any) -> int:
     return int.from_bytes(hashlib.md5(payload.encode()).digest()[:8], "big")
 
 
-class _Descending:
-    """Inverts ``ordering_key`` comparison for descending sort components."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, value: Any):
-        self.key = ordering_key(value)
-
-    def __lt__(self, other: "_Descending") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Descending) and self.key == other.key
-
-
 def _merge_key(sort: Sequence[tuple]):
     """Comparison key over a sort spec, usable with ``heapq.merge``."""
 
@@ -75,7 +60,7 @@ def _merge_key(sort: Sequence[tuple]):
             if value is MISSING:
                 value = None
             parts.append(ordering_key(value) if direction >= 0
-                         else _Descending(value))
+                         else descending_key(value))
         return tuple(parts)
 
     return key

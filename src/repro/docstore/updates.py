@@ -192,20 +192,16 @@ def _op_push(doc: dict, path: str, operand: Any, is_insert: bool) -> None:
 
 
 def _push_sort(target: List[Any], spec: Any) -> None:
-    from .matching import ordering_key
+    from .matching import ordering_key, sort_documents
 
     if isinstance(spec, int) and not isinstance(spec, bool):
         if spec not in (1, -1):
             raise UpdateSyntaxError("$sort direction must be 1 or -1")
         target.sort(key=ordering_key, reverse=spec == -1)
     elif isinstance(spec, Mapping):
-        for field, direction in reversed(list(spec.items())):
-            if direction not in (1, -1):
-                raise UpdateSyntaxError("$sort direction must be 1 or -1")
-            target.sort(
-                key=lambda e: ordering_key(get_path(e, field)),
-                reverse=direction == -1,
-            )
+        if any(direction not in (1, -1) for direction in spec.values()):
+            raise UpdateSyntaxError("$sort direction must be 1 or -1")
+        target[:] = sort_documents(target, spec.items())
     else:
         raise UpdateSyntaxError("$sort requires 1, -1, or a field/direction doc")
 

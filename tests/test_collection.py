@@ -67,6 +67,20 @@ class TestInsert:
         with pytest.raises(DocstoreError):
             coll.insert_one([1, 2])
 
+    def test_stored_documents_share_field_names(self, coll):
+        # Two wire requests decode to two copies of every key string; the
+        # stored documents keep one (and a bad key is still a DocstoreError).
+        from repro.docstore import document_from_json
+
+        text = '{"spec": {"formula_pretty": "Fe2O3"}, "sites": [{"abc_frac": 1}]}'
+        coll.insert_many([document_from_json(text), document_from_json(text)])
+        a, b = coll._docs.values()
+        for x, y in ((a, b), (a["spec"], b["spec"]),
+                     (a["sites"][0], b["sites"][0])):
+            assert all(k1 is k2 for k1, k2 in zip(x, y))
+        with pytest.raises(DocstoreError):
+            coll.insert_one({"nested": {1: "non-string key"}})
+
 
 class TestFind:
     def test_find_all(self, populated):

@@ -1,5 +1,7 @@
 """Tests for cursors: sort/skip/limit/projection and laziness."""
 
+import time
+
 import pytest
 
 from repro.docstore import Collection
@@ -109,3 +111,25 @@ class TestCursorBehaviour:
     def test_iteration(self, coll):
         count = sum(1 for _ in coll.find())
         assert count == 5
+
+
+class TestDistinct:
+    def test_mongo_equality_and_first_seen_order(self):
+        c = Collection("values")
+        c.insert_many([{"v": v} for v in [
+            1, 1.0, True, "1", {"a": 1, "b": [1, 2]}, {"b": [1, 2], "a": 1.0},
+            [[1, 2]], None, {"a": True, "b": [1, 2]}, 2, False, 0,
+        ]] + [{"v": [3, 3.0, [1, 2], "x"]}, {"other": 1}])
+        assert c.distinct("v") == [
+            1, True, "1", {"a": 1, "b": [1, 2]}, [1, 2], None,
+            {"a": True, "b": [1, 2]}, 2, False, 0, 3, "x",
+        ]
+
+    def test_linear_in_distinct_values(self):
+        c = Collection("wide")
+        c.insert_many([{"v": i} for i in range(20_000)])
+        cursor = c.find()
+        t0 = time.perf_counter()
+        values = cursor.distinct("v")
+        assert time.perf_counter() - t0 < 1.0
+        assert values == list(range(20_000))

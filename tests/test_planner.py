@@ -356,3 +356,70 @@ class TestWireAndStatus:
         assert status["totals"]["hits"] >= 1
         assert "materials" in status["collections"]
         assert store.server_status()["planCache"]["hits"] >= 1
+
+
+class TestWritesResolveThroughThePlanner:
+    """Writes take the same selection path as reads (Collection._select)."""
+
+    @pytest.mark.parametrize("write", [
+        lambda c, _id: c.replace_one({"_id": _id}, {"nsites": 99},
+                                     upsert=True),
+        lambda c, _id: c.update_one({"_id": _id}, {"$set": {"nsites": 99}}),
+        lambda c, _id: c.delete_one({"_id": _id}),
+    ], ids=["replace_one", "update_one", "delete_one"])
+    def test_id_selector_is_idhack(self, materials, write):
+        _id = materials.find_one({"formula": "F7"})["_id"]
+        materials.find({"nsites": 3}).to_list()  # a COLLSCAN to overwrite
+        result = write(materials, _id)
+        assert (getattr(result, "matched_count", 0)
+                or getattr(result, "deleted_count", 0)) == 1
+        assert materials.last_plan.kind == "IDHACK"
+        assert materials.last_plan.candidates_examined == 1
+
+    def test_upsert_of_absent_id_is_idhack(self, materials):
+        result = materials.replace_one({"_id": "new"}, {"nsites": 1},
+                                       upsert=True)
+        assert result.upserted_id == "new"
+        assert materials.last_plan.kind == "IDHACK"
+        assert materials.last_plan.candidates_examined == 0
+
+    def test_update_on_indexed_field_is_ixscan(self, materials):
+        materials.create_index("formula")
+        result = materials.update_many({"formula": "F3"},
+                                       {"$set": {"seen": True}})
+        assert result.modified_count == 25
+        assert materials.last_plan.kind == "IXSCAN"
+        assert materials.last_plan.candidates_examined == 25
+        materials.update_one({"formula": "F4"}, {"$set": {"seen": True}})
+        assert materials.last_plan.kind == "IXSCAN"
+        assert materials.last_plan.candidates_examined == 1
+
+    def test_update_one_modifies_what_find_one_returns(self):
+        c = Collection("c")
+        c.insert_many([{"x": 3 - i, "tag": "t"} for i in range(3)])
+        c.create_index("x")
+        query = {"x": {"$gte": 1}}
+        target = c.find_one(query)
+        # Index order, not insertion order: the case the private scans
+        # of update/delete used to answer differently.
+        assert c.last_plan.kind == "IXSCAN" and target["x"] == 1
+        c.update_one(query, {"$set": {"hit": "update"}})
+        assert c.find_one({"hit": "update"})["_id"] == target["_id"]
+        assert c.find_one_and_update(
+            query, {"$set": {"hit": "claim"}})["_id"] == target["_id"]
+        c.delete_one(query)
+        assert c.find_one({"_id": target["_id"]}) is None
+        assert c.count_documents({}) == 2
+
+    def test_multi_update_along_its_own_index_touches_each_doc_once(self):
+        c = Collection("c")
+        c.insert_many([{"x": i} for i in range(10)])
+        c.create_index("x")
+        events = []
+        c.add_change_listener(lambda op, payload: events.append(payload["_id"]))
+        result = c.update_many({"x": {"$gte": 0}}, {"$inc": {"x": 100}})
+        assert (result.matched_count, result.modified_count) == (10, 10)
+        assert c.last_plan.kind == "IXSCAN"
+        assert sorted(d["x"] for d in c.find()) == list(range(100, 110))
+        # Change stream order is insertion order, not index order.
+        assert events == [d["_id"] for d in c.all_documents()]

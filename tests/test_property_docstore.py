@@ -163,3 +163,99 @@ class TestUpdatePreservesValidity:
             assert new == n
         else:
             assert new == old + n
+
+
+# -- every verb, planned vs. COLLSCAN ---------------------------------------
+#
+# One random op stream runs against a collection with single and compound
+# indexes and against an index-free twin whose every plan is a COLLSCAN.
+# Documents carry explicit ``_id``s and a unique ``k``, so single-target ops
+# name their target by a unique selector or a total sort.
+
+small = st.integers(0, 5)
+doc_ids = st.integers(0, 24)
+selectors = st.one_of(
+    st.builds(lambda v: {"a": v}, small),
+    st.builds(lambda v: {"a": {"$gte": v}}, small),
+    st.builds(lambda v: {"b": {"$lt": v}}, small),
+    st.builds(lambda a, b: {"a": a, "b": {"$lte": b}}, small, small),
+    st.builds(lambda v: {"k": {"$gt": v}}, doc_ids),
+    st.just({}),
+)
+unique_selectors = st.one_of(
+    st.builds(lambda i: {"_id": i}, doc_ids),
+    st.builds(lambda i: {"k": i}, doc_ids),
+    st.builds(lambda i, a: {"a": a, "k": i}, doc_ids, small),
+)
+mutations = st.one_of(
+    st.builds(lambda v: {"$set": {"a": v}}, small),
+    st.builds(lambda v: {"$inc": {"a": v}}, small),  # moves along a_1
+    st.builds(lambda v: {"$inc": {"b": v - 2}}, small),
+    st.builds(lambda v: {"$set": {"note": v}}, small),
+)
+total_sorts = st.sampled_from([
+    [("k", 1)], [("k", -1)],
+    [("b", 1), ("k", 1)], [("b", -1), ("k", -1)],  # b_1_k_1, either way
+    [("a", -1), ("k", 1)], [("b", 1), ("k", -1)],  # blocking
+])
+operations = st.one_of(
+    st.tuples(st.just("insert"), small, small),
+    st.tuples(st.just("update_one"), unique_selectors, mutations),
+    st.tuples(st.just("update_many"), selectors, mutations),
+    st.tuples(st.just("replace_one"), doc_ids, small, small, st.booleans()),
+    st.tuples(st.just("delete_one"), unique_selectors),
+    st.tuples(st.just("delete_many"), selectors),
+    st.tuples(st.just("find_one_and_update"), selectors, mutations,
+              total_sorts, st.sampled_from(["before", "after"])),
+    st.tuples(st.just("find_one_and_delete"), selectors, total_sorts),
+    st.tuples(st.just("find"), selectors, total_sorts,
+              st.integers(0, 4), st.integers(0, 6)),
+)
+
+
+def _apply(coll, op, next_id):
+    """Run one op; return a comparable result."""
+    kind, args = op[0], op[1:]
+    if kind == "insert":
+        a, b = args
+        return coll.insert_one(
+            {"_id": next_id, "k": next_id, "a": a, "b": b}).inserted_id
+    if kind in ("update_one", "update_many"):
+        r = getattr(coll, kind)(*args)
+        return r.matched_count, r.modified_count
+    if kind == "replace_one":
+        i, a, b, upsert = args
+        r = coll.replace_one({"_id": i}, {"k": i, "a": a, "b": b},
+                             upsert=upsert)
+        return r.matched_count, r.modified_count, r.upserted_id
+    if kind in ("delete_one", "delete_many"):
+        return getattr(coll, kind)(*args).deleted_count
+    if kind == "find_one_and_update":
+        query, update, sort, which = args
+        return coll.find_one_and_update(query, update, sort=sort,
+                                        return_document=which)
+    if kind == "find_one_and_delete":
+        query, sort = args
+        return coll.find_one_and_delete(query, sort=sort)
+    query, sort, skip, limit = args
+    return (coll.find(query).sort(sort).skip(skip).limit(limit).to_list(),
+            sorted(d["_id"] for d in coll.find(query)),
+            coll.count_documents(query), coll.find_one(query) is not None)
+
+
+class TestEveryVerbMatchesCollscan:
+    @given(ops=st.lists(operations, min_size=1, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_indexed_collection_tracks_index_free_twin(self, ops):
+        indexed, twin = Collection("indexed"), Collection("twin")
+        for keys in ("a", "k", [("a", 1), ("b", -1)], [("b", 1), ("k", 1)]):
+            indexed.create_index(keys)
+        seed = [{"_id": i, "k": i, "a": i % 4, "b": (i * 3) % 5}
+                for i in range(8)]
+        indexed.insert_many(seed)
+        twin.insert_many(seed)
+        next_id = 100
+        for op in ops:
+            assert _apply(indexed, op, next_id) == _apply(twin, op, next_id), op
+            assert indexed.all_documents() == twin.all_documents(), op
+            next_id += 1

@@ -220,15 +220,15 @@ class TestCurrentOpKillOp:
         coll = store["mp"]["tasks"]
         coll.insert_many([{"n": i} for i in range(10)])
         started, release = threading.Event(), threading.Event()
-        original = coll._candidates
+        original = coll._select
 
-        def gated(query, matcher):
-            for doc in original(query, matcher):
+        def gated(*args, **kwargs):
+            for hit in original(*args, **kwargs):
                 started.set()
                 release.wait(timeout=5)
-                yield doc
+                yield hit
 
-        coll._candidates = gated
+        coll._select = gated
         failures = []
 
         def scan():
@@ -286,15 +286,15 @@ class TestCurrentOpKillOp:
         coll = store["mp"]["tasks"]
         coll.insert_many([{"n": i} for i in range(5)])
         started, release = threading.Event(), threading.Event()
-        original = coll._candidates
+        original = coll._select
 
-        def gated(query, matcher):
-            for doc in original(query, matcher):
+        def gated(*args, **kwargs):
+            for hit in original(*args, **kwargs):
                 started.set()
                 release.wait(timeout=5)
-                yield doc
+                yield hit
 
-        coll._candidates = gated
+        coll._select = gated
         failures = []
 
         def scan():
