@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
 
+from ..background import ServerThread
 from ..docstore.documents import DocumentJSONEncoder
 from ..obs import get_logger, get_registry, log_event
 from .rest import MaterialsAPI
@@ -455,7 +455,7 @@ class _Handler(BaseHTTPRequestHandler):
                   client=self.address_string(), line=fmt % args)
 
 
-class MaterialsAPIServer:
+class MaterialsAPIServer(ServerThread):
     """Threaded HTTP server wrapping a MaterialsAPI router."""
 
     def __init__(self, api: MaterialsAPI, host: str = "127.0.0.1",
@@ -472,7 +472,7 @@ class MaterialsAPIServer:
         self._httpd.webui = webui  # type: ignore[attr-defined]
         self._httpd.health_monitor = self.monitor  # type: ignore[attr-defined]
         self._httpd.warehouse = warehouse  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__("http-server", self._httpd)
 
     @staticmethod
     def _default_monitor(api: MaterialsAPI) -> Optional[Any]:
@@ -494,22 +494,3 @@ class MaterialsAPIServer:
     def base_url(self) -> str:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
-
-    def start(self) -> "MaterialsAPIServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "MaterialsAPIServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()

@@ -12,14 +12,14 @@ copy → delta-drain → locked-commit protocol, so it is safe to run against
 live writers).
 
 ``balance_once`` is the deterministic unit the convergence test drives; the
-daemon thread is the same loop on a timer.
+daemon is the same pass on a :class:`~repro.background.PeriodicTask`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional
+from typing import Any, List, Optional
 
+from ...background import PeriodicTask, TaskDaemon
 from ...errors import ClusterError
 from ...obs import get_registry
 from .router import ShardedCluster
@@ -27,14 +27,13 @@ from .router import ShardedCluster
 __all__ = ["Balancer"]
 
 
-class Balancer:
+class Balancer(TaskDaemon):
     """Chunk-count/doc-skew equalizer over a :class:`ShardedCluster`."""
 
     def __init__(self, cluster: ShardedCluster, interval_s: float = 0.2,
                  balance_threshold: float = 1.1,
-                 max_moves_per_round: int = 8):
+                 max_moves_per_round: int = 8, clock: Any = None):
         self.cluster = cluster
-        self.interval_s = interval_s
         #: Document-skew trigger: act when ``balance_factor`` (max/mean)
         #: exceeds this even if chunk counts look level.
         self.balance_threshold = balance_threshold
@@ -42,8 +41,8 @@ class Balancer:
         self.rounds = 0
         self.moves = 0
         self.failed_moves = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._task = PeriodicTask("cluster-balancer", interval_s,
+                                  self.balance_once, clock)
 
     # -- one deterministic pass --------------------------------------------
 
@@ -97,31 +96,6 @@ class Balancer:
     def is_balanced(self, ns: str) -> bool:
         return self._plan_move(ns) is None
 
-    # -- daemon -------------------------------------------------------------
-
-    def start(self) -> "Balancer":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run,
-                                        name="cluster-balancer", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.balance_once()
-            except Exception:
-                self.failed_moves += 1
-
     def stats(self) -> dict:
         return {"rounds": self.rounds, "moves": self.moves,
-                "failed": self.failed_moves,
-                "running": self._thread is not None}
+                "failed": self.failed_moves, "running": self.running}

@@ -33,6 +33,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ...background import PeriodicTask, TaskDaemon
 from ...errors import ClusterError, ElectionFailed, NotPrimary
 from ...obs import get_registry
 from ..changestream import ChangeStream
@@ -374,33 +375,18 @@ class ShardReplicaSet:
                 pass
 
 
-class HeartbeatMonitor:
-    """Failure detector: a daemon thread that elects around dead primaries."""
+class HeartbeatMonitor(TaskDaemon):
+    """Failure detector: a periodic task that elects around dead primaries."""
 
     def __init__(self, replica_sets: List[ShardReplicaSet],
-                 interval_s: float = 0.05):
+                 interval_s: float = 0.05, clock: Any = None):
         self.replica_sets = list(replica_sets)
-        self.interval_s = interval_s
         self.beats = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._task = PeriodicTask("cluster-heartbeat", interval_s,
+                                  self.check_once, clock)
 
     def add(self, replica_set: ShardReplicaSet) -> None:
         self.replica_sets.append(replica_set)
-
-    def start(self) -> "HeartbeatMonitor":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(target=self._run,
-                                        name="cluster-heartbeat", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
 
     def check_once(self) -> int:
         """One heartbeat sweep; returns how many elections it triggered."""
@@ -414,7 +400,3 @@ class HeartbeatMonitor:
                     pass
         self.beats += 1
         return triggered
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.check_once()

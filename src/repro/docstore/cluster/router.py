@@ -456,20 +456,24 @@ class ShardedCluster:
     chunk map survives restarts; by default it is in-memory.  ``event_sink``
     receives balancer/election/migration event dicts — wire it to
     ``TelemetryWarehouse.record_flight_event`` to land them in
-    ``telemetry.events``.
+    ``telemetry.events``.  ``clock`` is handed to the heartbeat and balancer
+    tasks (see :mod:`repro.background`): ``None`` runs them on threads, a
+    ``SimClock`` makes every beat and round a step of ``clock.run_until``.
     """
 
     def __init__(self, config_store: Optional[DocumentStore] = None,
                  n_replicas: int = 3,
                  split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
                  store_factory: Optional[Callable[[], DocumentStore]] = None,
-                 event_sink: Optional[Callable[[dict], None]] = None):
+                 event_sink: Optional[Callable[[dict], None]] = None,
+                 clock: Any = None):
         store = config_store if config_store is not None else DocumentStore()
         self.config = ClusterConfig(store["config"])
         self.n_replicas = n_replicas
         self.split_threshold = split_threshold
         self.store_factory = store_factory
         self.event_sink = event_sink
+        self._clock = clock
         self.shards: Dict[str, Shard] = {}
         self.migrations = 0
         self.migrated_docs = 0
@@ -535,7 +539,8 @@ class ShardedCluster:
     def start_heartbeat(self, interval_s: float = 0.05) -> HeartbeatMonitor:
         if self.heartbeat is None:
             self.heartbeat = HeartbeatMonitor(
-                [s.rs for s in self.shards.values()], interval_s=interval_s)
+                [s.rs for s in self.shards.values()], interval_s=interval_s,
+                clock=self._clock)
             self.heartbeat.start()
         return self.heartbeat
 
@@ -543,7 +548,8 @@ class ShardedCluster:
         from .balancer import Balancer
 
         if self.balancer is None:
-            self.balancer = Balancer(self, interval_s=interval_s)
+            self.balancer = Balancer(self, interval_s=interval_s,
+                                     clock=self._clock)
             self.balancer.start()
         return self.balancer
 

@@ -30,6 +30,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..background import task_table
 from ..errors import CollectionNotFound, DocstoreError
 from ..obs import current_span, get_registry
 from ..obs.procstats import process_status
@@ -375,12 +376,15 @@ class DocumentStore:
     ``fsync`` selects the journal's durability policy (``"always"``,
     ``"interval"``, or ``"never"``) and ``fsync_interval_s`` the cadence
     of the ``"interval"`` policy; both are ignored for in-memory stores.
+    ``clock`` paces the store's TTL reaper (see :mod:`repro.background`).
     """
 
     def __init__(self, persistence_dir: Optional[str] = None,
-                 fsync: str = "interval", fsync_interval_s: float = 0.05):
+                 fsync: str = "interval", fsync_interval_s: float = 0.05,
+                 clock: Any = None):
         from .ops import OperationRegistry
 
+        self._clock = clock
         self._databases: Dict[str, Database] = {}
         self._lock = threading.RLock()
         self._ops = OperationRegistry()
@@ -466,6 +470,7 @@ class DocumentStore:
             "locks": locks,
             "planCache": plan_cache,
             "process": process_status(),
+            "tasks": task_table(),
         }
         if self._persistence is not None:
             out["journal"] = self._persistence.journal_stats()
@@ -547,19 +552,13 @@ class DocumentStore:
         indexes get swept every ``interval_s`` seconds; see
         :mod:`repro.docstore.ttl`.
         """
-        from .ttl import DEFAULT_INTERVAL_S, TTLReaper
+        from .ttl import TTLReaper
 
         with self._lock:
             if self._ttl_reaper is None:
-                self._ttl_reaper = TTLReaper(
-                    self,
-                    interval_s=(DEFAULT_INTERVAL_S if interval_s is None
-                                else interval_s),
-                )
-            elif interval_s is not None:
-                self._ttl_reaper.interval_s = float(interval_s)
+                self._ttl_reaper = TTLReaper(self, clock=self._clock)
             reaper = self._ttl_reaper
-        return reaper.start()
+        return reaper.start(interval_s)
 
     def stop_ttl_reaper(self) -> None:
         with self._lock:

@@ -27,6 +27,7 @@ import time
 from collections import deque
 from typing import Any, Deque, List, Optional
 
+from ..background import ServerThread
 from ..obs import get_registry, remote_span, trace_context
 from .documents import document_from_json, document_to_json
 from .server import RemoteClient
@@ -105,7 +106,7 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-class DatastoreProxy:
+class DatastoreProxy(ServerThread):
     """TCP proxy relaying the JSON-line wire protocol to an upstream server.
 
     Parameters
@@ -142,7 +143,7 @@ class DatastoreProxy:
         self.forward_latency_s = forward_latency_s
         self._tcp = _ThreadingTCPServer((host, port), _ProxyHandler)
         self._tcp.proxy = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__("wire-proxy", self._tcp)
         self._lock = threading.Lock()
         self.requests_forwarded = 0
         self.bytes_up = 0
@@ -248,23 +249,6 @@ class DatastoreProxy:
     @property
     def address(self) -> tuple:
         return self._tcp.server_address
-
-    def start(self) -> "DatastoreProxy":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "DatastoreProxy":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
     def client(self) -> RemoteClient:
         """Open a client connection through this proxy."""

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
+from ..background import PeriodicTask
 from ..errors import ReplicationError
 from ..obs import active_span
 from .database import Database
@@ -111,7 +112,8 @@ class ReplicaSet:
     automatically append to the oplog.  Reads honour a read preference.
     """
 
-    def __init__(self, name: str, n_secondaries: int = 2):
+    def __init__(self, name: str, n_secondaries: int = 2,
+                 clock: Any = None):
         if n_secondaries < 0:
             raise ReplicationError("n_secondaries must be >= 0")
         self.name = name
@@ -120,8 +122,8 @@ class ReplicaSet:
         self._nodes[0].is_primary = True
         self._watched: Dict[int, set] = {}
         self._watch_primary()
-        self._repl_thread: Optional[threading.Thread] = None
-        self._stop_repl = threading.Event()
+        self._repl_task = PeriodicTask(f"replication:{name}", 0.01,
+                                       self.replicate, clock)
         self._rr = 0
         # Election bookkeeping, matching the cluster replica sets
         # (repro.docstore.cluster.replica): every step_down is a term bump
@@ -189,25 +191,10 @@ class ReplicaSet:
         return applied
 
     def start_background_replication(self, interval_s: float = 0.01) -> None:
-        if self._repl_thread is not None:
-            return
-        self._stop_repl.clear()
-
-        def loop() -> None:
-            while not self._stop_repl.wait(interval_s):
-                try:
-                    self.replicate()
-                except ReplicationError:
-                    break
-
-        self._repl_thread = threading.Thread(target=loop, daemon=True)
-        self._repl_thread.start()
+        self._repl_task.start(interval_s)
 
     def stop_background_replication(self) -> None:
-        if self._repl_thread is not None:
-            self._stop_repl.set()
-            self._repl_thread.join(timeout=5)
-            self._repl_thread = None
+        self._repl_task.stop()
 
     # -- reads -------------------------------------------------------------------
 

@@ -29,6 +29,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional
 
+from ..background import ServerThread
 from ..errors import (
     ClusterError,
     ConnectionLost,
@@ -120,7 +121,7 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
-class DatastoreServer:
+class DatastoreServer(ServerThread):
     """Serves a :class:`DocumentStore` over TCP (one JSON doc per line)."""
 
     def __init__(self, store: Optional[DocumentStore] = None, host: str = "127.0.0.1", port: int = 0,
@@ -133,7 +134,7 @@ class DatastoreServer:
             self.store, "cluster", None)
         self._tcp = _ThreadingTCPServer((host, port), _Handler)
         self._tcp.datastore_server = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
+        super().__init__("wire-server", self._tcp)
         self.requests_served = 0
         self._stats_lock = threading.Lock()
         # Optional access-log warehouse (``repro.api.querylog.QueryLog``):
@@ -180,23 +181,6 @@ class DatastoreServer:
     @property
     def port(self) -> int:
         return self._tcp.server_address[1]
-
-    def start(self) -> "DatastoreServer":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "DatastoreServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
     # -- request dispatch -------------------------------------------------
 

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
+
+from ..background import PeriodicTask, TaskDaemon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import DocumentStore
@@ -35,7 +37,7 @@ __all__ = ["TTLReaper"]
 DEFAULT_INTERVAL_S = 10.0
 
 
-class TTLReaper:
+class TTLReaper(TaskDaemon):
     """Background sweeper deleting documents past their TTL window.
 
     ``reaper = TTLReaper(store); reaper.start()`` — or use
@@ -44,11 +46,10 @@ class TTLReaper:
     """
 
     def __init__(self, store: "DocumentStore",
-                 interval_s: float = DEFAULT_INTERVAL_S):
+                 interval_s: float = DEFAULT_INTERVAL_S, clock: Any = None):
         self.store = store
-        self.interval_s = float(interval_s)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._task = PeriodicTask("repro-ttl-reaper", interval_s, self.sweep,
+                                  clock)
         self._lock = threading.Lock()
         self._sweeps = 0
         self._reaped_total = 0
@@ -95,36 +96,6 @@ class TTLReaper:
                 "reaped_total": self._reaped_total,
                 "last_sweep_ts": self._last_sweep_ts,
             }
-
-    # -- thread lifecycle -------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> "TTLReaper":
-        if self.running:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-ttl-reaper", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.sweep()
-            except Exception:  # pragma: no cover - never kill the thread
-                pass
 
     def __enter__(self) -> "TTLReaper":
         return self.start()

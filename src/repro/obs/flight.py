@@ -57,6 +57,7 @@ import zlib
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..background import PeriodicTask, TaskDaemon
 from .metrics import get_registry
 from .procstats import process_status
 from .profiler import fold_stack
@@ -518,7 +519,7 @@ def scan_anomalies(snapshots: List[dict], threshold: float = 6.0,
 # -- the recorder -----------------------------------------------------------
 
 
-class FlightRecorder:
+class FlightRecorder(TaskDaemon):
     """Background diagnostic snapshotter over an append-only chunk ring.
 
     ``store`` may be ``None`` (metrics + process stats only) — the
@@ -536,13 +537,14 @@ class FlightRecorder:
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                  chunk_records: int = DEFAULT_CHUNK_RECORDS,
-                 recent_max: int = 300):
+                 recent_max: int = 300, clock: Any = None):
         if interval_s <= 0:
             raise ValueError(
                 f"interval must be positive, got {interval_s!r}")
         self.store = store
         self.directory = directory
-        self.interval_s = float(interval_s)
+        self._task = PeriodicTask("repro-flight", interval_s, self.capture,
+                                  clock)
         self._registry = registry
         self._writer = _RingWriter(directory, max_bytes=max_bytes,
                                    max_chunk_bytes=max_chunk_bytes,
@@ -555,8 +557,6 @@ class FlightRecorder:
         self._seq = 0
         self._errors = 0
         self._started_at: Optional[float] = None
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._atexit_registered = False
 
     # -- snapshot capture -------------------------------------------------
@@ -643,10 +643,6 @@ class FlightRecorder:
 
     # -- lifecycle --------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def _session_path(self) -> str:
         return os.path.join(self.directory, SESSION_FILE)
 
@@ -659,13 +655,6 @@ class FlightRecorder:
             _write_json_atomic(self._session_path(), doc)
         except OSError:
             pass
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval_s):
-            try:
-                self.capture()
-            except Exception:
-                self._errors += 1
 
     def start(self) -> "FlightRecorder":
         """Start the capture daemon and mark the session dirty (idempotent).
@@ -682,10 +671,7 @@ class FlightRecorder:
         if not self._atexit_registered:
             atexit.register(self._atexit_stop)
             self._atexit_registered = True
-        self._stop_event = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-flight", daemon=True)
-        self._thread.start()
+        self._task.start()
         return self
 
     def _atexit_stop(self) -> None:
@@ -697,11 +683,7 @@ class FlightRecorder:
 
     def stop(self) -> dict:
         """Stop the daemon, write a shutdown event, mark the session clean."""
-        thread = self._thread
-        self._thread = None
-        self._stop_event.set()
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
+        self._task.stop()
         self.record_event("shutdown", {"seq": self._seq}, flush=True)
         self._write_session(clean=True)
         with self._lock:
@@ -718,7 +700,7 @@ class FlightRecorder:
                 "records_written": self._writer.records_written,
                 "bytes_written": self._writer.bytes_written,
                 "chunks": len(_list_chunks(self.directory)),
-                "errors": self._errors,
+                "errors": self._errors + self._task.errors,
                 "started_at": self._started_at,
                 "recent": len(self._recent),
             }
@@ -752,7 +734,7 @@ def dump_all_stacks(max_threads: int = 64) -> List[dict]:
     return out
 
 
-class StallWatchdog:
+class StallWatchdog(TaskDaemon):
     """Liveness prober that lives *outside* the paths it watches.
 
     Three probes per tick:
@@ -777,19 +759,19 @@ class StallWatchdog:
                  interval_s: float = 1.0,
                  stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
                  event_sink: Optional[Callable[[dict], None]] = None,
-                 max_probed_collections: int = 32):
+                 max_probed_collections: int = 32, clock: Any = None):
         self.recorder = recorder
         self.store = store
         self.wire_server = wire_server
-        self.interval_s = float(interval_s)
+        self._clock = clock
+        self._task = PeriodicTask("repro-flight-watchdog", interval_s,
+                                  self.check_once, clock)
         self.stall_timeout_s = float(stall_timeout_s)
         self.event_sink = event_sink
         self.max_probed_collections = int(max_probed_collections)
         self.stalls_detected = 0
         self._failing_since: Dict[str, float] = {}
         self._stalled: Dict[str, bool] = {}
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     # -- probes -----------------------------------------------------------
 
@@ -824,7 +806,9 @@ class StallWatchdog:
         Public so tests and the tour can drive detection deterministically
         without the daemon thread.
         """
-        now = time.monotonic() if now is None else now
+        if now is None:
+            now = (time.monotonic() if self._clock is None
+                   else self._clock.now)
         failing: Dict[str, str] = {}
 
         for probe, lock in self._iter_locks():
@@ -912,35 +896,6 @@ class StallWatchdog:
             except Exception:
                 pass
         return event
-
-    # -- lifecycle --------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _run(self) -> None:
-        while not self._stop_event.wait(self.interval_s):
-            try:
-                self.check_once()
-            except Exception:
-                pass
-
-    def start(self) -> "StallWatchdog":
-        if self.running:
-            return self
-        self._stop_event = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-flight-watchdog", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        thread = self._thread
-        self._thread = None
-        self._stop_event.set()
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
 
 
 # -- crash forensics --------------------------------------------------------

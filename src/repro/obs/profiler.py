@@ -33,6 +33,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..background import PeriodicTask, TaskDaemon
+
 __all__ = [
     "SamplingProfiler",
     "get_profiler",
@@ -91,7 +93,7 @@ def fold_stack(frame: Any, max_depth: int = MAX_DEPTH) -> str:
     return ";".join(labels)
 
 
-class SamplingProfiler:
+class SamplingProfiler(TaskDaemon):
     """Wall-clock stack sampler with bounded folded-stack aggregation."""
 
     def __init__(self, hz: float = DEFAULT_HZ, max_stacks: int = MAX_STACKS,
@@ -111,8 +113,8 @@ class SamplingProfiler:
         self._active_s = 0.0
         self._started_at: Optional[float] = None
         self._started_wall: Optional[float] = None
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._task = PeriodicTask("repro-profiler", 1.0 / self.hz,
+                                  self.sample_once)
 
     # -- sampling ---------------------------------------------------------
 
@@ -148,29 +150,15 @@ class SamplingProfiler:
             self._overhead_s += time.perf_counter() - t0
         return sampled
 
-    def _run(self) -> None:
-        interval = 1.0 / self.hz
-        while not self._stop_event.wait(interval):
-            self.sample_once()
-
     # -- lifecycle --------------------------------------------------------
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> "SamplingProfiler":
         """Start the sampling daemon (idempotent)."""
         with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return self
-            self._stop_event = threading.Event()
-            self._started_at = time.perf_counter()
-            self._started_wall = time.time()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-profiler", daemon=True
-            )
-        self._thread.start()
+            if not self.running:
+                self._started_at = time.perf_counter()
+                self._started_wall = time.time()
+        self._task.start()
         return self
 
     def stop(self) -> dict:
@@ -179,15 +167,11 @@ class SamplingProfiler:
         The aggregated stacks survive the stop, so a stopped profiler can
         still be snapshotted/rendered until :meth:`reset` or restart.
         """
+        self._task.stop()
         with self._lock:
-            thread = self._thread
-            self._thread = None
             if self._started_at is not None:
                 self._active_s += time.perf_counter() - self._started_at
                 self._started_at = None
-        self._stop_event.set()
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
         return self.snapshot()
 
     def reset(self) -> None:
@@ -236,10 +220,9 @@ class SamplingProfiler:
     def snapshot(self, limit: int = 0) -> dict:
         """Aggregated profile state as one JSON-friendly document."""
         with self._lock:
-            running = self._thread is not None and self._thread.is_alive()
             duration = self._duration_s()
             out = {
-                "running": running,
+                "running": self.running,
                 "hz": self.hz,
                 "samples": self._samples,
                 "passes": self._passes,

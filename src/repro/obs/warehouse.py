@@ -48,6 +48,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..background import PeriodicTask, TaskDaemon
 from .metrics import MetricsRegistry, get_registry, percentile
 from .tracing import Span, add_tail_sampler, remove_tail_sampler
 
@@ -374,7 +375,7 @@ class TailSampler:
         return list(cursor)
 
 
-class TelemetryWarehouse:
+class TelemetryWarehouse(TaskDaemon):
     """The telemetry database and its recorders, built over a live store.
 
     ``TelemetryWarehouse(store)`` creates the ``telemetry`` collections
@@ -394,7 +395,7 @@ class TelemetryWarehouse:
                  profiles_ttl_s: float = PROFILES_TTL_S,
                  events_ttl_s: float = EVENTS_TTL_S,
                  trace_latency_threshold_ms: float =
-                 TRACE_LATENCY_THRESHOLD_MS):
+                 TRACE_LATENCY_THRESHOLD_MS, clock: Any = None):
         # Imported lazily: repro.api pulls repro.obs in at import time, so
         # the reverse edge must not exist at module scope.
         from ..api.querylog import QueryLog
@@ -436,8 +437,8 @@ class TelemetryWarehouse:
         )
         self._profile_dbs: Dict[str, Any] = {}
         self._profile_cursor: Dict[str, float] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._task = PeriodicTask("repro-telemetry-warehouse", 5.0, self.tick,
+                                  clock)
 
     # -- profile mirroring ------------------------------------------------
 
@@ -623,40 +624,18 @@ class TelemetryWarehouse:
             "profiler_snapshots": profiler_snaps,
         }
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self, interval_s: float = 5.0,
               reap_interval_s: Optional[float] = None
               ) -> "TelemetryWarehouse":
         """Run :meth:`tick` on a background interval; also starts the
         store's TTL reaper (stopped by ``store.close()``)."""
         self.store.start_ttl_reaper(reap_interval_s)
-        if self.running:
-            return self
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.tick()
-                except Exception:  # pragma: no cover - keep the loop alive
-                    pass
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-telemetry-warehouse", daemon=True
-        )
-        self._thread.start()
+        self._task.start(interval_s)
         return self
 
     def stop(self) -> None:
         """Stop the recording loop (the TTL reaper belongs to the store)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
+        self._task.stop()
 
     def __enter__(self) -> "TelemetryWarehouse":
         return self

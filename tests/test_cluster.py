@@ -22,7 +22,7 @@ from repro.docstore import (
     RemoteClient,
     ShardedCluster,
 )
-from repro.docstore.cluster import MAX_KEY, MIN_KEY
+from repro.docstore.cluster import MAX_KEY, MIN_KEY, HeartbeatMonitor
 from repro.docstore.cluster.config import bound_sort_key
 from repro.errors import (
     ClusterError,
@@ -30,6 +30,8 @@ from repro.errors import (
     ShardingError,
     StaleEpoch,
 )
+from repro.hpc.simclock import SimClock
+from repro.obs import get_registry
 
 DURATION_S = float(os.environ.get("CHAOS_DURATION_S", "1.5"))
 N_WRITERS = int(os.environ.get("CHAOS_WRITERS", "4"))
@@ -257,18 +259,25 @@ class TestBalancer:
         assert coll.find_one({"mid": "mp-00299"}) is not None
 
     def test_background_balancer_daemon(self):
-        cluster = make_cluster(n_shards=1, split_threshold=25)
+        """Skewed ingest converges in three balancer rounds of simulated
+        time: no thread, no sleeping."""
+        clock = SimClock()
+        cluster = make_cluster(n_shards=1, split_threshold=25, clock=clock)
         coll = cluster.shard_collection("mp.skew", "mid", strategy="range")
         for i in range(200):
             coll.insert_one({"mid": f"mp-{i:05d}"})
         cluster.add_shard("s1")
-        cluster.start_balancer(interval_s=0.02)
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            if cluster.balance_factor("mp.skew") <= 1.34:
-                break
-            time.sleep(0.02)
+        before = threading.active_count()
+        balancer = cluster.start_balancer(interval_s=0.25)
+        assert balancer.running and threading.active_count() == before
+        clock.run_until(0.5)
+        assert balancer.is_balanced("mp.skew")  # round 1 moved, round 2 idle
+        clock.run_until(0.75)
+        assert balancer.stats()["rounds"] == 3
+        assert cluster.balance_factor("mp.skew") <= 1.34
         cluster.stop()
+        clock.run_until(5.0)
+        assert balancer.stats()["rounds"] == 3  # stopped: no further rounds
         counts = cluster.config.chunk_counts("mp.skew")
         assert counts.get("s1", 0) > 0
         assert coll.count_documents({}) == 200
@@ -337,6 +346,82 @@ class TestElections:
         new = cluster.step_down("s0")
         assert new != old and rs.primary.name == new
         assert rs.term == 1
+
+
+class _FlakyReplicaSet:
+    """Stands in for a ShardReplicaSet whose health check can blow up."""
+
+    def __init__(self):
+        self.fail = False
+        self.raised = threading.Event()
+        self.checked = threading.Event()
+
+    @property
+    def primary(self):
+        if self.fail:
+            self.raised.set()
+            raise RuntimeError("member unreachable")
+        self.checked.set()
+        return self
+
+
+def _heartbeat_errors():
+    return get_registry().counter(
+        "repro_background_task_errors_total").value(task="cluster-heartbeat")
+
+
+class TestHeartbeatMonitor:
+    def test_restart_after_stop_beats_again(self):
+        rs = _FlakyReplicaSet()
+        monitor = HeartbeatMonitor([rs], interval_s=0.005).start()
+        assert rs.checked.wait(5)
+        monitor.stop()
+        assert not monitor.running
+        rs.checked.clear()
+        monitor.start()
+        assert rs.checked.wait(5), "restarted failure detector never beat"
+        monitor.stop()
+
+    def test_unexpected_error_is_counted_not_fatal(self):
+        rs = _FlakyReplicaSet()
+        rs.fail = True
+        errors_before = _heartbeat_errors()
+        monitor = HeartbeatMonitor([rs], interval_s=0.005).start()
+        assert rs.raised.wait(5)
+        rs.fail = False
+        assert rs.checked.wait(5), "one RuntimeError killed the detector"
+        assert monitor.running
+        monitor.stop()
+        assert _heartbeat_errors() >= errors_before + 1
+
+
+class TestSimulatedClock:
+    def test_one_election_at_the_first_beat_after_the_kill(self):
+        clock = SimClock()
+        events = []
+        cluster = make_cluster(
+            n_shards=2, clock=clock,
+            event_sink=lambda e: events.append((clock.now, e["type"])))
+        coll = cluster.shard_collection("mp.m", "mid")
+        for i in range(20):
+            coll.insert_one({"mid": f"mp-{i}"})
+        before = threading.active_count()
+        heartbeat = cluster.start_heartbeat(interval_s=0.5)
+        cluster.start_balancer(interval_s=2.0)
+        clock.run_until(1.25)  # beats at 0.5 and 1.0 find nothing to do
+        assert heartbeat.beats == 2
+        rs = cluster.shard("s0").rs
+        victim = rs.primary.name
+        rs.kill(victim)
+        del events[:]
+        clock.run_until(clock.now + 2 * heartbeat.interval_s)
+        assert events == [(1.5, "election")]
+        assert rs.primary is not None and rs.primary.name != victim
+        assert rs.term == 1 and cluster.shard("s1").rs.term == 0
+        assert heartbeat.beats == 4 and cluster.balancer.stats()["rounds"] == 1
+        assert threading.active_count() == before
+        coll.insert_one({"mid": "mp-after"})  # the shard takes writes again
+        cluster.stop()
 
 
 class TestChaosFailover:

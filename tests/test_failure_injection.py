@@ -7,6 +7,7 @@ import pytest
 
 from repro.docstore import Collection, DocumentStore, ReplicaSet
 from repro.errors import DuplicateKeyError, RateLimitExceeded
+from repro.hpc.simclock import SimClock
 
 
 class TestCrashRecovery:
@@ -70,9 +71,8 @@ class TestReplicaFailover:
         assert promoted is fresh
 
     def test_concurrent_writes_with_background_replication(self):
-        import time
-
-        rs = ReplicaSet("rs", n_secondaries=1)
+        clock = SimClock()
+        rs = ReplicaSet("rs", n_secondaries=1, clock=clock)
         rs.start_background_replication(interval_s=0.002)
 
         def writer(base):
@@ -83,13 +83,10 @@ class TestReplicaFailover:
                    for k in range(4)]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join()
-        deadline = time.time() + 3
-        while time.time() < deadline:
-            if rs.secondaries[0].database["m"].count_documents() == 100:
-                break
-            time.sleep(0.01)
+        # Replication ticks run here while the writers write over there.
+        while any(t.is_alive() for t in threads):
+            clock.run_until(clock.now + 0.002)
+        clock.run_until(clock.now + 0.002)  # one tick after the last write
         rs.stop_background_replication()
         assert rs.secondaries[0].database["m"].count_documents() == 100
 

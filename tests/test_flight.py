@@ -25,6 +25,7 @@ from repro.cli import main
 from repro.docstore import DatastoreServer, DocumentStore, RemoteClient
 from repro.docstore.locks import RWLock
 from repro.errors import DocstoreError
+from repro.hpc.simclock import SimClock
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.obs import flight as flight_module
 from repro.obs.flight import (
@@ -358,18 +359,19 @@ class TestFlightRecorder:
         rec.stop()
 
     def test_background_thread_and_session_marker(self, tmp_path, store):
-        rec = FlightRecorder(store, str(tmp_path), interval_s=0.05)
+        clock = SimClock()
+        rec = FlightRecorder(store, str(tmp_path), interval_s=0.5,
+                             clock=clock)
+        before = threading.active_count()
         rec.start()
-        assert rec.running
+        assert rec.running and threading.active_count() == before
         marker = json.load(open(tmp_path / SESSION_FILE))
         assert marker["clean"] is False
         assert marker["pid"] == os.getpid()
-        deadline = time.time() + 5.0
-        while rec.status()["snapshots"] < 2 and time.time() < deadline:
-            time.sleep(0.02)
+        clock.run_until(1.0)
         status = rec.stop()
         assert not rec.running
-        assert status["snapshots"] >= 2
+        assert status["snapshots"] == 2
         marker = json.load(open(tmp_path / SESSION_FILE))
         assert marker["clean"] is True
         events = decode_ring(str(tmp_path))["events"]
@@ -479,12 +481,13 @@ class TestStallWatchdog:
         store["mp"]["m"].insert_one({"i": 1})
         rec = FlightRecorder(store, str(tmp_path))
         sunk = []
+        clock = SimClock()
         wd = StallWatchdog(rec, store=store, stall_timeout_s=0.05,
-                           event_sink=sunk.append)
+                           event_sink=sunk.append, clock=clock)
         release, t = self._hold_write(store["mp"]["m"]._lock)
         try:
             assert wd.check_once() == []  # first failure only arms
-            time.sleep(0.1)
+            clock.run_until(0.1)
             events = wd.check_once()
             assert len(events) == 1
             assert events[0]["probe"] == "lock:mp.m"
@@ -500,7 +503,7 @@ class TestStallWatchdog:
         release2, t2 = self._hold_write(store["mp"]["m"]._lock)
         try:
             wd.check_once()
-            time.sleep(0.1)
+            clock.run_until(0.2)
             assert len(wd.check_once()) == 1
         finally:
             release2.set()
@@ -517,6 +520,42 @@ class TestStallWatchdog:
         assert [e["type"] for e in ring_events] == ["stall", "stall"]
         assert sunk[0]["type"] == "stall"
         rec.stop()
+
+    def test_arms_after_consecutive_failed_probes_on_the_clock(self):
+        """interval 1 s, timeout 3 s: the stall fires on the fourth failed
+        probe in a row, and one good probe in between starts the count
+        over.  No holder thread, no sleeping: the probed lock is a stub."""
+
+        class Wedged:
+            wedged = True
+
+            def try_acquire_read(self, timeout=0.0):
+                return not self.wedged
+
+            def release_read(self):
+                pass
+
+        lock = Wedged()
+        clock = SimClock()
+        wd = StallWatchdog(None, interval_s=1.0, stall_timeout_s=3.0,
+                           clock=clock)
+        wd._iter_locks = lambda: [("lock:mp.m", lock)]
+        before = threading.active_count()
+        wd.start()
+        clock.run_until(3.0)  # failed probes at 1, 2, 3
+        assert wd.stalls_detected == 0
+        lock.wedged = False
+        clock.run_until(4.0)  # a good probe: the episode is over
+        lock.wedged = True
+        clock.run_until(7.0)  # failed at 5, 6, 7: three in a row again
+        assert wd.stalls_detected == 0
+        clock.run_until(8.0)  # the fourth
+        assert wd.stalls_detected == 1
+        clock.run_until(20.0)  # fires once per episode
+        assert wd.stalls_detected == 1
+        assert threading.active_count() == before
+        wd.stop()
+        assert not wd.running
 
     def test_journal_heartbeat_in_stats(self, tmp_path):
         store = DocumentStore(persistence_dir=str(tmp_path / "data"))
@@ -722,8 +761,7 @@ class TestCrashForensics:
         for _ in range(3):
             rec.capture()
         rec._write_session(clean=False)  # simulate dying dirty
-        rec._stop_event.set()
-        rec._thread = None
+        rec._task.stop()  # the daemon dies, the marker stays dirty
         rec.flush()
         self._dirty_marker(tmp_path)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.docstore import Collection, ReplicaSet, ShardedCollection, hash_shard_key
 from repro.errors import ReplicationError, ShardingError
+from repro.hpc.simclock import SimClock
 
 
 def make_sharded(n=3, strategy="hashed", **kw):
@@ -165,17 +166,16 @@ class TestReplicaSet:
             rs.read_database("bogus")
 
     def test_background_replication(self):
-        import time
-
-        rs = ReplicaSet("rs0", n_secondaries=1)
+        clock = SimClock()
+        rs = ReplicaSet("rs0", n_secondaries=1, clock=clock)
         rs.start_background_replication(interval_s=0.005)
         rs.primary["m"].insert_many([{} for _ in range(10)])
-        deadline = time.time() + 2.0
-        while time.time() < deadline:
-            if rs.secondaries[0].database["m"].count_documents() == 10:
-                break
-            time.sleep(0.01)
+        assert rs.secondaries[0].database["m"].count_documents() == 0
+        clock.run_until(0.005)
+        assert rs.secondaries[0].database["m"].count_documents() == 10
         rs.stop_background_replication()
+        rs.primary["m"].insert_one({})
+        clock.run_until(1.0)  # stopped: the secondary stays behind
         assert rs.secondaries[0].database["m"].count_documents() == 10
 
 

@@ -3,6 +3,7 @@ engine, metrics history + rollups, the access-log warehouse, tail-sampled
 traces, warehouse-backed SLO alerts/advisor, HTTP endpoints, and the CLI."""
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ from repro.docstore import (
     RemoteClient,
 )
 from repro.errors import DocstoreError
+from repro.hpc.simclock import SimClock
 from repro.obs import (
     BurnRateRule,
     HealthMonitor,
@@ -102,16 +104,22 @@ class TestTTL:
         ops = [e.operation for e in stream.drain()]
         assert "delete" in ops
 
-    def test_reaper_thread_sweeps(self, store):
+    def test_reaper_thread_sweeps(self):
+        """Expired documents are gone one simulated interval after start."""
+        clock = SimClock()
+        store = DocumentStore(clock=clock)
         coll = store["mp"]["events"]
         coll.create_index("ts", expire_after_seconds=0.01)
         coll.insert_many([{"ts": time.time() - 5} for _ in range(3)])
-        store.start_ttl_reaper(interval_s=0.02)
-        deadline = time.time() + 5
-        while coll.count_documents() and time.time() < deadline:
-            time.sleep(0.02)
+        before = threading.active_count()
+        store.start_ttl_reaper(interval_s=30.0)
+        assert store.ttl_reaper.running
+        assert threading.active_count() == before
+        clock.run_until(29.0)
+        assert coll.count_documents() == 3
+        clock.run_until(30.0)
         assert coll.count_documents() == 0
-        assert store.server_status()["ttl"]["sweeps"] >= 1
+        assert store.server_status()["ttl"]["sweeps"] == 1
         store.stop_ttl_reaper()
 
     def test_ttl_survives_snapshot_roundtrip(self, tmp_path):
@@ -587,18 +595,24 @@ def served_warehouse(store):
     wh.tail_sampler.uninstall()
 
 
+def _await_access(wh, n):
+    """The access record is written after the response bytes go out, on
+    the handler's thread: poll until ``n`` have landed."""
+    deadline = time.time() + 5
+    recs = wh.access.query_access_log(endpoint="rest/v1/materials")
+    while len(recs) < n and time.time() < deadline:
+        time.sleep(0.01)
+        recs = wh.access.query_access_log(endpoint="rest/v1/materials")
+    return recs
+
+
 class TestTelemetryEndpoints:
     def test_requests_land_in_access_warehouse(self, served_warehouse):
         server, wh = served_warehouse
         _get(server.base_url + "/rest/v1/materials/mp-1")
         _get(server.base_url + "/rest/v1/materials/mp-2")
         _get(server.base_url + "/rest/v1/materials/mp-missing")
-        # the record is written after the response bytes go out: poll
-        deadline = time.time() + 5
-        recs = wh.access.query_access_log(endpoint="rest/v1/materials")
-        while len(recs) < 3 and time.time() < deadline:
-            time.sleep(0.01)
-            recs = wh.access.query_access_log(endpoint="rest/v1/materials")
+        recs = _await_access(wh, 3)
         # ids are templated away: one endpoint, bounded cardinality
         assert len(recs) == 3
         assert {r["status"] for r in recs} == {200, 404}
@@ -608,11 +622,7 @@ class TestTelemetryEndpoints:
     def test_telemetry_access_endpoint(self, served_warehouse):
         server, wh = served_warehouse
         _get(server.base_url + "/rest/v1/materials/mp-1")
-        deadline = time.time() + 5
-        while not wh.access.query_access_log(
-            endpoint="rest/v1/materials"
-        ) and time.time() < deadline:
-            time.sleep(0.01)
+        _await_access(wh, 1)
         code, doc = _get(
             server.base_url
             + "/telemetry/access?endpoint=rest/v1/materials"
@@ -680,18 +690,34 @@ class TestWarehouseLifecycle:
                               "traces", "profile", "profiles", "alerts",
                               "events"}
 
-    def test_background_loop_and_reaper(self, store):
-        wh = TelemetryWarehouse(store, registry=get_registry())
+    def test_background_loop_and_reaper(self):
+        """Warehouse tick and the store's TTL reaper on one simulated
+        clock: both run when due, in the test's own thread."""
+        clock = SimClock()
+        store = DocumentStore(clock=clock)
+        wh = TelemetryWarehouse(store, registry=get_registry(), clock=clock,
+                                metrics_ttl_s=3600.0)
         get_registry().counter("bg_total", "x").inc(1)
-        wh.start(interval_s=0.02)
+        store["telemetry"]["metrics"].insert_one(
+            {"name": "stale", "ts": time.time() - 7200.0})
+        before = threading.active_count()
+        wh.start(interval_s=5.0, reap_interval_s=8.0)
         assert wh.running
         assert store.ttl_reaper is not None and store.ttl_reaper.running
-        deadline = time.time() + 5
-        while not wh.stats()["metrics"] and time.time() < deadline:
-            time.sleep(0.02)
-        assert wh.stats()["metrics"] >= 1
+        assert threading.active_count() == before
+        clock.run_until(5.0)  # one tick, no sweep yet
+        assert wh.stats()["metrics"] > 1
+        assert store["telemetry"]["metrics"].count_documents(
+            {"name": "stale"}) == 1
+        clock.run_until(8.0)  # the reaper's first sweep
+        assert store["telemetry"]["metrics"].count_documents(
+            {"name": "stale"}) == 0
+        tasks = store.server_status()["tasks"]
+        assert tasks["repro-telemetry-warehouse"]["runs"] == 1
+        assert tasks["repro-ttl-reaper"]["runs"] == 1
         wh.stop()
         assert not wh.running
+        store.close()
 
 
 # -- CLI ------------------------------------------------------------------
