@@ -10,13 +10,18 @@ Expression language subset: field paths (``"$field.sub"``), literals,
 ``$sum $avg $min $max $first $last $push $addToSet $count`` accumulators in
 ``$group``, and ``$add $subtract $multiply $divide $concat $toLower $toUpper
 $size $abs $cond $ifNull $literal`` in projections.
+
+Stages never write into the documents they are given: they may pass them
+(or parts of them) through, and write only into dicts they built or copied.
+That is what lets ``Collection.aggregate`` feed them stored documents
+without a snapshot copy; it copies the rows that come out instead.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from ..errors import QuerySyntaxError
 from .documents import MISSING, deep_copy_doc, get_path, set_path
@@ -214,18 +219,29 @@ def _stage_match(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[dic
     return [d for d in docs if matcher.matches(d)]
 
 
+def _reject_path_collisions(stage: str, paths: Iterable[str]) -> None:
+    """MongoDB's rule that no computed path is a prefix of another.  Here
+    it also keeps ``{"a": "$sub", "a.b": 1}`` from writing ``b`` into the
+    input's ``sub``, which may be a stored document's."""
+    paths = list(paths)
+    for p in paths:
+        if any(q.startswith(p + ".") for q in paths):
+            raise QuerySyntaxError(f"{stage}: path collision at {p!r}")
+
+
 def _stage_project(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[dict]:
     include = {k: v for k, v in spec.items() if v in (1, True)}
     exclude = {k for k, v in spec.items() if v in (0, False)}
     computed = {
         k: v for k, v in spec.items() if not isinstance(v, bool) and v not in (0, 1)
     }
+    _reject_path_collisions("$project", computed)
     out = []
     for doc in docs:
         if include or computed:
             new: dict = {}
             if "_id" not in exclude and "_id" in doc:
-                new["_id"] = doc["_id"]
+                new["_id"] = deep_copy_doc(doc["_id"])
             for path in include:
                 if path == "_id":
                     continue
@@ -245,6 +261,7 @@ def _stage_project(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[d
 
 
 def _stage_add_fields(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[dict]:
+    _reject_path_collisions("$addFields", spec)
     out = []
     for doc in docs:
         new = deep_copy_doc(doc)
@@ -348,7 +365,10 @@ def _stage_lookup(docs: List[dict], spec: Mapping[str, Any], db: Any) -> List[di
     if db is None:
         raise QuerySyntaxError("$lookup requires a database-bound collection")
     foreign = db.get_collection(spec["from"])
-    foreign_docs = foreign.all_documents()
+    # Stored references (immutable, see collection.py); only matches are
+    # copied below.
+    with foreign._lock.read():
+        foreign_docs = [foreign._docs[p] for p in sorted(foreign._docs)]
     out = []
     for doc in docs:
         local = get_path(doc, spec["localField"])

@@ -9,9 +9,16 @@ launcher claims a runnable job by atomically flipping its state from
 (§III-B2).  All mutating operations hold the collection lock, giving the
 same document-level atomicity MongoDB provides.
 
-Documents are deep-copied on the way in and out, so callers can never mutate
-stored state behind the store's back — the same isolation a wire protocol
-would give, at much lower cost.
+Stored documents are immutable.  A document enters ``_docs`` only as the
+private ``stored_copy`` made by ``_insert``, and an update builds a new dict
+and swaps it into its position (``_apply_to_position``); nothing writes into
+a stored dict in place.  So a reference taken under the lock stays a
+consistent snapshot of that document after the lock is released.  Who may
+hold one: ``_select``'s callers while they hold the lock, and the stages of
+an ``aggregate`` pipeline, which copy whatever they write.  Who must copy:
+anything that hands a document to a caller — ``find``, ``find_one``, the
+``find_one_and_*`` verbs, ``all_documents`` and the rows ``aggregate``
+returns — so callers can never mutate stored state behind the store's back.
 """
 
 from __future__ import annotations
@@ -876,27 +883,64 @@ class Collection:
                   explain: bool = False) -> Any:
         """Run an aggregation pipeline (see :mod:`repro.docstore.aggregation`).
 
+        A leading ``$match`` is planned and executed through ``_select``
+        like a ``find`` (indexes, plan cache, ``killOp`` per candidate);
+        without one every document is selected.  The selected stored
+        documents go to the remaining stages in insertion order, outside
+        the lock — stored documents are immutable and the stages copy what
+        they write — and only the rows returned are deep-copied.  The op
+        is listed in ``current_op()`` while it runs.
+
         With ``explain=True`` the pipeline still runs, but the return
         value is an ``executionStats``-style report instead of the result
         documents: one record per stage (``docs_in``/``docs_out``/
         ``elapsed_ms``, plus ``state_size`` for ``$group``/``$sort``),
-        led by a synthetic ``$cursor`` stage pricing the collection
-        snapshot, with ``nReturned`` and ``executionTimeMillis`` totals.
-        The per-stage records also ride into ``system.profile`` for slow
-        pipelines, where the advisor mines them.
+        with ``nReturned`` and ``executionTimeMillis`` totals.  It is led
+        by a synthetic ``$cursor`` stage reporting the plan
+        (``planSummary``, ``docsExamined``, ``keysExamined``; ``docs_in``
+        examined, ``docs_out`` matched).  An absorbed leading ``$match``
+        keeps its own record with the same counts and no elapsed time of
+        its own.  The per-stage records also ride into ``system.profile``
+        for slow pipelines, where the advisor mines them.
         """
         from .aggregation import pipeline_stage_names, run_pipeline
 
         t0 = time.perf_counter()
-        stage_stats: List[dict] = []
-        with self._lock.read():
-            docs = [deep_copy_doc(self._docs[p]) for p in sorted(self._docs)]
-        stage_stats.append({
-            "stage": "$cursor", "docs_in": len(docs), "docs_out": len(docs),
-            "elapsed_ms": (time.perf_counter() - t0) * 1e3,
-        })
-        out = run_pipeline(docs, pipeline, database=self.database,
-                           stage_stats=stage_stats)
+        head = pipeline[0] if isinstance(pipeline, list) and pipeline else None
+        absorbed = isinstance(head, Mapping) and list(head) == ["$match"]
+        query = head["$match"] if absorbed else {}
+        matcher = compile_query(query)
+        registry = self._ops_registry()
+        active = (registry.register("aggregate", self.namespace,
+                                    {"pipeline": pipeline})
+                  if registry is not None else None)
+        try:
+            with self._lock.read():
+                hits = sorted(self._select(query, matcher, active=active),
+                              key=itemgetter(1))
+                plan = self.last_plan
+            if active is not None:
+                active.plan_summary = plan.summary
+            examined = plan.candidates_examined
+            stage_stats: List[dict] = [{
+                "stage": "$cursor", "docs_in": examined,
+                "docs_out": len(hits),
+                "elapsed_ms": (time.perf_counter() - t0) * 1e3,
+                "planSummary": plan.summary, "docsExamined": examined,
+                "keysExamined": plan.keys_examined,
+            }]
+            if absorbed:
+                stage_stats.append({
+                    "stage": "$match", "docs_in": examined,
+                    "docs_out": len(hits), "elapsed_ms": 0.0,
+                })
+            out = run_pipeline([doc for doc, _pos in hits],
+                               pipeline[1:] if absorbed else pipeline,
+                               database=self.database,
+                               stage_stats=stage_stats)
+        finally:
+            if registry is not None:
+                registry.finish(active)
         if explain:
             return {
                 "ns": self.namespace,
@@ -905,9 +949,11 @@ class Collection:
                 "nReturned": len(out),
                 "executionTimeMillis": (time.perf_counter() - t0) * 1e3,
             }
+        out = [deep_copy_doc(row) for row in out]
         self._observe("aggregate", "command",
                       {"pipeline": pipeline_stage_names(pipeline)}, t0,
-                      nreturned=len(out), stages=stage_stats)
+                      nreturned=len(out), docs_examined=examined,
+                      plan=plan.summary, stages=stage_stats)
         return out
 
     def map_reduce(

@@ -1,9 +1,12 @@
 """Tests for the aggregation pipeline (the builder's selection/grouping/projection)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.docstore import Collection, DocumentStore, run_pipeline
-from repro.errors import QuerySyntaxError
+from repro.errors import OperationKilled, QuerySyntaxError
 
 
 @pytest.fixture
@@ -216,3 +219,148 @@ class TestAggregationProperties:
              {"$sort": {"_id": 1}}],
         )
         assert rows == [{"_id": "a", "n": 2}, {"_id": "b", "n": 1}]
+
+
+# -- stored documents feed the stages by reference --------------------------
+
+
+def _vandalize(value):
+    """Mutate every dict and list reachable from ``value``."""
+    if isinstance(value, dict):
+        for v in list(value.values()):
+            _vandalize(v)
+        value["vandal"] = True
+    elif isinstance(value, list):
+        for v in list(value):
+            _vandalize(v)
+        value.append("vandal")
+
+
+@pytest.fixture
+def nested():
+    store = DocumentStore()
+    db = store["mp"]
+    db.nested.create_index("k")
+    db.nested.insert_many([
+        {"_id": i, "k": i, "sub": {"x": [i, i + 1], "y": {"z": i}}}
+        for i in range(4)
+    ])
+    db.side.insert_many([{"k": i, "extra": {"w": [i]}} for i in range(4)])
+    return db
+
+
+ISOLATION_PIPELINES = {
+    "match": [{"$match": {"k": {"$gte": 1}}}],
+    "limit": [{"$limit": 2}],
+    "skip": [{"$skip": 1}],
+    "sort": [{"$sort": {"k": -1}}],
+    "sample": [{"$sample": {"size": 2, "seed": 3}}],
+    "group_push_first_max": [{"$group": {
+        "_id": None, "pushed": {"$push": "$sub"},
+        "first": {"$first": "$sub"}, "max": {"$max": "$sub"}}}],
+    "group_id_subdoc": [{"$group": {"_id": "$sub.y"}}],
+    "project_computed": [{"$project": {"s": "$sub", "y": "$sub.y"}}],
+    "add_fields_computed": [{"$addFields": {"s": "$sub"}}],
+    "lookup": [{"$lookup": {"from": "side", "localField": "k",
+                            "foreignField": "k", "as": "joined"}}],
+}
+
+
+class TestResultIsolation:
+    """A caller mutating what ``aggregate`` returned never reaches the
+    store, whatever stage passed a stored reference through."""
+
+    @pytest.mark.parametrize("name", sorted(ISOLATION_PIPELINES))
+    def test_mutating_result_leaves_store_unchanged(self, nested, name):
+        before = {c: nested[c].all_documents() for c in ("nested", "side")}
+        rows = nested.nested.aggregate(ISOLATION_PIPELINES[name])
+        assert rows
+        _vandalize(rows)
+        for c, docs in before.items():
+            assert nested[c].all_documents() == docs, c
+        # A second run sees the stored documents, not the vandalized rows.
+        assert "vandal" not in repr(
+            nested.nested.aggregate(ISOLATION_PIPELINES[name]))
+
+    def test_stages_write_only_into_their_own_documents(self, nested):
+        before = nested.nested.all_documents()
+        rows = nested.nested.aggregate([
+            {"$group": {"_id": "$sub.y"}},
+            {"$project": {"_id.extra": {"$literal": 1}}},
+        ])
+        assert all(row["_id"]["extra"] == 1 for row in rows)
+        assert nested.nested.all_documents() == before
+
+    @pytest.mark.parametrize("stage", ["$project", "$addFields"])
+    def test_path_collision_rejected(self, nested, stage):
+        before = nested.nested.all_documents()
+        with pytest.raises(QuerySyntaxError, match="path collision"):
+            nested.nested.aggregate(
+                [{stage: {"s": "$sub", "s.w": {"$literal": 1}}}])
+        assert nested.nested.all_documents() == before
+
+    def test_leading_match_keeps_insertion_order(self, nested):
+        # The k_1 scan yields _id 1, 2, 3, 0; $first/$push must still see
+        # insertion order, as they did over a collection snapshot.
+        coll = nested.nested
+        coll.update_one({"_id": 0}, {"$set": {"k": 9}})
+        pipeline = [{"$match": {"k": {"$gte": 1}}},
+                    {"$group": {"_id": None, "ids": {"$push": "$_id"},
+                                "first": {"$first": "$_id"}}}]
+        assert coll.aggregate(pipeline) == run_pipeline(
+            coll.all_documents(), pipeline)
+        assert coll.aggregate(pipeline)[0]["ids"] == [0, 1, 2, 3]
+
+
+class TestAggregateIntrospection:
+    def test_listed_in_current_op_and_killable(self):
+        store = DocumentStore()
+        coll = store["mp"]["m"]
+        coll.insert_many([{"i": i} for i in range(10)])
+        errors = []
+
+        def run():
+            try:
+                coll.aggregate([{"$match": {"i": {"$gte": 0}}},
+                                {"$count": "n"}])
+            except Exception as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=run)
+        with coll._lock.write():
+            worker.start()
+            deadline = time.monotonic() + 5
+            ops = []
+            while not ops and time.monotonic() < deadline:
+                ops = [o for o in store.current_op() if o["op"] == "aggregate"]
+                time.sleep(0.001)
+            assert ops, "aggregate never appeared in current_op()"
+            assert ops[0]["ns"] == "mp.m"
+            assert store.kill_op(ops[0]["opid"])
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], OperationKilled)
+        assert store.current_op() == []
+
+    def test_explain_and_profile_report_the_plan(self):
+        store = DocumentStore()
+        db = store["mp"]
+        coll = db["materials"]
+        coll.create_index("chemical_system")
+        coll.insert_many([{"chemical_system": cs, "n": i}
+                          for i, cs in enumerate(["Li-O", "Fe-O"] * 10)])
+        pipeline = [{"$match": {"chemical_system": "Li-O"}},
+                    {"$group": {"_id": None, "n": {"$sum": 1}}}]
+        cursor, match, group = coll.aggregate(pipeline, explain=True)["stages"]
+        assert cursor["stage"] == "$cursor"
+        assert cursor["planSummary"] == "IXSCAN { chemical_system: 1 }"
+        assert cursor["docsExamined"] == cursor["docs_in"] == 10
+        assert cursor["keysExamined"] == 10 and cursor["docs_out"] == 10
+        assert (match["stage"], match["docs_in"], match["docs_out"]) == (
+            "$match", 10, 10)
+        assert group["docs_in"] == 10 and group["docs_out"] == 1
+        db.set_profiling_level(2)
+        coll.aggregate(pipeline)
+        entry = [e for e in db.profile_log if e["op"] == "aggregate"][-1]
+        assert entry["planSummary"] == "IXSCAN { chemical_system: 1 }"
+        assert entry["docsExamined"] == 10

@@ -4,15 +4,20 @@ Invariants checked:
 * extended JSON round-trips arbitrary documents
 * set_path/get_path are inverse on fresh paths
 * index-assisted queries return exactly what a collection scan returns
+* every verb, aggregate included, leaves each stored dict as it found it
 * update operators preserve document validity
 * sort order is a total order consistent with compare_values
 """
 
+import json
 import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.docstore import Collection, compile_query, document_from_json, document_to_json
+from repro.docstore import (
+    Collection, compile_query, document_from_json, document_to_json,
+    run_pipeline,
+)
 from repro.docstore.documents import get_path, set_path, validate_document, walk
 from repro.docstore.matching import compare_values, ordering_key
 
@@ -198,6 +203,7 @@ total_sorts = st.sampled_from([
     [("b", 1), ("k", 1)], [("b", -1), ("k", -1)],  # b_1_k_1, either way
     [("a", -1), ("k", 1)], [("b", 1), ("k", -1)],  # blocking
 ])
+group_sorts = st.sampled_from([None, {"first": 1}, {"last": -1, "_id": 1}])
 operations = st.one_of(
     st.tuples(st.just("insert"), small, small),
     st.tuples(st.just("update_one"), unique_selectors, mutations),
@@ -210,7 +216,20 @@ operations = st.one_of(
     st.tuples(st.just("find_one_and_delete"), selectors, total_sorts),
     st.tuples(st.just("find"), selectors, total_sorts,
               st.integers(0, 4), st.integers(0, 6)),
+    st.tuples(st.just("aggregate"), selectors, group_sorts),
 )
+
+
+def _group_pipeline(query, sort):
+    """A leading ``$match`` then a ``$group`` whose accumulators see the
+    order its input arrives in."""
+    pipeline = [
+        {"$match": query},
+        {"$group": {"_id": "$a", "first": {"$first": "$k"},
+                    "last": {"$last": "$k"}, "ks": {"$push": "$k"},
+                    "n": {"$sum": 1}}},
+    ]
+    return pipeline + ([{"$sort": sort}] if sort else [])
 
 
 def _apply(coll, op, next_id):
@@ -237,6 +256,12 @@ def _apply(coll, op, next_id):
     if kind == "find_one_and_delete":
         query, sort = args
         return coll.find_one_and_delete(query, sort=sort)
+    if kind == "aggregate":
+        pipeline = _group_pipeline(*args)
+        rows = coll.aggregate(pipeline)
+        # The reference: every stage over a snapshot of the collection.
+        assert rows == run_pipeline(coll.all_documents(), pipeline)
+        return rows
     query, sort, skip, limit = args
     return (coll.find(query).sort(sort).skip(skip).limit(limit).to_list(),
             sorted(d["_id"] for d in coll.find(query)),
@@ -256,6 +281,17 @@ class TestEveryVerbMatchesCollscan:
         twin.insert_many(seed)
         next_id = 100
         for op in ops:
+            held = [_hold_stored(indexed), _hold_stored(twin)]
             assert _apply(indexed, op, next_id) == _apply(twin, op, next_id), op
             assert indexed.all_documents() == twin.all_documents(), op
+            # Copy-on-write: no verb wrote into a dict it had stored.
+            for refs in held:
+                for doc, dumped in refs:
+                    assert json.dumps(doc, sort_keys=True) == dumped, op
             next_id += 1
+
+
+def _hold_stored(coll):
+    """Every stored document by reference, beside its serialization now."""
+    return [(doc, json.dumps(doc, sort_keys=True))
+            for doc in coll._docs.values()]
