@@ -41,6 +41,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import DocstoreError
+from ..obs.profiler import current_frames
 
 __all__ = ["RWLock"]
 
@@ -240,7 +241,7 @@ class RWLock:
         first ``cond.wait()`` — the only moment both sides exist: the
         waiter is this thread's own stack, the holder is whichever thread
         currently owns the lock, read live out of
-        ``sys._current_frames()``.  Uncontended acquires never get here,
+        :func:`repro.obs.profiler.current_frames`.  Uncontended acquires never get here,
         so attribution adds zero cost to the fast path.
         """
         waiter = _describe_frame(sys._getframe(1))
@@ -248,7 +249,7 @@ class RWLock:
                          else list(self._readers))
         holder = None
         if holder_idents:
-            frames = sys._current_frames()
+            frames = current_frames()
             for ident in holder_idents:
                 frame = frames.get(ident)
                 if frame is not None:

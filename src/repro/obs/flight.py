@@ -50,7 +50,6 @@ import json
 import os
 import re
 import struct
-import sys
 import threading
 import time
 import zlib
@@ -60,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..background import PeriodicTask, TaskDaemon
 from .metrics import get_registry
 from .procstats import process_status
-from .profiler import fold_stack
+from .profiler import current_frames, fold_stack
 
 __all__ = [
     "FlightRecorder",
@@ -722,7 +721,7 @@ class FlightRecorder(TaskDaemon):
 
 def dump_all_stacks(max_threads: int = 64) -> List[dict]:
     """Fold every live thread's stack via the profiler's folder."""
-    frames = sys._current_frames()
+    frames = current_frames()
     names = {t.ident: t.name for t in threading.enumerate()}
     me = threading.get_ident()
     out = []

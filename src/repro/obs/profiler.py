@@ -27,6 +27,7 @@ CLI, and telemetry warehouse all observe the same instance.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import threading
@@ -37,6 +38,7 @@ from ..background import PeriodicTask, TaskDaemon
 
 __all__ = [
     "SamplingProfiler",
+    "current_frames",
     "get_profiler",
     "start_profiler",
     "stop_profiler",
@@ -81,6 +83,30 @@ def _frame_label(frame: Any) -> str:
         if len(_label_cache) < 65536:  # bound pathological code churn
             _label_cache[code] = label
     return label
+
+
+_frames_lock = threading.Lock()
+
+
+def current_frames() -> Dict[int, Any]:
+    """``sys._current_frames()`` with the garbage collector paused.
+
+    CPython 3.11 walks the thread list with the runtime's head lock held
+    and allocates a frame object per thread; an allocation there can start
+    a collection whose finalizers run Python code and hand the GIL to a
+    thread that is starting or exiting, which then blocks on the head lock
+    while holding the GIL and hangs the process.  Every caller in the
+    package goes through here; the lock keeps two callers from
+    re-enabling the collector under each other.
+    """
+    with _frames_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return sys._current_frames()
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def fold_stack(frame: Any, max_depth: int = MAX_DEPTH) -> str:
@@ -137,7 +163,7 @@ class SamplingProfiler(TaskDaemon):
         """
         t0 = time.perf_counter()
         me = threading.get_ident()
-        frames = sys._current_frames()
+        frames = current_frames()
         sampled = 0
         for ident, frame in frames.items():
             if ident == me:
