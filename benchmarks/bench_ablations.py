@@ -2,8 +2,9 @@
 
 1. secondary indexes on vs. off — the read-heavy web workload's backbone;
 2. Binder duplicate detection on vs. off — re-submission cost;
-3. sharding 1 → 4 shards — the paper's named scale-out path (query routing
-   should touch ~1/N of the data for shard-key lookups).
+3. sharding 1 → 4 shards of a ``ShardedCluster`` — the paper's named
+   scale-out path (query routing should touch ~1/N of the data for
+   shard-key lookups).
 """
 
 import time
@@ -12,9 +13,8 @@ import pytest
 
 from _pipeline import ROBUST_INCAR, emit
 from repro.datagen import SyntheticICSD
-from repro.docstore import Collection, ShardedCollection
+from repro.docstore import Collection, DocumentStore, ShardedCluster
 from repro.fireworks import LaunchPad, Rocket, Workflow, vasp_firework
-from repro.docstore import DocumentStore
 
 
 def _index_ablation(n_docs=3000, n_queries=150):
@@ -65,17 +65,20 @@ def _sharding_ablation(n_docs=4000):
     docs = [{"mps_id": f"mps-{i}", "v": i} for i in range(n_docs)]
     results = {}
     for n_shards in (1, 2, 4):
-        shards = [Collection(f"s{i}") for i in range(n_shards)]
-        sc = ShardedCollection("materials", "mps_id", shards)
-        sc.insert_many(docs)
+        cluster = ShardedCluster(n_replicas=1)
+        for i in range(n_shards):
+            cluster.add_shard(f"s{i}")
+        coll = cluster.shard_collection("mp.materials", "mps_id")
+        coll.insert_many(docs)
         t0 = time.perf_counter()
         for i in range(400):
-            sc.find({"mps_id": f"mps-{(i * 37) % n_docs}"})
+            query = {"mps_id": f"mps-{(i * 37) % n_docs}"}
+            coll.find(query)
         elapsed = time.perf_counter() - t0
         results[n_shards] = {
             "elapsed_s": elapsed,
-            "balance": sc.balance_factor(),
-            "targets_per_query": len(sc.last_targets),
+            "balance": cluster.balance_factor(coll.ns),
+            "targets_per_query": len(coll.explain(query)["shards"]),
         }
     return results
 

@@ -1,14 +1,15 @@
 """One lifecycle for every background thread in the package.
 
 TTL sweeps, the telemetry tick, the flight recorder and its watchdog, the
-profiler, the balancer, the heartbeat monitor, the legacy replication loop
-and the three socket servers all start, stop and fail the same way, here.
+profiler, the balancer, the heartbeat monitor and the three socket servers
+all start, stop and fail the same way, here.
 The journal committer (:mod:`repro.docstore.persistence`) is deliberately
 not a client: it is woken by a condition variable, not a timer.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 import weakref
@@ -181,7 +182,10 @@ class ServerThread:
 
     ``start()`` while serving is a no-op, so ``with Server().start():``
     (``__enter__`` starts again) runs one accept loop, not two.  ``stop()``
-    closes the listening socket the ``socketserver`` constructor bound.
+    closes the listening socket the ``socketserver`` constructor bound, and
+    first shuts down its read side: on Linux that wakes the accept loop's
+    ``select`` at once (``accept`` then fails, so nothing is served) instead
+    of leaving ``shutdown()`` to wait out the 0.5 s poll interval.
     """
 
     def __init__(self, thread_name: str, tcp_server: Any):
@@ -202,6 +206,10 @@ class ServerThread:
         with self._serve_lock:
             thread, self._serve_thread = self._serve_thread, None
         if thread is not None:
+            try:
+                self._serve_server.socket.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # not Linux: the poll interval ends the wait instead
             self._serve_server.shutdown()
             thread.join(timeout=JOIN_TIMEOUT_S)
         self._serve_server.server_close()

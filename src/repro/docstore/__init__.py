@@ -10,11 +10,9 @@ engine, and web back-end (§III-A).  Public surface:
 * :class:`ObjectId` — 12-byte time-sortable document ids.
 * :class:`DatastoreServer` / :class:`RemoteClient` — TCP wire protocol.
 * :class:`DatastoreProxy` — the HPC worker-node proxy hop (§IV-A2).
-* :class:`ShardedCollection`, :class:`ReplicaSet` — scale-out paths the
-  paper identifies for future growth (§IV-D2).
-* :class:`ShardedCluster` (:mod:`.cluster`) — the self-managing sharded
-  cluster: chunk map + balancer + replica-set elections + shard-targeted
-  routing.
+* :class:`ShardedCluster` (:mod:`.cluster`) — the scale-out path the paper
+  identifies for future growth (§IV-D2): chunk map + balancer + replica-set
+  elections + shard-targeted routing.
 * :class:`OperationRegistry` / :func:`query_shape` — the live-ops table
   behind ``currentOp()``/``killOp()`` (MongoDB-style op introspection).
 """
@@ -41,8 +39,6 @@ from .mapreduce import map_reduce, MapReduceResult
 from .ops import ActiveOp, OperationRegistry, query_shape
 from .server import DatastoreServer, RemoteClient, RemoteCollection
 from .proxy import DatastoreProxy
-from .sharding import ShardedCollection, hash_shard_key
-from .replication import ReplicaSet, ReplicaNode, Oplog
 from .changestream import ChangeEvent, ChangeStream
 from .filestore import FileStore
 from .cluster import (
@@ -87,11 +83,6 @@ __all__ = [
     "RemoteClient",
     "RemoteCollection",
     "DatastoreProxy",
-    "ShardedCollection",
-    "hash_shard_key",
-    "ReplicaSet",
-    "ReplicaNode",
-    "Oplog",
     "ChangeEvent",
     "ChangeStream",
     "FileStore",

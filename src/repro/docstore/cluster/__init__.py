@@ -19,7 +19,7 @@ model on top of the reproduction's document store:
 
 from .balancer import Balancer
 from .config import MAX_KEY, MIN_KEY, Chunk, ClusterConfig
-from .replica import ClusterReplicaNode, HeartbeatMonitor, ShardReplicaSet
+from .replica import HeartbeatMonitor, ReplicaMember, ShardReplicaSet
 from .router import ClusterCollection, Shard, ShardedCluster
 
 __all__ = [
@@ -27,10 +27,10 @@ __all__ = [
     "Chunk",
     "ClusterCollection",
     "ClusterConfig",
-    "ClusterReplicaNode",
     "HeartbeatMonitor",
     "MAX_KEY",
     "MIN_KEY",
+    "ReplicaMember",
     "Shard",
     "ShardReplicaSet",
     "ShardedCluster",

@@ -40,13 +40,13 @@ from ..changestream import ChangeStream
 from ..collection import Collection
 from ..database import DocumentStore
 
-__all__ = ["ClusterReplicaNode", "ShardReplicaSet", "HeartbeatMonitor"]
+__all__ = ["ReplicaMember", "ShardReplicaSet", "HeartbeatMonitor"]
 
 #: Catch-up streams buffer this many missed events before forcing a resync.
 CATCHUP_BUFFER = 50_000
 
 
-class ClusterReplicaNode:
+class ReplicaMember:
     """One replica-set member: a name, a store, liveness, and an optime."""
 
     def __init__(self, name: str, store: Optional[DocumentStore] = None):
@@ -58,7 +58,7 @@ class ClusterReplicaNode:
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
-        return f"ClusterReplicaNode({self.name}, {state}, optime={self.applied_optime})"
+        return f"ReplicaMember({self.name}, {state}, optime={self.applied_optime})"
 
 
 class ShardReplicaSet:
@@ -71,8 +71,8 @@ class ShardReplicaSet:
             raise ClusterError("a replica set needs at least one member")
         self.shard_id = shard_id
         self._lock = threading.RLock()
-        self.members: List[ClusterReplicaNode] = [
-            ClusterReplicaNode(
+        self.members: List[ReplicaMember] = [
+            ReplicaMember(
                 f"{shard_id}-{chr(ord('a') + i)}",
                 store_factory() if store_factory is not None else None,
             )
@@ -95,14 +95,14 @@ class ShardReplicaSet:
     def majority(self) -> int:
         return len(self.members) // 2 + 1
 
-    def node(self, name: str) -> ClusterReplicaNode:
+    def node(self, name: str) -> ReplicaMember:
         for member in self.members:
             if member.name == name:
                 return member
         raise ClusterError(f"no member {name!r} in replica set {self.shard_id!r}")
 
     @property
-    def primary(self) -> Optional[ClusterReplicaNode]:
+    def primary(self) -> Optional[ReplicaMember]:
         """The current primary, or ``None`` if it is dead."""
         candidate = self.members[self._primary_idx]
         return candidate if candidate.alive else None
@@ -111,7 +111,7 @@ class ShardReplicaSet:
         primary = self.primary
         return primary.name if primary is not None else None
 
-    def _primary_or_raise(self) -> ClusterReplicaNode:
+    def _primary_or_raise(self) -> ReplicaMember:
         primary = self.primary
         if primary is None:
             raise NotPrimary(
@@ -230,14 +230,14 @@ class ShardReplicaSet:
                         "member": name, "mode": mode, "term": self.term})
             return mode
 
-    def _best_alive(self) -> Optional[ClusterReplicaNode]:
+    def _best_alive(self) -> Optional[ReplicaMember]:
         alive = [m for m in self.members if m.alive]
         if not alive:
             return None
         return max(alive, key=lambda m: m.applied_optime)
 
     @staticmethod
-    def _same_namespaces(donor: ClusterReplicaNode,
+    def _same_namespaces(donor: ReplicaMember,
                          streams: List[Tuple[str, str, ChangeStream]]) -> bool:
         """Whether the donor grew namespaces the catch-up streams miss."""
         streamed = {(db, coll) for db, coll, _ in streams}
@@ -254,8 +254,8 @@ class ShardReplicaSet:
             target.insert_one(event.document)
 
     @staticmethod
-    def _full_resync(source: ClusterReplicaNode,
-                     node: ClusterReplicaNode) -> None:
+    def _full_resync(source: ReplicaMember,
+                     node: ReplicaMember) -> None:
         for db_name in source.store.list_database_names():
             for coll_name in source.store[db_name].list_collection_names():
                 src = source.store[db_name][coll_name]
@@ -322,7 +322,7 @@ class ShardReplicaSet:
             return self.elect(exclude=old.name)
 
     def await_primary(self, timeout_s: float = 5.0,
-                      poll_interval_s: float = 0.01) -> ClusterReplicaNode:
+                      poll_interval_s: float = 0.01) -> ReplicaMember:
         """Block until a live primary exists, electing one if possible.
 
         Covers both deployments: with a :class:`HeartbeatMonitor` running
@@ -351,6 +351,8 @@ class ShardReplicaSet:
     # -- introspection ------------------------------------------------------
 
     def status(self) -> dict:
+        """Set and member state; a member's ``lag`` is the writes it missed
+        (nonzero only while it is down, since replication is synchronous)."""
         with self._lock:
             return {
                 "shard": self.shard_id,
@@ -361,6 +363,7 @@ class ShardReplicaSet:
                 "members": [
                     {"name": m.name, "alive": m.alive,
                      "optime": m.applied_optime,
+                     "lag": self._optime - m.applied_optime,
                      "role": ("PRIMARY" if self.primary is m else
                               "SECONDARY" if m.alive else "DOWN")}
                     for m in self.members

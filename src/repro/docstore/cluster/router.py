@@ -29,7 +29,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 from ...errors import ClusterError, NotPrimary, ShardingError, StaleEpoch
-from ...obs import get_registry
+from ...obs import active_span, get_registry
 from ..database import DocumentStore
 from ..documents import MISSING, deep_copy_doc, get_path
 from ..matching import descending_key, ordering_key
@@ -320,8 +320,20 @@ class ClusterCollection:
         return self._with_retries(attempt)
 
     def _reject_shard_key_mutation(self, update: Mapping[str, Any]) -> None:
+        """Refuse updates that would change a document's shard key.
+
+        A document rewritten in place under a new key would stay in the
+        chunk that owned the old one, where routed reads never look.
+        Rejected: a replacement-style update, and any operator on the key,
+        a subpath of it, or a prefix of it.
+        """
         key = self.shard_key
         for op, spec in update.items():
+            if not str(op).startswith("$"):
+                raise ShardingError(
+                    f"replacement update would modify the immutable shard "
+                    f"key {key!r}"
+                )
             if not isinstance(spec, Mapping):
                 continue
             for field in spec:
@@ -334,30 +346,40 @@ class ClusterCollection:
 
     # -- reads --------------------------------------------------------------
 
+    def _fan_out(self, verb: str, query: Mapping[str, Any],
+                 fn: Callable[[Any], Any]) -> List[Any]:
+        """``fn(collection)`` on every shard ``query`` targets, retried.
+
+        Inside an active trace this records a ``sharded.<verb>`` span with
+        one ``shard.<verb>`` child per shard consulted, so the trace shows
+        which shards a routed read touched.
+        """
+        def attempt():
+            results = []
+            for shard_id, chunks in self._route(query).items():
+                with active_span(f"shard.{verb}", shard=shard_id):
+                    results.append(self.cluster.shard(shard_id).read(
+                        self.ns, [c.chunk_id for c in chunks], fn))
+            return results
+
+        with active_span(f"sharded.{verb}", ns=self.ns):
+            return self._with_retries(attempt)
+
     def find(self, query: Optional[Mapping[str, Any]] = None,
              sort: Optional[List[tuple]] = None,
              limit: Optional[int] = None) -> List[dict]:
         """Routed find with per-shard sort+limit pushdown and k-way merge."""
         query = query or {}
 
-        def attempt():
-            per_shard: List[List[dict]] = []
-            for shard_id, chunks in self._route(query).items():
-                shard = self.cluster.shard(shard_id)
-                chunk_ids = [c.chunk_id for c in chunks]
+        def run(c):
+            cursor = c.find(query)
+            if sort:
+                cursor = cursor.sort(sort)
+            if limit is not None:
+                cursor = cursor.limit(limit)
+            return list(cursor)
 
-                def run(c):
-                    cursor = c.find(query)
-                    if sort:
-                        cursor = cursor.sort(sort)
-                    if limit is not None:
-                        cursor = cursor.limit(limit)
-                    return list(cursor)
-
-                per_shard.append(shard.read(self.ns, chunk_ids, run))
-            return self._merge(per_shard, sort, limit)
-
-        return self._with_retries(attempt)
+        return self._merge(self._fan_out("find", query, run), sort, limit)
 
     @staticmethod
     def _merge(per_shard: List[List[dict]], sort: Optional[List[tuple]],
@@ -392,17 +414,8 @@ class ClusterCollection:
 
     def count_documents(self, query: Optional[Mapping[str, Any]] = None) -> int:
         query = query or {}
-
-        def attempt():
-            total = 0
-            for shard_id, chunks in self._route(query).items():
-                shard = self.cluster.shard(shard_id)
-                chunk_ids = [c.chunk_id for c in chunks]
-                total += shard.read(self.ns, chunk_ids,
-                                    lambda c: c.count_documents(query))
-            return total
-
-        return self._with_retries(attempt)
+        return sum(self._fan_out("count", query,
+                                 lambda c: c.count_documents(query)))
 
     def create_index(self, keys: Any, unique: bool = False) -> str:
         """Create an index on every member of every shard."""

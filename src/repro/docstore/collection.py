@@ -118,7 +118,7 @@ class Collection:
         # lock mode, where many reader threads run at once.
         self._index_usage: Dict[str, dict] = {}
         self._usage_lock = threading.Lock()
-        # Optional observers (oplog for replication, query timing log).
+        # Optional observers (change streams, the journal).
         self._change_listeners: List[Callable[[str, dict], None]] = []
 
     # -- bookkeeping ----------------------------------------------------

@@ -57,10 +57,6 @@ class ShardingError(DocstoreError):
     """Invalid shard configuration or routing failure."""
 
 
-class ReplicationError(DocstoreError):
-    """Replica-set configuration or failover error."""
-
-
 class ClusterError(DocstoreError):
     """Base class for sharded-cluster (config/balancer/election) errors."""
 

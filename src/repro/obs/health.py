@@ -253,8 +253,8 @@ class HealthMonitor:
 
     Gauge keys consumed by the default SLO rules:
 
-    * ``replication_max_lag`` — worst secondary lag (oplog entries behind)
-      across watched replica sets;
+    * ``replication_max_lag`` — worst member lag (writes missed while
+      down) across watched replica sets;
     * ``shard_max_balance_factor`` — worst ``max/mean`` shard-size ratio
       across watched sharded collections (1.0 is perfectly balanced);
     * ``changestream_max_backlog_fraction`` — fullest watched change
@@ -311,7 +311,7 @@ class HealthMonitor:
         for rs in self._replica_sets:
             status = rs.status()
             for member in status["members"]:
-                if member["state"] != "PRIMARY":
+                if member["role"] != "PRIMARY":
                     lags.append(member["lag"])
                     g[f"replication_lag:{member['name']}"] = member["lag"]
         if lags:

@@ -378,7 +378,7 @@ def default_rules(db: Any) -> List[Any]:
         ThresholdRule(
             "replication-lag", gauge="replication_max_lag",
             threshold=100.0, op=">", severity="warn",
-            description="a secondary is >100 oplog entries behind",
+            description="a replica-set member missed >100 writes",
         ),
         ThresholdRule(
             "changestream-backlog",

@@ -262,7 +262,7 @@ def remote_span(name: str, context: Optional[Mapping[str, Any]],
 def active_span(name: str, **attributes: Any) -> Iterator[Optional[Span]]:
     """A child span only when a trace is already active.
 
-    Routers and background machinery (sharding fan-out, replication apply,
+    Routers and background machinery (the cluster's shard fan-out,
     change-stream delivery) call this on every operation; without a current
     span it is a no-op, so untraced workloads do not flood the root-trace
     buffer.

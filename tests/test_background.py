@@ -164,20 +164,19 @@ class TestTaskTable:
         assert "repro-ttl-reaper" not in task_table()
 
 
+_SERVERS = pytest.mark.parametrize("make", [
+    lambda: DatastoreServer(DocumentStore()),
+    lambda: DatastoreProxy("127.0.0.1", 1),
+    lambda: MaterialsAPIServer(MaterialsAPI(QueryEngine(DocumentStore()["mp"]))),
+], ids=["wire", "proxy", "http"])
+
+
 class TestServers:
     """``with Server(...).start() as s:`` starts twice (``__enter__`` calls
     ``start`` again); that used to run two accept loops on one socket and
     make ``stop()`` sit out its 5 s join."""
 
-    @staticmethod
-    def _api():
-        return MaterialsAPI(QueryEngine(DocumentStore()["mp"]))
-
-    @pytest.mark.parametrize("make", [
-        lambda: DatastoreServer(DocumentStore()),
-        lambda: DatastoreProxy("127.0.0.1", 1),
-        lambda: MaterialsAPIServer(TestServers._api()),
-    ], ids=["wire", "proxy", "http"])
+    @_SERVERS
     def test_double_start_runs_one_thread_and_stops_promptly(self, make):
         before = threading.active_count()
         t0 = time.perf_counter()
@@ -186,6 +185,19 @@ class TestServers:
             assert threading.active_count() == before + 1
         assert time.perf_counter() - t0 < 1.5
         assert threading.active_count() == before
+
+    @_SERVERS
+    def test_stop_wakes_the_accept_loop_without_serving(self, make):
+        """``stop()`` does not wait out ``serve_forever``'s 0.5 s poll, and
+        the wake-up is not a connection the server handles."""
+        server = make().start()
+        handled = []
+        server._serve_server.process_request = (
+            lambda *args: handled.append(args))
+        t0 = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - t0 < 0.1
+        assert handled == []
 
     def test_stop_without_start_closes_the_socket(self):
         server = DatastoreServer(DocumentStore())

@@ -5,9 +5,8 @@ import threading
 
 import pytest
 
-from repro.docstore import Collection, DocumentStore, ReplicaSet
+from repro.docstore import Collection, DocumentStore, ShardReplicaSet
 from repro.errors import DuplicateKeyError, RateLimitExceeded
-from repro.hpc.simclock import SimClock
 
 
 class TestCrashRecovery:
@@ -52,43 +51,46 @@ class TestCrashRecovery:
         assert recovered["mp"]["c"].count_documents() == 3
 
 
+def _insert_ids(rs, ids):
+    for i in ids:
+        rs.write("mp", "m", lambda c, i=i: c.insert_one({"_id": i}))
+
+
+def _count(member):
+    return member.store["mp"]["m"].count_documents()
+
+
 class TestReplicaFailover:
     def test_writes_during_failover_not_lost(self):
         """Write, fail over, keep writing; full history on the new primary."""
-        rs = ReplicaSet("rs", n_secondaries=2)
-        rs.primary["m"].insert_many([{"_id": i} for i in range(5)])
-        rs.replicate()
+        rs = ShardReplicaSet("rs")
+        _insert_ids(rs, range(5))
         rs.step_down()
-        rs.primary["m"].insert_many([{"_id": i} for i in range(5, 10)])
-        assert rs.primary["m"].count_documents() == 10
+        _insert_ids(rs, range(5, 10))
+        assert _count(rs.primary) == 10
 
     def test_laggy_secondary_not_elected(self):
-        rs = ReplicaSet("rs", n_secondaries=2)
-        rs.primary["m"].insert_many([{} for _ in range(8)])
-        fresh, stale = rs.secondaries
-        rs.replicate(fresh)  # only one secondary catches up
+        rs = ShardReplicaSet("rs")
+        fresh, stale = [m for m in rs.members if m is not rs.primary]
+        rs.kill(stale.name)  # only one secondary sees the next writes
+        _insert_ids(rs, range(8))
         promoted = rs.step_down()
-        assert promoted is fresh
+        assert promoted == fresh.name
 
-    def test_concurrent_writes_with_background_replication(self):
-        clock = SimClock()
-        rs = ReplicaSet("rs", n_secondaries=1, clock=clock)
-        rs.start_background_replication(interval_s=0.002)
-
-        def writer(base):
-            for i in range(25):
-                rs.primary["m"].insert_one({"_id": base + i})
-
-        threads = [threading.Thread(target=writer, args=(k * 100,))
+    def test_concurrent_writes_reach_every_member(self):
+        """Four writer threads; replication is synchronous, so every
+        acknowledged write is on every member when the writers finish."""
+        rs = ShardReplicaSet("rs", n_members=2)
+        threads = [threading.Thread(target=_insert_ids,
+                                    args=(rs, range(k * 100, k * 100 + 25)))
                    for k in range(4)]
         for t in threads:
             t.start()
-        # Replication ticks run here while the writers write over there.
-        while any(t.is_alive() for t in threads):
-            clock.run_until(clock.now + 0.002)
-        clock.run_until(clock.now + 0.002)  # one tick after the last write
-        rs.stop_background_replication()
-        assert rs.secondaries[0].database["m"].count_documents() == 100
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive(), "writer wedged"
+        assert [_count(m) for m in rs.members] == [100, 100]
+        assert {m.applied_optime for m in rs.members} == {100}
 
 
 class TestConcurrencyRaces:

@@ -14,10 +14,10 @@ from repro.docstore import (
     DatastoreServer,
     DocumentStore,
     RemoteClient,
+    ShardedCluster,
+    ShardReplicaSet,
 )
 from repro.docstore.changestream import ChangeStream
-from repro.docstore.replication import ReplicaSet
-from repro.docstore.sharding import ShardedCollection
 from repro.obs import (
     BurnRateRule,
     HealthMonitor,
@@ -46,6 +46,16 @@ def fresh_registry():
 @pytest.fixture
 def db():
     return DocumentStore()["mp"]
+
+
+def lagging_member(rs, n_writes):
+    """Kill a secondary of ``rs``, then write ``n_writes`` documents it
+    misses; returns its name (``rs.revive`` catches it up)."""
+    down = next(m.name for m in rs.members if m is not rs.primary)
+    rs.kill(down)
+    for i in range(n_writes):
+        rs.write("mp", "m", lambda c, i=i: c.insert_one({"_id": i}))
+    return down
 
 
 class TestServerStatusSampler:
@@ -410,19 +420,19 @@ class TestHealthMonitor:
         assert report["new_alerts"] == []
 
     def test_replication_lag_opens_then_resolves(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=2)
+        rs = ShardReplicaSet("rs0")
         monitor = HealthMonitor(db).watch_replica_set(rs)
-        for i in range(150):
-            rs.primary["m"].insert_one({"i": i})
+        down = lagging_member(rs, 150)
         report = report_open = monitor.report(now=1000.0)
         assert report_open["status"] == "warn"
         assert report_open["gauges"]["replication_max_lag"] == 150
+        assert report_open["gauges"][f"replication_lag:{down}"] == 150
         assert [a["rule"] for a in report_open["new_alerts"]] == [
             "replication-lag"]
         stored = db["system.alerts"].find_one({"rule": "replication-lag"})
         assert stored["state"] == "open"
         assert stored["value"] == 150
-        rs.replicate()
+        rs.revive(down)
         report = monitor.report(now=1010.0)
         assert report["status"] == "green"
         assert report["gauges"]["replication_max_lag"] == 0
@@ -430,18 +440,17 @@ class TestHealthMonitor:
             {"rule": "replication-lag"})["state"] == "resolved"
 
     def test_shard_imbalance_gauge(self, db):
-        store = DocumentStore()
-        shards = [store["s0"]["m"], store["s1"]["m"], store["s2"]["m"]]
-        sc = ShardedCollection("m", "k", shards, strategy="range",
-                               boundaries=[1000, 2000])
-        for i in range(40):
-            sc.insert_one({"k": i})  # all land on the first shard
-        sc.insert_one({"k": 1500})
-        sc.insert_one({"k": 5000})
-        monitor = HealthMonitor(db).watch_sharded("m", sc)
+        cluster = ShardedCluster(n_replicas=1)
+        for shard_id in ("s0", "s1", "s2"):
+            cluster.add_shard(shard_id)
+        coll = cluster.shard_collection("mp.m", "k", strategy="range")
+        for i in range(42):
+            coll.insert_one({"k": i})  # the single initial chunk is on s0
+        monitor = HealthMonitor(db).watch_sharded("m", cluster)
         report = monitor.report(now=0.0)
-        # 40/1/1 docs: max 40 over mean 14 is ~2.9x imbalance
-        assert report["gauges"]["shard_max_balance_factor"] > 2.0
+        # 42/0/0 docs: max 42 over mean 14 is a 3x imbalance
+        assert report["gauges"]["shard_max_balance_factor"] == 3.0
+        assert report["gauges"]["shard_hottest_fraction:m"] == 1.0
         assert report["status"] == "warn"
         assert [a["rule"] for a in report["new_alerts"]] == [
             "shard-imbalance"]
@@ -461,12 +470,16 @@ class TestHealthMonitor:
         assert monitor.report(now=1.0)["status"] == "green"
 
     def test_gauges_exported_to_metrics_registry(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=1)
-        rs.primary["m"].insert_one({})
-        HealthMonitor(db).watch_replica_set(rs).gauges()
-        text = get_registry().render_text()
-        assert "repro_health_gauge" in text
-        assert "replication_max_lag" in text
+        rs = ShardReplicaSet("rs0")
+        down = lagging_member(rs, 1)
+        monitor = HealthMonitor(db).watch_replica_set(rs)
+        monitor.gauges()
+        gauge = get_registry().gauge("repro_health_gauge")
+        assert "repro_health_gauge" in get_registry().render_text()
+        assert gauge.value(name="replication_max_lag") == 1
+        rs.revive(down)
+        monitor.gauges()
+        assert gauge.value(name="replication_max_lag") == 0
 
     def test_custom_gauge_and_rule(self, db):
         monitor = HealthMonitor(
@@ -496,12 +509,11 @@ class TestHealthEndpoints:
             server.stop()
 
     def test_health_degrades_with_recorded_alert_on_lag(self, db):
-        rs = ReplicaSet("rs0", n_secondaries=1)
+        rs = ShardReplicaSet("rs0")
         monitor = HealthMonitor(db).watch_replica_set(rs)
         server = self._server(db, monitor=monitor)
         try:
-            for i in range(200):
-                rs.primary["m"].insert_one({"i": i})
+            down = lagging_member(rs, 200)
             with urllib.request.urlopen(f"{server.base_url}/health") as r:
                 assert r.status == 200  # warn still serves 200
                 doc = json.load(r)
@@ -512,6 +524,9 @@ class TestHealthEndpoints:
             assert [a["rule"] for a in alerts["open"]] == ["replication-lag"]
             assert {r_["name"] for r_ in alerts["rules"]} >= {
                 "replication-lag", "query-latency-burn"}
+            rs.revive(down)
+            with urllib.request.urlopen(f"{server.base_url}/health") as r:
+                assert json.load(r)["status"] == "green"
         finally:
             server.stop()
 

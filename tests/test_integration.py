@@ -21,7 +21,7 @@ from repro.builders import (
     XRDBuilder,
 )
 from repro.datagen import SyntheticICSD, elemental_references
-from repro.docstore import DocumentStore, ReplicaSet
+from repro.docstore import DocumentStore, ShardReplicaSet
 from repro.fireworks import LaunchPad, Rocket, Workflow, vasp_firework
 from repro.matgen import mps_from_structure
 
@@ -101,21 +101,23 @@ class TestFullPipeline:
         assert result["duplicates"] == 6
 
     def test_replica_set_serves_web_reads(self):
-        """Writes on the primary; web traffic on replicated secondaries."""
-        rs = ReplicaSet("mp-rs", n_secondaries=2)
-        _populate(rs.primary, n=8)
-        rs.replicate()
-        primary_count = rs.primary["materials"].count_documents()
-        for node in rs.secondaries:
-            assert node.database["materials"].count_documents() == primary_count
+        """Builder output replicated through a set; web traffic on a
+        secondary, and again on the new primary after failover."""
+        db = DocumentStore()["mp"]
+        _populate(db, n=8)
+        rs = ShardReplicaSet("mp-rs")
+        for doc in db["materials"].find({}):
+            rs.write("mp", "materials", lambda c, d=doc: c.insert_one(d))
+        n_materials = db["materials"].count_documents()
+        for node in rs.members:
+            assert node.store["mp"]["materials"].count_documents() == n_materials
         # The web stack reads from a secondary.
-        qe = QueryEngine(rs.read_database("secondary"))
-        docs = qe.query({}, limit=5)
+        secondary = next(m for m in rs.members if m is not rs.primary)
+        docs = QueryEngine(secondary.store["mp"]).query({}, limit=5)
         assert docs
         # Failover: promote a secondary, keep serving.
         rs.step_down()
-        qe2 = QueryEngine(rs.primary)
-        assert qe2.count({}) == primary_count
+        assert QueryEngine(rs.primary.store["mp"]).count({}) == n_materials
 
     def test_run_directories_to_store_via_loader(self, tmp_path):
         """The §IV-C1 path: run dirs on 'disk' → incremental load → build."""

