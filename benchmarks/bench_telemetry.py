@@ -1,12 +1,12 @@
-"""Telemetry warehouse benchmark: recorder overhead + warehouse queries.
+"""Telemetry warehouse benchmark: warehouse overhead + warehouse queries.
 
 Two questions, two gates:
 
 1. **Does the warehouse tax the hot path?**  Re-runs :mod:`bench_obs`'s
    core workloads (indexed ``find``, ``insert_one``, group-by
    ``aggregate``) on a store with a live :class:`TelemetryWarehouse`
-   attached — metrics recorder + rollup builder ticking on a background
-   interval.  CI gates ``find``/``insert`` against the *same*
+   attached — its tick (profile mirroring, profiler snapshots) running on
+   a background interval.  CI gates ``find``/``insert`` against the *same*
    ``baseline_obs.json`` budget (20% p95) as the bare store:
    observability that slows the datastore it observes is a bug.  The
    multi-millisecond ``aggregate`` inevitably shares CPU with the
@@ -15,9 +15,9 @@ Two questions, two gates:
    ``--only`` flag).
 
 2. **Are warehouse analytics fast?**  Times the warehouse's own read
-   surface — rollup bucket queries, filtered access-log scans (both on
-   the compound-index IXSCAN path), the ``top`` aggregation, and a full
-   recorder pass — also gated against ``baseline_telemetry.json``.
+   surface — filtered access-log scans (on the compound-index IXSCAN
+   path) and the ``top`` aggregation — also gated against
+   ``baseline_telemetry.json``.
 
 Writes ``BENCH_telemetry.json`` at the repo root.  Run from the repo
 root::
@@ -45,14 +45,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_telemetry.json")
 
 N_ACCESS = 5000
-N_METRIC_PASSES = 120
 WAREHOUSE_INTERVAL_S = 0.25
 
 
 def run_core_with_warehouse(n_docs: int, iters: int) -> Dict[str, dict]:
     """bench_obs's find/insert/aggregate with a live warehouse attached."""
     store, _coll = _build_collection(n_docs)
-    warehouse = TelemetryWarehouse(store, registry=get_registry())
+    warehouse = TelemetryWarehouse(store)
     warehouse.start(interval_s=WAREHOUSE_INTERVAL_S)
     try:
         return bench_obs.run_benchmarks(n_docs, iters, store=store)
@@ -64,18 +63,7 @@ def run_core_with_warehouse(n_docs: int, iters: int) -> Dict[str, dict]:
 def run_warehouse_queries(iters: int) -> Dict[str, dict]:
     """Latency of the warehouse's own analytics reads."""
     store = DocumentStore()
-    registry = MetricsRegistry()
-    warehouse = TelemetryWarehouse(store, registry=registry)
-
-    # metrics history: a handful of series over many recording passes
-    counters = [
-        registry.counter(f"bench_series_{i}_total", "bench") for i in range(8)
-    ]
-    for tick in range(N_METRIC_PASSES):
-        for i, counter in enumerate(counters):
-            counter.inc(i + 1, shard=f"s{tick % 4}")
-        warehouse.recorder.record_once(now=30.0 * tick)
-    warehouse.rollups.process_pending()
+    warehouse = TelemetryWarehouse(store)
 
     # access log: a realistic endpoint mix
     log: QueryLog = warehouse.access
@@ -92,12 +80,6 @@ def run_warehouse_queries(iters: int) -> Dict[str, dict]:
             ts=1_000_000.0 + i,
         )
 
-    def bench_rollup_query(i: int) -> None:
-        warehouse.rollups.query(
-            f"bench_series_{i % 8}_total", "1m",
-            since=30.0 * (i % N_METRIC_PASSES),
-        )
-
     def bench_access_query(i: int) -> None:
         log.query_access_log(
             endpoint=endpoints[i % len(endpoints)],
@@ -108,20 +90,10 @@ def run_warehouse_queries(iters: int) -> Dict[str, dict]:
     def bench_access_top(i: int) -> None:
         access_top(log.collection, by="duration", limit=10)
 
-    def bench_record_once(i: int) -> None:
-        # every pass has fresh deltas to write: touch each counter first
-        for counter in counters:
-            counter.inc(1)
-        warehouse.recorder.record_once(now=1e9 + i)
-
     results = {
-        "rollup_query": _timed(bench_rollup_query,
-                               max(iters // 3, 50), batch=20, repeats=5),
         "access_query": _timed(bench_access_query,
                                max(iters // 3, 50), batch=10, repeats=5),
         "access_top": _timed(bench_access_top, max(iters // 10, 10)),
-        "record_once": _timed(bench_record_once,
-                              max(iters // 3, 50), batch=10, repeats=5),
     }
     store.close()
     return results

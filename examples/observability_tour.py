@@ -117,23 +117,24 @@ def main() -> None:
     print("[/metrics]  " + "\n[/metrics]  ".join(lines))
     print(f"[/ops]      {ops}")
 
-    # 9. The telemetry warehouse dogfoods the datastore: one tick snapshots
-    #    the metrics registry into telemetry.metrics (counters as deltas),
-    #    downsamples into rollup buckets, and the access log above is
-    #    already sitting in an indexed collection.  TTL indexes on every
-    #    telemetry collection bound retention — the reaper sweep below
-    #    deletes points planted with an already-expired timestamp.
+    # 9. The telemetry warehouse dogfoods the datastore: one tick mirrors
+    #    system.profile into telemetry.profile (the index advisor's
+    #    evidence across restarts), and the access log above is already
+    #    sitting in an indexed collection.  TTL indexes on every telemetry
+    #    collection bound retention — the reaper sweep below deletes an
+    #    event planted with an already-expired timestamp.  (Metrics history
+    #    lives in the flight ring of step 11, not here.)
+    warehouse.watch_profile(db)
     tick = warehouse.tick()
-    print(f"[warehouse] tick wrote {tick['metric_points']} metric points; "
-          f"rollup mode={tick['rollup']['mode']}")
+    print(f"[warehouse] tick mirrored {tick['profile_mirrored']} profile "
+          f"entries into telemetry.profile")
     for row in access_top(warehouse.access.collection, by="count", limit=3):
         print(f"[warehouse] access {row['endpoint']}: {row['count']} reqs, "
               f"mean {row['mean_ms']:.2f}ms")
     plan = warehouse.db["access"].explain(
         {"endpoint": "rest/v1/materials", "ts": {"$gte": 0.0}})
     print(f"[warehouse] access query plan: {plan['planSummary']}")
-    warehouse.db["metrics"].insert_one(
-        {"ts": 1.0, "name": "tour_stale_point", "value": 0.0})
+    warehouse.db["events"].insert_one({"ts": 1.0, "type": "tour_stale"})
     reaped = store.start_ttl_reaper().sweep()
     store.stop_ttl_reaper()
     print(f"[warehouse] ttl sweep reaped {reaped} expired docs")
@@ -205,7 +206,7 @@ def main() -> None:
               f"{stage['elapsed_ms']:.3f}ms{extra}")
 
     # 11. The flight recorder: an out-of-band black box appending full
-    #     diagnostic snapshots (serverStatus, /proc, metric deltas) to a
+    #     diagnostic snapshots (serverStatus, /proc, the metrics history) to a
     #     size-capped on-disk ring of delta-compressed chunks, plus a
     #     stall watchdog that dumps every thread's stack the moment a
     #     lock, the journal committer, or wire dispatch wedges.  After a

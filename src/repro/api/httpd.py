@@ -20,9 +20,9 @@ Two operational endpoints ride alongside the data API:
 * ``GET /alerts`` — the SLO engine's alert history (open + recent);
 * ``GET /provenance/<material_id>`` — the provenance DAG walked back
   from one material to its source tasks and workflows;
-* ``GET /telemetry/metrics|access|traces`` — the telemetry warehouse's
-  read surface: metrics history/rollups, access-log analytics (filters,
-  ``top=``, ``summary=1``), and tail-sampled traces;
+* ``GET /telemetry/access|traces`` — the telemetry warehouse's read
+  surface: access-log analytics (filters, ``top=``, ``summary=1``) and
+  tail-sampled traces;
 * ``GET /traces/<trace_id>`` — one tail-sampled trace tree (404 if the
   trace was dropped by the sampler);
 * ``GET /debug/profile|flamegraph|locks`` — the continuous profiler:
@@ -30,7 +30,8 @@ Two operational endpoints ride alongside the data API:
   / ``action=stop`` drive its lifecycle), folded flamegraph stacks as
   ``text/plain``, and the backing store's lock-contention report;
 * ``GET /debug/flight`` — the process-global flight recorder's status
-  (``?window=N`` adds the last N in-memory snapshots, ``?anomalies=1``
+  (``?window=N`` adds the last N in-memory snapshots — the metrics
+  history: counter deltas, gauges, histogram quantiles; ``?anomalies=1``
   runs the MAD-z-score scan, ``?events=1`` lists recent stall/shutdown
   events).
 
@@ -174,7 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- telemetry warehouse endpoints -----------------------------------
 
     def _serve_telemetry(self, path: str, params: dict) -> None:
-        """``GET /telemetry/metrics|access|traces`` — warehouse queries."""
+        """``GET /telemetry/access|traces`` — warehouse queries."""
         warehouse = getattr(self.server, "warehouse", None)
         if warehouse is None:
             self._send_json(
@@ -183,9 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         section = path.split("/", 2)[-1]
         try:
-            if section == "metrics":
-                self._serve_telemetry_metrics(warehouse, params)
-            elif section == "access":
+            if section == "access":
                 self._serve_telemetry_access(warehouse, params)
             elif section == "traces":
                 limit = int(params.get("limit", ["50"])[0])
@@ -203,25 +202,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
-
-    def _serve_telemetry_metrics(self, warehouse: Any, params: dict) -> None:
-        name = params.get("name", [None])[0]
-        if name is None:
-            self._send_json(200, {
-                "names": warehouse.metric_names(),
-                "warehouse": warehouse.stats(),
-            })
-            return
-        since = params.get("since", [None])[0]
-        until = params.get("until", [None])[0]
-        series = warehouse.metrics_series(
-            name,
-            resolution=params.get("resolution", ["raw"])[0],
-            since=float(since) if since is not None else None,
-            until=float(until) if until is not None else None,
-            limit=int(params.get("limit", ["0"])[0]),
-        )
-        self._send_json(200, {"name": name, "series": series})
 
     def _serve_telemetry_access(self, warehouse: Any, params: dict) -> None:
         access = warehouse.access

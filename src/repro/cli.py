@@ -451,10 +451,49 @@ def _fmt_ts(ts: float) -> str:
     return time.strftime("%m-%d %H:%M:%S", time.localtime(ts))
 
 
+def _telemetry_trends(args: argparse.Namespace) -> int:
+    """``repro telemetry trends`` — one metric's history from the flight
+    ring: ``<data-dir>/flight`` locally (the docstore is never opened), the
+    server's in-memory window with ``--host``."""
+    from .obs import flight as fl
+
+    if args.host:
+        client, close = _monitor_target(args)
+        try:
+            snaps = client.flight("window")["snapshots"]
+        finally:
+            close()
+    else:
+        snaps = fl.decode_ring(
+            os.path.join(args.data_dir, "flight"))["snapshots"]
+    if not args.name:
+        names = sorted({key.split("{", 1)[0] for snap in snaps
+                        for key in snap.get("metrics") or {}})
+        for name in names:
+            print(name)
+        print(f"({len(names)} metrics in {len(snaps)} snapshots; "
+              "pick one with --name)", file=sys.stderr)
+        return 0
+    rows = fl.metric_points(snaps, args.name)
+    if args.limit:
+        rows = rows[-args.limit:]
+    for row in rows:
+        if args.json:
+            print(json.dumps(row, default=str))
+        else:
+            print(f"{_fmt_ts(row['ts'])}  {row['value']:>12.4g}"
+                  f"  {row['series']}")
+    print(f"({len(rows)} points)", file=sys.stderr)
+    return 0
+
+
 def cmd_telemetry(args: argparse.Namespace) -> int:
     """``repro telemetry top|trends|access`` — warehouse analytics, local
     or over the wire (the collections are plain data, so a RemoteClient
-    answers the same queries a local store does)."""
+    answers the same queries a local store does); ``trends`` reads the
+    flight ring instead."""
+    if args.action == "trends":
+        return _telemetry_trends(args)
     target, close = _monitor_target(args)
     try:
         tdb = target["telemetry"]
@@ -472,72 +511,32 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
                       f"{r['errors']:>8d}{r['total_ms']:>12.1f}"
                       f"{r['mean_ms']:>10.2f}{r['max_ms']:>10.2f}")
             return 0
-        if args.action == "access":
-            query = {}
-            if args.endpoint:
-                query["endpoint"] = args.endpoint
-            if args.user:
-                query["user"] = args.user
-            if args.status is not None:
-                query["status"] = args.status
-            if args.errors_only:
-                query["$or"] = [{"status": {"$gte": 400}},
-                                {"error": {"$ne": None}}]
-            records = _find_docs(
-                tdb["access"], query, {"_id": 0},
-                sort=[("ts", -1), ("seq", -1)], limit=args.limit,
-            )
-            if args.json:
-                for rec in records:
-                    print(json.dumps(rec, default=str))
-                return 0
-            for rec in records:
-                user = rec.get("user") or "-"
-                err = f"  !{rec['error']}" if rec.get("error") else ""
-                print(f"{_fmt_ts(rec.get('ts', 0.0))}  {rec.get('status', 0):3d}  "
-                      f"{rec.get('method', '-'):5s} "
-                      f"{str(rec.get('endpoint')):<32s}"
-                      f"{rec.get('duration_ms', 0.0):>9.2f} ms  {user}{err}")
-            print(f"({len(records)} records)", file=sys.stderr)
-            return 0
-        # trends: metrics history (raw) or rollup buckets (1m / 1h)
-        if not args.name:
-            names = tdb["metrics"].distinct("name")
-            for name in sorted(names):
-                print(name)
-            print(f"({len(names)} metrics with history; "
-                  "pick one with --name)", file=sys.stderr)
-            return 0
-        if args.resolution == "raw":
-            rows = _find_docs(
-                tdb["metrics"], {"name": args.name}, {"_id": 0},
-                sort=[("ts", 1)], limit=0,
-            )
-        else:
-            rows = _find_docs(
-                tdb["metrics_rollup"],
-                {"name": args.name, "resolution": args.resolution},
-                {"_id": 0}, sort=[("ts", 1)], limit=0,
-            )
-        if args.limit:
-            rows = rows[-args.limit:]
+        query = {}
+        if args.endpoint:
+            query["endpoint"] = args.endpoint
+        if args.user:
+            query["user"] = args.user
+        if args.status is not None:
+            query["status"] = args.status
+        if args.errors_only:
+            query["$or"] = [{"status": {"$gte": 400}},
+                            {"error": {"$ne": None}}]
+        records = _find_docs(
+            tdb["access"], query, {"_id": 0},
+            sort=[("ts", -1), ("seq", -1)], limit=args.limit,
+        )
         if args.json:
-            for row in rows:
-                print(json.dumps(row, default=str))
+            for rec in records:
+                print(json.dumps(rec, default=str))
             return 0
-        if args.resolution == "raw":
-            for row in rows:
-                print(f"{_fmt_ts(row['ts'])}  {row.get('value', 0.0):>12.4g}"
-                      f"  {row.get('labels_key', '')}")
-        else:
-            print(f"{'bucket':<15s}{'count':>7s}{'mean':>12s}{'min':>12s}"
-                  f"{'max':>12s}{'p95':>12s}  labels")
-            for row in rows:
-                print(f"{_fmt_ts(row['ts']):<15s}{row['count']:>7d}"
-                      f"{row['mean']:>12.4g}{row['min']:>12.4g}"
-                      f"{row['max']:>12.4g}{row['p95']:>12.4g}"
-                      f"  {row.get('labels_key', '')}")
-        print(f"({len(rows)} points)", file=sys.stderr)
+        for rec in records:
+            user = rec.get("user") or "-"
+            err = f"  !{rec['error']}" if rec.get("error") else ""
+            print(f"{_fmt_ts(rec.get('ts', 0.0))}  {rec.get('status', 0):3d}  "
+                  f"{rec.get('method', '-'):5s} "
+                  f"{str(rec.get('endpoint')):<32s}"
+                  f"{rec.get('duration_ms', 0.0):>9.2f} ms  {user}{err}")
+        print(f"({len(records)} records)", file=sys.stderr)
         return 0
     finally:
         close()
@@ -870,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wire-port", type=int,
                    help="also serve the wire protocol on this port")
     p.add_argument("--no-telemetry", action="store_true",
-                   help="disable the telemetry warehouse (metrics history, "
-                        "access log, tail-sampled traces, TTL retention)")
+                   help="disable the telemetry warehouse (access log, "
+                        "tail-sampled traces, profile mirror, TTL "
+                        "retention)")
     p.add_argument("--telemetry-interval", type=float, default=5.0,
                    help="seconds between warehouse recording passes")
     p.add_argument("--no-flight", action="store_true",
@@ -959,10 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", default="duration",
                    choices=["duration", "count", "errors"],
                    help="ranking for 'top'")
-    p.add_argument("--name", help="metric name for 'trends'")
-    p.add_argument("--resolution", default="raw",
-                   choices=["raw", "1m", "1h"],
-                   help="metrics history granularity for 'trends'")
+    p.add_argument("--name", help="metric name for 'trends' (read from "
+                                  "the flight ring)")
     p.add_argument("--endpoint", help="filter 'access' by endpoint")
     p.add_argument("--user", help="filter 'access' by user id")
     p.add_argument("--status", type=int, help="filter 'access' by status")

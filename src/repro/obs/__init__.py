@@ -32,16 +32,17 @@ Fleet-health tooling builds on that substrate:
   ``system.alerts`` history collection;
 * :mod:`.advisor` — the slow-query index advisor mining ``system.profile``
   COLLSCAN shapes into verified ``create_index`` recommendations;
-* :mod:`.warehouse` — the self-hosted telemetry warehouse: metrics
-  history with incremental rollups, the access-log warehouse, tail-sampled
-  traces, and a persisted profile mirror, all stored in a ``telemetry``
-  database with TTL retention — the datastore dogfooding itself;
+* :mod:`.warehouse` — the self-hosted telemetry warehouse: the access-log
+  warehouse, tail-sampled traces, a persisted profile mirror, alerts, and
+  incident events, all stored in a ``telemetry`` database with TTL
+  retention — the datastore dogfooding itself;
 * :mod:`.profiler` — the continuous wall-clock sampling profiler: a
   daemon sampling every thread's stack via ``sys._current_frames`` into
   bounded flamegraph-ready folded stacks, shared process-wide so the wire
   server, ``/debug`` endpoints, CLI, and warehouse see one profile;
-* :mod:`.flight` — the out-of-band flight recorder: FTDC-style snapshots
-  (``server_status``, metric deltas, process stats) into a size-capped
+* :mod:`.flight` — the out-of-band flight recorder and the only metrics
+  history: FTDC-style snapshots (``server_status``, counter deltas, gauges,
+  histogram quantiles, process stats) into a size-capped
   on-disk ring of delta-compressed CRC-checked chunks, a stall watchdog
   probing lock/journal/wire liveness, and crash forensics that turn an
   unclean shutdown into a ``crash_report.json``;
@@ -56,6 +57,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
+    labels_key,
     percentile,
     set_registry,
 )
@@ -113,13 +115,7 @@ from .flight import (
     start_flight_recorder,
     stop_flight_recorder,
 )
-from .warehouse import (
-    MetricsHistoryRecorder,
-    MetricsRollupBuilder,
-    TailSampler,
-    TelemetryWarehouse,
-    labels_key,
-)
+from .warehouse import TailSampler, TelemetryWarehouse
 
 __all__ = [
     "Counter",
@@ -128,6 +124,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
+    "labels_key",
     "percentile",
     "Span",
     "span",
@@ -162,10 +159,7 @@ __all__ = [
     "add_tail_sampler",
     "remove_tail_sampler",
     "TelemetryWarehouse",
-    "MetricsHistoryRecorder",
-    "MetricsRollupBuilder",
     "TailSampler",
-    "labels_key",
     "SamplingProfiler",
     "get_profiler",
     "start_profiler",

@@ -57,7 +57,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..background import PeriodicTask, TaskDaemon
-from .metrics import get_registry
+from .metrics import get_registry, labels_key
 from .procstats import process_status
 from .profiler import current_frames, fold_stack
 
@@ -72,6 +72,7 @@ __all__ = [
     "apply_delta",
     "decode_ring",
     "diff_window",
+    "metric_points",
     "scan_anomalies",
     "enable_fault_handler",
     "detect_unclean_shutdown",
@@ -460,6 +461,17 @@ def diff_window(snapshots: List[dict], t0: Optional[float] = None,
     }
 
 
+def metric_points(snapshots: List[dict], name: str) -> List[dict]:
+    """One metric's history, ``[{"ts", "series", "value"}]`` in snapshot
+    order: counter deltas, gauge values, and histogram quantiles as
+    ``name{k=v}.p95``-style series."""
+    prefix = name + "{"
+    return [{"ts": snap.get("ts"), "series": series, "value": value}
+            for snap in snapshots
+            for series, value in _flatten(snap.get("metrics") or {}).items()
+            if series.startswith(prefix)]
+
+
 def _median(values: List[float]) -> float:
     ordered = sorted(values)
     mid = len(ordered) // 2
@@ -528,6 +540,10 @@ class FlightRecorder(TaskDaemon):
     recording (and ``server_status`` itself only takes short-held
     mutexes, never the per-collection RWLocks, so in practice it survives
     a write-wedged collection).
+
+    The snapshots' ``metrics`` sections are the process's only metrics
+    history (``repro telemetry trends`` reads them via
+    :func:`metric_points`).
     """
 
     def __init__(self, store: Any, directory: str,
@@ -563,25 +579,27 @@ class FlightRecorder(TaskDaemon):
     def _registry_or_default(self):
         return self._registry if self._registry is not None else get_registry()
 
-    def _counter_deltas(self) -> Dict[str, float]:
-        """Per-tick deltas for every counter series in the registry."""
-        current: Dict[str, float] = {}
+    def _metrics(self) -> Dict[str, Any]:
+        """The registry keyed ``name{k=v}``: counters as per-tick deltas
+        (idle ones omitted), gauges as values, histograms as
+        ``{"p50", "p95", "p99"}``."""
+        out: Dict[str, Any] = {}
+        counters: Dict[str, float] = {}
         for metric in self._registry_or_default().collect():
-            if metric.get("kind") != "counter":
-                continue
-            name = metric["name"]
-            for row in metric.get("series", []):
-                labels = row.get("labels") or {}
-                rendered = ",".join(
-                    f"{k}={labels[k]}" for k in sorted(labels))
-                current[f"{name}{{{rendered}}}"] = float(row.get("value", 0))
-        deltas = {}
-        for key, value in current.items():
-            delta = value - self._prev_counters.get(key, 0.0)
-            if delta:
-                deltas[key] = delta
-        self._prev_counters = current
-        return deltas
+            kind = metric["kind"]
+            for row in metric["series"]:
+                key = f"{metric['name']}{{{labels_key(row['labels'])}}}"
+                if kind == "counter":
+                    counters[key] = row["value"]
+                    delta = row["value"] - self._prev_counters.get(key, 0.0)
+                    if delta:
+                        out[key] = delta
+                elif kind == "histogram":
+                    out[key] = {q: row[q] for q in ("p50", "p95", "p99")}
+                else:
+                    out[key] = row["value"]
+        self._prev_counters = counters
+        return out
 
     def capture(self, now: Optional[float] = None) -> dict:
         """Take one snapshot and append it to the ring (thread-safe).
@@ -610,7 +628,7 @@ class FlightRecorder(TaskDaemon):
                     self._errors += 1
                     snap["process_error"] = repr(exc)
             try:
-                snap["metrics"] = self._counter_deltas()
+                snap["metrics"] = self._metrics()
             except Exception as exc:
                 self._errors += 1
                 snap["metrics_error"] = repr(exc)

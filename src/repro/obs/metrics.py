@@ -35,6 +35,7 @@ __all__ = [
     "OVERFLOW_LABEL_VALUE",
     "get_registry",
     "set_registry",
+    "labels_key",
     "percentile",
 ]
 
@@ -68,6 +69,11 @@ def _render_labels(key: LabelKey, extra: Optional[Tuple[str, str]] = None) -> st
         return ""
     body = ",".join(f'{k}="{v}"' for k, v in pairs)
     return "{" + body + "}"
+
+
+def labels_key(labels: Dict[str, Any]) -> str:
+    """Canonical string form of a label set (stable grouping key)."""
+    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
 def percentile(values: List[float], p: float) -> float:
@@ -415,13 +421,12 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def collect(self) -> List[dict]:
-        """Structured dump for the telemetry warehouse recorder.
+        """Structured dump for the flight recorder's metrics section.
 
         One dict per metric — ``{"name", "kind", "series": [{"labels",
         "value", ...}]}`` — with labels as plain dicts (not rendered
-        strings) so series survive a round-trip through a collection.
-        Histogram series carry their summary stats alongside the mean
-        ``value``.
+        strings).  Histogram series carry their summary stats alongside
+        the mean ``value``.
         """
         with self._lock:
             metrics = [self._metrics[n] for n in sorted(self._metrics)]

@@ -1,19 +1,12 @@
-"""Telemetry warehouse: the observability stack persisted in the datastore.
+"""Telemetry warehouse: per-request and per-incident telemetry in the datastore.
 
 The paper's operational stance is that a datastore's own telemetry is best
 served *by* the datastore — Materials Project runs query logs and usage
-analytics through the same MongoDB that serves science.  Everything the
-in-memory observability stack (metrics registry, profiler, tracing, SLO
-engine) knows evaporates on restart; this module dogfoods the engine by
-landing it in real collections in a ``telemetry`` database:
+analytics through the same MongoDB that serves science.  Access records,
+sampled traces, profiler evidence, and alerts evaporate on restart when
+they live only in memory; this module dogfoods the engine by landing them
+in real collections in a ``telemetry`` database:
 
-* ``telemetry.metrics`` — :class:`MetricsHistoryRecorder` snapshots the
-  registry on an interval: counters as *deltas* since the previous pass,
-  gauges and histogram summaries as-is.
-* ``telemetry.metrics_rollup`` — :class:`MetricsRollupBuilder` tails the
-  raw-points change stream (the :mod:`repro.builders.incremental` pattern)
-  and maintains 1-minute and 1-hour min/max/mean/p95 buckets, falling back
-  to a full rebuild when the stream overflows.
 * ``telemetry.access`` — the :class:`~repro.api.querylog.QueryLog`
   access-log warehouse, written by the QueryEngine, the Materials API
   httpd, and the wire server.
@@ -34,9 +27,14 @@ landing it in real collections in a ``telemetry`` database:
   detections with their thread-stack dumps and post-crash reports, queryable
   long after the on-disk flight ring has rotated past them.
 
-Every collection carries compound query indexes (``(name, ts)``,
-``(endpoint, ts)``) so warehouse analytics ride the cost-based planner's
-IXSCAN path, and TTL indexes (``create_index(...,
+Metrics history is not here: the registry's time series (counter deltas,
+gauges, histogram quantiles) live only in the out-of-band flight ring
+(:mod:`repro.obs.flight`), the way MongoDB keeps FTDC out of its own
+collections.
+
+Every collection carries compound query indexes (``(endpoint, ts)``,
+``(db, ts)``, ``(type, ts)``) so warehouse analytics ride the cost-based
+planner's IXSCAN path, and TTL indexes (``create_index(...,
 expire_after_seconds=N)``) so the warehouse bounds its own disk use via
 the engine's reaper — retention is a datastore feature here, not a cron
 job.
@@ -44,25 +42,19 @@ job.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..background import PeriodicTask, TaskDaemon
-from .metrics import MetricsRegistry, get_registry, percentile
+from .metrics import get_registry
 from .tracing import Span, add_tail_sampler, remove_tail_sampler
 
 __all__ = [
     "TelemetryWarehouse",
-    "MetricsHistoryRecorder",
-    "MetricsRollupBuilder",
     "TailSampler",
-    "labels_key",
 ]
 
 #: Default retention windows (seconds) per telemetry collection.
-METRICS_TTL_S = 7 * 86400.0
-ROLLUP_TTL_S = 30 * 86400.0
 ACCESS_TTL_S = 14 * 86400.0
 TRACES_TTL_S = 86400.0
 PROFILE_TTL_S = 86400.0
@@ -78,212 +70,6 @@ TRACE_LATENCY_THRESHOLD_MS = 250.0
 #: Sampled trace documents kept before FIFO eviction (TTL reaps earlier
 #: in a long-running deployment).
 TRACE_CAP = 2048
-
-#: Rollup resolutions: label -> bucket width in seconds.
-ROLLUP_RESOLUTIONS: Dict[str, float] = {"1m": 60.0, "1h": 3600.0}
-
-
-def labels_key(labels: Dict[str, Any]) -> str:
-    """Canonical string form of a label set (stable grouping key)."""
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-
-
-class MetricsHistoryRecorder:
-    """Periodically lands the metrics registry in ``telemetry.metrics``.
-
-    Counters are recorded as *deltas* since the previous pass (the first
-    pass records the accumulated total, i.e. activity since process
-    start), so rollups can sum them; gauges record their current value and
-    histograms their summary stats with the mean as ``value``.
-    """
-
-    def __init__(self, collection: Any,
-                 registry: Optional[MetricsRegistry] = None):
-        self.collection = collection
-        self._registry = registry
-        self._prev_counters: Dict[Tuple[str, str], float] = {}
-        self._lock = threading.Lock()
-        self.collection.create_index([("name", 1), ("ts", 1)])
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def record_once(self, now: Optional[float] = None) -> int:
-        """One snapshot pass; returns the number of points written."""
-        now = time.time() if now is None else now
-        points: List[dict] = []
-        with self._lock:
-            for metric in self.registry.collect():
-                name, kind = metric["name"], metric["kind"]
-                if name == "repro_warehouse_metric_points_total":
-                    # recording it would change it: every pass would see a
-                    # delta from the previous pass and never go idle
-                    continue
-                for series in metric["series"]:
-                    labels = series["labels"]
-                    lkey = labels_key(labels)
-                    point = {
-                        "ts": now,
-                        "name": name,
-                        "kind": kind,
-                        "labels": labels,
-                        "labels_key": lkey,
-                        "value": series["value"],
-                    }
-                    if kind == "counter":
-                        prev = self._prev_counters.get((name, lkey), 0.0)
-                        self._prev_counters[(name, lkey)] = series["value"]
-                        delta = series["value"] - prev
-                        if delta == 0.0:
-                            continue  # idle series: no point, bounded growth
-                        point["value"] = delta
-                        point["total"] = series["value"]
-                    elif kind == "histogram":
-                        for stat in ("count", "sum", "p50", "p95", "p99",
-                                     "max"):
-                            point[stat] = series[stat]
-                    points.append(point)
-        if points:
-            self.collection.insert_many(points)
-            get_registry().counter(
-                "repro_warehouse_metric_points_total",
-                "raw metric points recorded into telemetry.metrics",
-            ).inc(len(points))
-        return len(points)
-
-    def series(self, name: str, labels: Optional[Dict[str, Any]] = None,
-               since: Optional[float] = None, until: Optional[float] = None,
-               limit: int = 0) -> List[dict]:
-        """Raw points for one metric, time-ascending, via ``(name, ts)``."""
-        query: Dict[str, Any] = {"name": name}
-        ts_bounds: Dict[str, float] = {}
-        if since is not None:
-            ts_bounds["$gte"] = float(since)
-        if until is not None:
-            ts_bounds["$lt"] = float(until)
-        if ts_bounds:
-            query["ts"] = ts_bounds
-        if labels is not None:
-            query["labels_key"] = labels_key(labels)
-        cursor = self.collection.find(query, {"_id": 0}).sort([("ts", 1)])
-        if limit:
-            cursor = cursor.limit(int(limit))
-        return list(cursor)
-
-
-class MetricsRollupBuilder:
-    """Incrementally downsamples raw metric points into summary buckets.
-
-    Follows the :class:`~repro.builders.incremental.
-    IncrementalMaterialsBuilder` pattern: tail the source change stream,
-    refresh only the touched ``(name, labels_key, resolution, bucket)``
-    groups, and resync from scratch when the stream overflows.  Buckets
-    carry ``count/min/max/mean/p95/sum`` over the raw ``value`` field.
-    """
-
-    def __init__(self, db: Any, source: str = "metrics",
-                 dest: str = "metrics_rollup"):
-        self.db = db
-        self.source = db[source]
-        self.dest = db[dest]
-        self.stream = self.source.watch()
-        self.full_rebuilds = 0
-        self.dest.create_index(
-            [("name", 1), ("resolution", 1), ("ts", 1)]
-        )
-
-    def process_pending(self) -> dict:
-        """Drain buffered point events and refresh the affected buckets."""
-        from ..errors import DocstoreError
-
-        try:
-            events = self.stream.drain()
-        except DocstoreError:
-            # Overflow: the stream lost history, resync from scratch.
-            self.full_rebuilds += 1
-            get_registry().counter(
-                "repro_warehouse_rollup_rebuilds_total",
-                "rollup-builder resyncs after stream overflow",
-            ).inc(1)
-            result = self.rebuild()
-            return {"mode": "full-rebuild", **result}
-
-        touched: set = set()
-        for event in events:
-            doc = event.document or {}
-            name = doc.get("name")
-            ts = doc.get("ts")
-            if name is None or ts is None:
-                continue
-            lkey = doc.get("labels_key", "")
-            for res, width in ROLLUP_RESOLUTIONS.items():
-                touched.add((name, lkey, res, (ts // width) * width))
-        for name, lkey, res, bucket in sorted(touched):
-            self._refresh_bucket(name, lkey, res, bucket)
-        return {"mode": "incremental", "buckets_refreshed": len(touched)}
-
-    def rebuild(self) -> dict:
-        """Full resync: recompute every bucket from the raw points."""
-        self.dest.delete_many({})
-        touched: set = set()
-        for doc in self.source.find({}, {"name": 1, "labels_key": 1, "ts": 1}):
-            for res, width in ROLLUP_RESOLUTIONS.items():
-                touched.add((
-                    doc["name"], doc.get("labels_key", ""), res,
-                    (doc["ts"] // width) * width,
-                ))
-        for name, lkey, res, bucket in sorted(touched):
-            self._refresh_bucket(name, lkey, res, bucket)
-        return {"buckets_built": len(touched)}
-
-    def _refresh_bucket(self, name: str, lkey: str, res: str,
-                        bucket: float) -> None:
-        width = ROLLUP_RESOLUTIONS[res]
-        raw = list(self.source.find(
-            {
-                "name": name,
-                "labels_key": lkey,
-                "ts": {"$gte": bucket, "$lt": bucket + width},
-            },
-            {"value": 1, "labels": 1},
-        ))
-        key = {"name": name, "labels_key": lkey,
-               "resolution": res, "ts": bucket}
-        if not raw:
-            self.dest.delete_many(key)
-            return
-        values = [doc.get("value", 0.0) for doc in raw]
-        summary = dict(key)
-        summary.update({
-            "labels": raw[-1].get("labels", {}),
-            "count": len(values),
-            "min": min(values),
-            "max": max(values),
-            "mean": sum(values) / len(values),
-            "p95": percentile(values, 95),
-            "sum": sum(values),
-        })
-        self.dest.replace_one(key, summary, upsert=True)
-
-    def query(self, name: str, resolution: str = "1m",
-              labels: Optional[Dict[str, Any]] = None,
-              since: Optional[float] = None,
-              until: Optional[float] = None) -> List[dict]:
-        """Buckets for one metric, time-ascending, via the compound index."""
-        if resolution not in ROLLUP_RESOLUTIONS:
-            raise ValueError(f"unknown rollup resolution {resolution!r}")
-        query: Dict[str, Any] = {"name": name, "resolution": resolution}
-        ts_bounds: Dict[str, float] = {}
-        if since is not None:
-            ts_bounds["$gte"] = float(since)
-        if until is not None:
-            ts_bounds["$lt"] = float(until)
-        if ts_bounds:
-            query["ts"] = ts_bounds
-        if labels is not None:
-            query["labels_key"] = labels_key(labels)
-        return list(self.dest.find(query, {"_id": 0}).sort([("ts", 1)]))
 
 
 class TailSampler:
@@ -379,16 +165,13 @@ class TelemetryWarehouse(TaskDaemon):
     """The telemetry database and its recorders, built over a live store.
 
     ``TelemetryWarehouse(store)`` creates the ``telemetry`` collections
-    with their query and TTL indexes and wires up the access log, metrics
-    recorder, rollup builder, and tail sampler.  :meth:`tick` runs one
-    synchronous recording pass; :meth:`start` runs it on a background
+    with their query and TTL indexes and wires up the access log and tail
+    sampler.  :meth:`tick` runs one synchronous pass (profile mirroring
+    and a profiler snapshot); :meth:`start` runs it on a background
     interval and starts the store's TTL reaper so retention is enforced.
     """
 
     def __init__(self, store: Any, db_name: str = "telemetry",
-                 registry: Optional[MetricsRegistry] = None,
-                 metrics_ttl_s: float = METRICS_TTL_S,
-                 rollup_ttl_s: float = ROLLUP_TTL_S,
                  access_ttl_s: float = ACCESS_TTL_S,
                  traces_ttl_s: float = TRACES_TTL_S,
                  profile_ttl_s: float = PROFILE_TTL_S,
@@ -402,12 +185,6 @@ class TelemetryWarehouse(TaskDaemon):
 
         self.store = store
         self.db = store.get_database(db_name)
-        self.db["metrics"].create_index(
-            "ts", expire_after_seconds=metrics_ttl_s
-        )
-        self.db["metrics_rollup"].create_index(
-            "ts", expire_after_seconds=rollup_ttl_s
-        )
         self.db["traces"].create_index(
             "ts", name="ts_ttl", expire_after_seconds=traces_ttl_s
         )
@@ -427,10 +204,6 @@ class TelemetryWarehouse(TaskDaemon):
         self.access = QueryLog(
             collection=self.db["access"], ttl_s=access_ttl_s
         )
-        self.recorder = MetricsHistoryRecorder(
-            self.db["metrics"], registry=registry
-        )
-        self.rollups = MetricsRollupBuilder(self.db)
         self.tail_sampler = TailSampler(
             self.db["traces"],
             latency_threshold_ms=trace_latency_threshold_ms,
@@ -612,16 +385,10 @@ class TelemetryWarehouse(TaskDaemon):
     # -- recording loop ----------------------------------------------------
 
     def tick(self, now: Optional[float] = None) -> dict:
-        """One synchronous pass: record metrics, roll up, mirror profiles."""
-        points = self.recorder.record_once(now)
-        rollup = self.rollups.process_pending()
-        mirrored = self.sync_profile()
-        profiler_snaps = self.record_profiler_snapshot(now=now)
+        """One synchronous pass: mirror profiles, snapshot the profiler."""
         return {
-            "metric_points": points,
-            "rollup": rollup,
-            "profile_mirrored": mirrored,
-            "profiler_snapshots": profiler_snaps,
+            "profile_mirrored": self.sync_profile(),
+            "profiler_snapshots": self.record_profiler_snapshot(now=now),
         }
 
     def start(self, interval_s: float = 5.0,
@@ -645,32 +412,10 @@ class TelemetryWarehouse(TaskDaemon):
 
     # -- read surface ------------------------------------------------------
 
-    def metrics_series(self, name: str, resolution: str = "raw",
-                       labels: Optional[Dict[str, Any]] = None,
-                       since: Optional[float] = None,
-                       until: Optional[float] = None,
-                       limit: int = 0) -> List[dict]:
-        """Raw points (``resolution="raw"``) or rollup buckets (``"1m"`` /
-        ``"1h"``) for one metric — the ``GET /telemetry/metrics`` data."""
-        if resolution == "raw":
-            return self.recorder.series(
-                name, labels=labels, since=since, until=until, limit=limit
-            )
-        rows = self.rollups.query(
-            name, resolution=resolution, labels=labels,
-            since=since, until=until,
-        )
-        return rows[-limit:] if limit else rows
-
-    def metric_names(self) -> List[str]:
-        """Distinct metric names with recorded history."""
-        return sorted(self.db["metrics"].distinct("name"))
-
     def stats(self) -> dict:
         """Row counts per telemetry collection (the warehouse's own size)."""
         return {
             name: self.db[name].count_documents()
-            for name in ("metrics", "metrics_rollup", "access",
-                         "traces", "profile", "profiles", "alerts",
-                         "events")
+            for name in ("access", "traces", "profile", "profiles",
+                         "alerts", "events")
         }

@@ -348,14 +348,22 @@ class TestFlightRecorder:
 
     def test_deltas_reconstruct_exactly(self, tmp_path, store):
         rec = FlightRecorder(store, str(tmp_path))
+        depth = get_registry().gauge("repro_test_depth", "t")
+        latency = get_registry().histogram("repro_test_ms", "t")
         expected = []
         for i in range(6):
             store["mp"]["m"].insert_one({"i": i})
+            depth.set(i % 3, queue="ready")
+            latency.observe(float(i))
             expected.append(rec.capture())
         rec.flush()
         out = decode_ring(str(tmp_path))
         assert out["warnings"] == []
         assert out["snapshots"] == expected
+        last = out["snapshots"][-1]["metrics"]
+        assert last["repro_test_depth{queue=ready}"] == 2.0
+        assert last["repro_test_ms{}"] == {"p50": 2.5, "p95": 4.75,
+                                           "p99": 4.95}
         rec.stop()
 
     def test_background_thread_and_session_marker(self, tmp_path, store):

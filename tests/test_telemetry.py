@@ -1,8 +1,10 @@
 """Tests for the self-hosted telemetry warehouse: TTL retention in the
-engine, metrics history + rollups, the access-log warehouse, tail-sampled
-traces, warehouse-backed SLO alerts/advisor, HTTP endpoints, and the CLI."""
+engine, metrics history in the flight ring, the access-log warehouse,
+tail-sampled traces, warehouse-backed SLO alerts/advisor, HTTP endpoints,
+and the CLI."""
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -27,15 +29,19 @@ from repro.obs import (
     TelemetryWarehouse,
     ThresholdRule,
     get_registry,
+    labels_key,
     set_registry,
     span,
 )
-from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_LABEL_VALUE
-from repro.obs.warehouse import (
-    MetricsHistoryRecorder,
-    TailSampler,
-    labels_key,
+from repro.obs.flight import (
+    FlightRecorder,
+    decode_ring,
+    dict_delta,
+    metric_points,
+    set_flight_recorder,
 )
+from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_LABEL_VALUE
+from repro.obs.warehouse import TailSampler
 
 
 @pytest.fixture(autouse=True)
@@ -177,114 +183,48 @@ class TestLabelCardinality:
         assert counter.value(k="a") == 6
 
 
-# -- metrics history + rollups --------------------------------------------
+# -- metrics history: the flight ring -------------------------------------
 
 
 class TestMetricsHistory:
-    def test_counter_deltas(self, store):
+    def test_counter_deltas(self, tmp_path):
         # a private registry: only this test's metrics, no docstore noise
         registry = MetricsRegistry()
-        recorder = MetricsHistoryRecorder(
-            store["telemetry"]["metrics"], registry=registry
-        )
+        rec = FlightRecorder(None, str(tmp_path), registry=registry)
         c = registry.counter("jobs_total", "x")
-        c.inc(5)
-        assert recorder.record_once(now=100.0) == 1
-        c.inc(2)
-        assert recorder.record_once(now=160.0) == 1
-        # idle pass writes nothing for the unchanged counter
-        assert recorder.record_once(now=220.0) == 0
-        points = recorder.series("jobs_total")
-        assert [(p["value"], p["total"]) for p in points] == [
-            (5.0, 5.0), (2.0, 7.0)
+        c.inc(5, queue="ready")
+        assert rec.capture(now=100.0)["metrics"] == {
+            "jobs_total{queue=ready}": 5.0}
+        c.inc(2, queue="ready")
+        assert rec.capture(now=160.0)["metrics"] == {
+            "jobs_total{queue=ready}": 2.0}
+        # idle pass records nothing for the unchanged counter
+        assert rec.capture(now=220.0)["metrics"] == {}
+        rec.stop()
+        points = metric_points(decode_ring(str(tmp_path))["snapshots"],
+                               "jobs_total")
+        assert [(p["ts"], p["value"]) for p in points] == [
+            (100.0, 5.0), (160.0, 2.0)
         ]
 
-    def test_gauge_and_histogram_snapshots(self, store):
+    def test_gauge_and_histogram_snapshots(self, tmp_path):
         registry = MetricsRegistry()
-        recorder = MetricsHistoryRecorder(
-            store["telemetry"]["metrics"], registry=registry
-        )
+        rec = FlightRecorder(None, str(tmp_path), registry=registry)
         registry.gauge("depth", "x").set(42.0)
         h = registry.histogram("lat_ms", "x")
         for v in (1.0, 2.0, 3.0, 4.0):
             h.observe(v)
-        recorder.record_once(now=50.0)
-        depth = recorder.series("depth")[0]
-        assert depth["value"] == 42.0
-        hist = recorder.series("lat_ms")[0]
-        assert hist["count"] == 4
-        assert hist["value"] == pytest.approx(2.5)  # mean
-        assert hist["p95"] >= hist["p50"]
-
-    def test_series_uses_compound_index(self, store):
-        registry = MetricsRegistry()
-        recorder = MetricsHistoryRecorder(
-            store["telemetry"]["metrics"], registry=registry
-        )
-        registry.counter("x_total", "x").inc(1)
-        recorder.record_once(now=10.0)
-        plan = store["telemetry"]["metrics"].explain(
-            {"name": "x_total", "ts": {"$gte": 0.0}}
-        )
-        assert plan["planSummary"].startswith("IXSCAN")
-
-
-class TestRollups:
-    def _warehouse(self, store):
-        return TelemetryWarehouse(store, registry=get_registry())
-
-    def test_incremental_buckets(self, store):
-        wh = self._warehouse(store)
-        c = get_registry().counter("ops_total", "x")
-        for value, now in ((4, 10.0), (6, 30.0), (2, 70.0)):
-            c.inc(value)
-            wh.recorder.record_once(now=now)
-        result = wh.rollups.process_pending()
-        assert result["mode"] == "incremental"
-        buckets = wh.rollups.query("ops_total", "1m")
-        assert [(b["ts"], b["count"], b["sum"]) for b in buckets] == [
-            (0.0, 2, 10.0), (60.0, 1, 2.0)
-        ]
-        assert buckets[0]["min"] == 4.0
-        assert buckets[0]["max"] == 6.0
-        assert buckets[0]["mean"] == 5.0
-        hour = wh.rollups.query("ops_total", "1h")
-        assert len(hour) == 1 and hour[0]["count"] == 3
-
-    def test_overflow_triggers_full_rebuild(self, store):
-        wh = self._warehouse(store)
-        c = get_registry().counter("burst_total", "x")
-        # replace the stream with a tiny buffer and overflow it
-        wh.rollups.stream = wh.db["metrics"].watch(max_buffer=2)
-        for i in range(5):
-            c.inc(1)
-            wh.recorder.record_once(now=10.0 * (i + 1))
-        result = wh.rollups.process_pending()
-        assert result["mode"] == "full-rebuild"
-        assert wh.rollups.full_rebuilds == 1
-        total = sum(
-            b["count"] for b in wh.rollups.query("burst_total", "1m")
-        )
-        assert total == 5
-
-    def test_unknown_resolution_rejected(self, store):
-        wh = self._warehouse(store)
-        with pytest.raises(ValueError):
-            wh.rollups.query("x", resolution="5m")
-
-    def test_rollups_survive_restart(self, tmp_path):
-        s1 = DocumentStore(persistence_dir=tmp_path)
-        wh1 = TelemetryWarehouse(s1, registry=get_registry())
-        get_registry().counter("persist_total", "x").inc(3)
-        wh1.recorder.record_once(now=100.0)
-        wh1.rollups.process_pending()
-        s1.snapshot()
-        s1.close()
-        s2 = DocumentStore(persistence_dir=tmp_path)
-        wh2 = TelemetryWarehouse(s2, registry=MetricsRegistry())
-        assert wh2.recorder.series("persist_total")[0]["value"] == 3.0
-        assert wh2.rollups.query("persist_total", "1m")[0]["sum"] == 3.0
-        s2.close()
+        first = rec.capture(now=50.0)
+        assert first["metrics"]["depth{}"] == 42.0
+        hist = first["metrics"]["lat_ms{}"]
+        assert hist["p50"] == pytest.approx(2.5)
+        assert hist["p99"] >= hist["p95"] >= hist["p50"]
+        assert {p["series"] for p in metric_points([first], "lat_ms")} == {
+            "lat_ms{}.p50", "lat_ms{}.p95", "lat_ms{}.p99"}
+        # unchanged gauges and quantiles cost nothing in the next delta
+        second = rec.capture(now=51.0)
+        assert "metrics" not in dict_delta(first, second).get("s", {})
+        rec.stop()
 
 
 # -- the access-log warehouse ---------------------------------------------
@@ -447,7 +387,7 @@ class TestWireAccess:
 
 class TestWarehouseSLO:
     def test_burn_rate_from_warehouse_records(self, store):
-        wh = TelemetryWarehouse(store, registry=get_registry())
+        wh = TelemetryWarehouse(store)
         now = time.time()
         for i in range(10):
             wh.access.record_access("api", duration_ms=500.0,
@@ -469,7 +409,7 @@ class TestWarehouseSLO:
     def test_alert_lifecycle_survives_restart(self, tmp_path):
         now = time.time()
         s1 = DocumentStore(persistence_dir=tmp_path)
-        wh1 = TelemetryWarehouse(s1, registry=get_registry())
+        wh1 = TelemetryWarehouse(s1)
         for i in range(4):
             wh1.access.record_access("api", duration_ms=500.0, ts=now - i)
         rule = BurnRateRule(
@@ -482,7 +422,7 @@ class TestWarehouseSLO:
         s1.close()
 
         s2 = DocumentStore(persistence_dir=tmp_path)
-        wh2 = TelemetryWarehouse(s2, registry=MetricsRegistry())
+        wh2 = TelemetryWarehouse(s2)
         rule2 = BurnRateRule(
             "api-latency",
             LatencyWindowSource.from_warehouse(wh2, 100.0),
@@ -506,7 +446,7 @@ class TestWarehouseSLO:
     def test_health_endpoint_503_on_critical(self, store):
         db = store["mp"]
         db["materials"].insert_one({"material_id": "mp-1"})
-        wh = TelemetryWarehouse(store, registry=get_registry())
+        wh = TelemetryWarehouse(store)
         rule = ThresholdRule("queue-depth", gauge="queue_depth",
                              threshold=10.0, severity="critical")
         monitor = HealthMonitor(engine=wh.slo_engine([rule]))
@@ -540,14 +480,14 @@ class TestWarehouseAdvisor:
         for _ in range(3):
             list(db1["mat"].find({"formula": "F7"}))
         db1.set_profiling_level(0)
-        wh1 = TelemetryWarehouse(s1, registry=get_registry())
+        wh1 = TelemetryWarehouse(s1)
         wh1.watch_profile(db1)
         assert wh1.sync_profile() >= 3
         s1.snapshot()
         s1.close()
 
         s2 = DocumentStore(persistence_dir=tmp_path)
-        wh2 = TelemetryWarehouse(s2, registry=MetricsRegistry())
+        wh2 = TelemetryWarehouse(s2)
         db2 = s2["mp"]
         assert db2.profile_log == []  # in-memory profile died with s1
         advisor = wh2.advisor(db2, min_occurrences=2)
@@ -560,7 +500,7 @@ class TestWarehouseAdvisor:
     def test_sync_profile_is_incremental(self, store):
         db = store["mp"]
         db["m"].insert_many([{"i": i} for i in range(5)])
-        wh = TelemetryWarehouse(store, registry=get_registry())
+        wh = TelemetryWarehouse(store)
         wh.watch_profile(db)
         db.set_profiling_level(2)
         list(db["m"].find({"i": 1}))
@@ -585,8 +525,7 @@ def served_warehouse(store):
          "band_gap": 1.0}
         for i in range(3)
     ])
-    wh = TelemetryWarehouse(store, registry=get_registry(),
-                            trace_latency_threshold_ms=0.0)
+    wh = TelemetryWarehouse(store, trace_latency_threshold_ms=0.0)
     wh.tail_sampler.install()
     api = MaterialsAPI(QueryEngine(db, query_log=wh.access))
     server = MaterialsAPIServer(api, warehouse=wh).start()
@@ -635,22 +574,21 @@ class TestTelemetryEndpoints:
         code, doc = _get(server.base_url + "/telemetry/access?top=vibes")
         assert code == 400
 
-    def test_telemetry_metrics_endpoint(self, served_warehouse):
-        server, wh = served_warehouse
-        get_registry().counter("demo_total", "x").inc(2)
-        wh.recorder.record_once(now=30.0)
-        wh.rollups.process_pending()
-        code, doc = _get(server.base_url + "/telemetry/metrics")
-        assert code == 200 and "demo_total" in doc["names"]
-        code, doc = _get(
-            server.base_url + "/telemetry/metrics?name=demo_total"
-        )
-        assert code == 200 and doc["series"][0]["value"] == 2.0
-        code, doc = _get(
-            server.base_url
-            + "/telemetry/metrics?name=demo_total&resolution=1m"
-        )
-        assert code == 200 and doc["series"][0]["count"] == 1
+    def test_telemetry_metrics_endpoint(self, served_warehouse, tmp_path):
+        """Metrics history is the flight ring, served at /debug/flight."""
+        server, _ = served_warehouse
+        get_registry().gauge("demo_depth", "x").set(7.0)
+        rec = FlightRecorder(None, str(tmp_path))
+        set_flight_recorder(rec)
+        try:
+            rec.capture()
+            assert _get(server.base_url + "/telemetry/metrics")[0] == 404
+            code, doc = _get(server.base_url + "/debug/flight?window=1")
+            assert code == 200
+            assert doc["snapshots"][0]["metrics"]["demo_depth{}"] == 7.0
+        finally:
+            set_flight_recorder(None)
+            rec.stop()
 
     def test_trace_endpoints(self, served_warehouse):
         server, _ = served_warehouse
@@ -677,41 +615,49 @@ class TestTelemetryEndpoints:
 
 class TestWarehouseLifecycle:
     def test_tick_and_stats(self, store):
-        wh = TelemetryWarehouse(store, registry=get_registry())
-        get_registry().counter("t_total", "x").inc(1)
+        db = store["mp"]
+        db["m"].insert_many([{"i": i} for i in range(3)])
+        wh = TelemetryWarehouse(store)
+        wh.watch_profile(db)
+        db.set_profiling_level(2)
+        list(db["m"].find({"i": 1}))
+        db.set_profiling_level(0)
         out = wh.tick(now=100.0)
-        # t_total plus whatever docstore counters the warehouse itself
-        # moved — dogfooding means the registry is shared
-        assert out["metric_points"] >= 1
-        assert wh.recorder.series("t_total")[0]["value"] == 1.0
+        assert out["profile_mirrored"] >= 1
         stats = wh.stats()
-        assert stats["metrics"] == out["metric_points"]
-        assert set(stats) == {"metrics", "metrics_rollup", "access",
-                              "traces", "profile", "profiles", "alerts",
-                              "events"}
+        assert stats["profile"] == out["profile_mirrored"]
+        assert set(stats) == {"access", "traces", "profile", "profiles",
+                              "alerts", "events"}
+
+    def test_tick_writes_no_metric_rows(self, store):
+        wh = TelemetryWarehouse(store)
+        get_registry().counter("t_total", "x").inc(1)
+        wh.tick(now=100.0)
+        names = store["telemetry"].list_collection_names()
+        # neither raw metric points nor their rollups
+        assert not [n for n in names if n.startswith("metrics")]
 
     def test_background_loop_and_reaper(self):
         """Warehouse tick and the store's TTL reaper on one simulated
         clock: both run when due, in the test's own thread."""
         clock = SimClock()
         store = DocumentStore(clock=clock)
-        wh = TelemetryWarehouse(store, registry=get_registry(), clock=clock,
-                                metrics_ttl_s=3600.0)
-        get_registry().counter("bg_total", "x").inc(1)
-        store["telemetry"]["metrics"].insert_one(
-            {"name": "stale", "ts": time.time() - 7200.0})
+        wh = TelemetryWarehouse(store, clock=clock, events_ttl_s=3600.0)
+        store["telemetry"]["events"].insert_one(
+            {"type": "stale", "ts": time.time() - 7200.0})
         before = threading.active_count()
         wh.start(interval_s=5.0, reap_interval_s=8.0)
         assert wh.running
         assert store.ttl_reaper is not None and store.ttl_reaper.running
         assert threading.active_count() == before
         clock.run_until(5.0)  # one tick, no sweep yet
-        assert wh.stats()["metrics"] > 1
-        assert store["telemetry"]["metrics"].count_documents(
-            {"name": "stale"}) == 1
+        tasks = store.server_status()["tasks"]
+        assert tasks["repro-telemetry-warehouse"]["runs"] == 1
+        assert store["telemetry"]["events"].count_documents(
+            {"type": "stale"}) == 1
         clock.run_until(8.0)  # the reaper's first sweep
-        assert store["telemetry"]["metrics"].count_documents(
-            {"name": "stale"}) == 0
+        assert store["telemetry"]["events"].count_documents(
+            {"type": "stale"}) == 0
         tasks = store.server_status()["tasks"]
         assert tasks["repro-telemetry-warehouse"]["runs"] == 1
         assert tasks["repro-ttl-reaper"]["runs"] == 1
@@ -726,11 +672,13 @@ class TestWarehouseLifecycle:
 class TestTelemetryCLI:
     @pytest.fixture
     def data_dir(self, tmp_path):
-        s = DocumentStore(persistence_dir=tmp_path)
-        wh = TelemetryWarehouse(s, registry=get_registry())
         get_registry().counter("cli_total", "x").inc(4)
-        wh.recorder.record_once(now=90.0)
-        wh.rollups.process_pending()
+        get_registry().histogram("cli_ms", "x").observe(3.0)
+        rec = FlightRecorder(None, str(tmp_path / "flight"))
+        rec.capture(now=90.0)
+        rec.stop()
+        s = DocumentStore(persistence_dir=tmp_path)
+        wh = TelemetryWarehouse(s)
         wh.access.record_access("rest/v1/materials", user="alice",
                                 status=200, duration_ms=3.0, ts=90.0)
         wh.access.record_access("rest/v1/materials", user="bob",
@@ -759,14 +707,16 @@ class TestTelemetryCLI:
 
     def test_trends(self, capsys, data_dir):
         out = self._run(capsys, "--data-dir", data_dir, "telemetry",
-                        "trends", "--name", "cli_total",
-                        "--resolution", "1m", "--json")
+                        "trends", "--name", "cli_total", "--json")
         rows = [json.loads(line) for line in out.splitlines()]
-        assert rows[0]["sum"] == 4.0
+        assert rows == [{"ts": 90.0, "series": "cli_total{}", "value": 4.0}]
+        out = self._run(capsys, "--data-dir", data_dir, "telemetry",
+                        "trends", "--name", "cli_ms")
+        assert "cli_ms{}.p95" in out
         # no --name lists available metrics
         out = self._run(capsys, "--data-dir", data_dir,
                         "telemetry", "trends")
-        assert "cli_total" in out
+        assert {"cli_total", "cli_ms"} <= set(out.splitlines())
 
     def test_telemetry_over_the_wire(self, capsys, data_dir):
         store = DocumentStore(persistence_dir=data_dir)
@@ -779,6 +729,22 @@ class TestTelemetryCLI:
                             "--host", server.address[0],
                             "--port", str(server.port))
             assert len(out.splitlines()) == 2
+            # trends asks the server's flight recorder, not its store
+            rec = FlightRecorder(None, os.path.join(data_dir, "live"))
+            set_flight_recorder(rec)
+            try:
+                rec.capture()
+                out = self._run(capsys, "telemetry", "trends",
+                                "--name", "cli_total", "--json",
+                                "--host", server.address[0],
+                                "--port", str(server.port))
+            finally:
+                set_flight_recorder(None)
+                rec.stop()
+            rows = [json.loads(line) for line in out.splitlines()]
+            # a new recorder's first delta is the total since start
+            assert [(r["series"], r["value"]) for r in rows] == [
+                ("cli_total{}", 4.0)]
         store.close()
 
     def test_create_index_expire_after(self, capsys, tmp_path):
