@@ -14,17 +14,23 @@ private ``stored_copy`` made by ``_insert``, and an update builds a new dict
 and swaps it into its position (``_apply_to_position``); nothing writes into
 a stored dict in place.  So a reference taken under the lock stays a
 consistent snapshot of that document after the lock is released.  Who may
-hold one: ``_select``'s callers while they hold the lock, and the stages of
-an ``aggregate`` pipeline, which copy whatever they write.  Who must copy:
-anything that hands a document to a caller — ``find``, ``find_one``, the
-``find_one_and_*`` verbs, ``all_documents`` and the rows ``aggregate``
-returns — so callers can never mutate stored state behind the store's back.
+hold one: ``_select``'s callers while they hold the lock; the stages of an
+``aggregate`` pipeline, which copy whatever they write; ``distinct``, which
+copies only the values it returns; and the wire server, which takes its
+``find``/``find_one`` answers from :meth:`Collection._find_stored` and
+encodes them after the lock is released, never mutating them.  Who must
+copy: anything that hands a document to an in-process caller — ``find``,
+``find_one``, the ``find_one_and_*`` verbs, ``all_documents`` and the rows
+``aggregate`` returns — so callers can never mutate stored state behind the
+store's back.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from functools import partial
 from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
@@ -35,6 +41,7 @@ from .cursor import Cursor, apply_projection
 from .documents import (
     deep_copy_doc,
     doc_size_bytes,
+    set_path,
     stored_copy,
     validate_document,
 )
@@ -44,13 +51,18 @@ from .indexes import (
     default_index_name,
     normalize_index_spec,
 )
-from .locks import RWLock
+from .locks import RWLock, attribute_to_caller
 from .matching import Matcher, compile_query, sort_documents
 from .objectid import ObjectId
+from .ops import ActiveOp
 from .planner import QueryPlanner, iter_plan
 from .updates import apply_update, is_operator_update
 
 __all__ = ["Collection", "InsertResult", "UpdateResult", "DeleteResult", "BulkWriteResult"]
+
+
+def _as_stored(doc: dict, _projection: Any) -> dict:
+    return doc
 
 
 class InsertResult:
@@ -146,16 +158,17 @@ class Collection:
         db = self.database
         return f"{db.name}.{self.name}" if db is not None else self.name
 
-    def _ops_registry(self):
-        """The owning store's active-ops table, or None when detached.
-
-        ``system.*`` namespaces are exempt so the profiler's own writes
-        never appear in ``currentOp`` output.
-        """
-        if self.name.startswith("system."):
-            return None
-        client = getattr(self.database, "client", None)
-        return getattr(client, "_ops", None)
+    @contextmanager
+    def _track(self, op: str, query: Any) -> Iterator[Optional[ActiveOp]]:
+        """List the block in the owning store's ``current_op()``; yields
+        None when detached, and for ``system.*`` namespaces so the
+        profiler's own writes never appear there."""
+        registry = getattr(getattr(self.database, "client", None), "_ops", None)
+        if registry is None or self.name.startswith("system."):
+            yield None
+            return
+        with registry.track(op, self.namespace, query) as active:
+            yield active
 
     def _observe(
         self,
@@ -370,13 +383,46 @@ class Collection:
             ]
         return out
 
+    @attribute_to_caller
+    def _read(self, op: str, query: Mapping[str, Any], matcher: Matcher,
+              projection: Any, each: Callable[[dict, Any], dict],
+              default_hint: Optional[str] = None, sort: Any = None,
+              skip: int = 0, limit: Optional[int] = None,
+              hint: Optional[str] = None) -> List[dict]:
+        """The one read helper behind ``find``, ``find_one``,
+        ``count_documents``, ``distinct`` and :meth:`_find_stored`: listed
+        in ``current_op()`` as ``op``, planned and scanned through
+        ``_select`` under the read lock, ``each(stored_doc, projection)``
+        per survivor, reported to the instrumentation funnel.  The verbs
+        differ only in ``each``."""
+        t0 = time.perf_counter()
+        with self._track(op, query) as active, self._lock.read():
+            docs = [each(doc, projection) for doc, _pos in self._select(
+                query, matcher, sort, skip, limit,
+                hint if hint is not None else default_hint, projection, active)]
+            plan = self.last_plan
+            if active is not None:
+                active.plan_summary = plan.summary
+        self._observe(op, "command" if op == "count" else "query", query, t0,
+                      nreturned=len(docs), plan=plan.summary,
+                      docs_examined=plan.candidates_examined)
+        return docs
+
+    def _cursor(self, op: str, query: Any, projection: Any, hint: Any,
+                each: Callable[[dict, Any], dict]) -> Cursor:
+        """A lazy :meth:`_read` whose sort, skip, limit and hint the cursor
+        chains; the query compiles now, so a malformed one fails here."""
+        query = query or {}
+        return Cursor(partial(self._read, op, query, compile_query(query),
+                              projection, each, hint))
+
     def find(
         self,
         query: Optional[Mapping[str, Any]] = None,
         projection: Optional[Mapping[str, Any]] = None,
         hint: Optional[str] = None,
     ) -> Cursor:
-        """Return a lazy cursor over matching documents.
+        """Return a lazy cursor over private copies of matching documents.
 
         Planning happens when the cursor executes, so a chained ``.sort``
         participates: the planner may pick an index that yields the sort
@@ -384,37 +430,15 @@ class Collection:
         index keys alone (covered query).  ``hint`` forces an index by
         name (``"$natural"`` forces a collection scan).
         """
-        query = query or {}
-        matcher = compile_query(query)
+        return self._cursor("find", query, projection, hint, apply_projection)
 
-        def executor(sort_spec, skip, limit, cursor_hint):
-            t0 = time.perf_counter()
-            registry = self._ops_registry()
-            active = (registry.register("find", self.namespace, query)
-                      if registry is not None else None)
-            try:
-                with self._lock.read():
-                    docs = [
-                        apply_projection(doc, projection)
-                        for doc, _pos in self._select(
-                            query, matcher, sort_spec, skip, limit,
-                            cursor_hint if cursor_hint is not None else hint,
-                            projection, active,
-                        )
-                    ]
-                    plan = self.last_plan
-                    if active is not None:
-                        active.plan_summary = plan.summary
-            finally:
-                if registry is not None:
-                    registry.finish(active)
-            self._observe(
-                "find", "query", query, t0, nreturned=len(docs),
-                docs_examined=plan.candidates_examined, plan=plan.summary,
-            )
-            return docs
-
-        return Cursor(executor)
+    def _find_stored(self, query: Any = None, projection: Any = None,
+                     hint: Optional[str] = None, op: str = "find") -> Cursor:
+        """``find`` minus the copy: the stored documents themselves (a
+        projection still builds new dicts), for a reader that never
+        mutates them — the wire server, which encodes after the lock."""
+        return self._cursor(op, query, projection, hint,
+                            apply_projection if projection else _as_stored)
 
     def find_one(
         self,
@@ -423,30 +447,24 @@ class Collection:
     ) -> Optional[dict]:
         """First matching document or None."""
         query = query or {}
-        matcher = compile_query(query)
-        t0 = time.perf_counter()
-        with self._lock.read():
-            found = [apply_projection(doc, projection)
-                     for doc, _pos in self._select(query, matcher, limit=1)]
-        self._observe("findOne", "query", query, t0, nreturned=len(found))
+        found = self._read("findOne", query, compile_query(query), projection,
+                           apply_projection, limit=1)
         return found[0] if found else None
 
     def count_documents(self, query: Optional[Mapping[str, Any]] = None) -> int:
-        query = query or {}
+        if query:
+            return len(self._read("count", query, compile_query(query), None,
+                                  _as_stored))
         t0 = time.perf_counter()
-        if not query:
-            n = len(self._docs)
-        else:
-            matcher = compile_query(query)
-            with self._lock.read():
-                n = sum(1 for _ in self._select(query, matcher))
-        self._observe("count", "command", query, t0, nreturned=n)
+        n = len(self._docs)
+        self._observe("count", "command", {}, t0, nreturned=n)
         return n
 
     def distinct(
         self, field: str, query: Optional[Mapping[str, Any]] = None
     ) -> List[Any]:
-        return self.find(query or {}).distinct(field)
+        cursor = self._cursor("find", query, None, None, _as_stored)
+        return [deep_copy_doc(v) for v in cursor.distinct(field)]
 
     # -- updates ------------------------------------------------------------
 
@@ -456,11 +474,7 @@ class Collection:
         update: Mapping[str, Any],
         upsert: bool = False,
     ) -> UpdateResult:
-        t0 = time.perf_counter()
-        result = self._update(query, update, multi=False, upsert=upsert)
-        self._observe("update", "update", query, t0,
-                      nreturned=result.matched_count)
-        return result
+        return self._update(query, update, multi=False, upsert=upsert)
 
     def update_many(
         self,
@@ -468,11 +482,7 @@ class Collection:
         update: Mapping[str, Any],
         upsert: bool = False,
     ) -> UpdateResult:
-        t0 = time.perf_counter()
-        result = self._update(query, update, multi=True, upsert=upsert)
-        self._observe("update", "update", query, t0,
-                      nreturned=result.matched_count)
-        return result
+        return self._update(query, update, multi=True, upsert=upsert)
 
     def replace_one(
         self,
@@ -482,11 +492,7 @@ class Collection:
     ) -> UpdateResult:
         if is_operator_update(replacement):
             raise DocstoreError("replace_one requires a plain document")
-        t0 = time.perf_counter()
-        result = self._update(query, replacement, multi=False, upsert=upsert)
-        self._observe("update", "update", query, t0,
-                      nreturned=result.matched_count)
-        return result
+        return self._update(query, replacement, multi=False, upsert=upsert)
 
     def _update(
         self,
@@ -495,20 +501,20 @@ class Collection:
         multi: bool,
         upsert: bool,
     ) -> UpdateResult:
+        t0 = time.perf_counter()
         matcher = compile_query(query)
         is_operator_update(update)  # validates mixing eagerly
-        matched = 0
-        modified = 0
+        matched = modified = 0
+        upserted_id = None
         with self._lock.write():
             for pos in self._matched_positions(query, matcher, multi):
                 matched += 1
                 if self._apply_to_position(pos, update):
                     modified += 1
             if matched == 0 and upsert:
-                new_doc = self._build_upsert_doc(query, update)
-                new_id = self._insert(new_doc)
-                return UpdateResult(0, 0, upserted_id=new_id)
-        return UpdateResult(matched, modified)
+                upserted_id = self._insert(self._build_upsert_doc(query, update))
+        self._observe("update", "update", query, t0, nreturned=matched)
+        return UpdateResult(matched, modified, upserted_id)
 
     def _apply_to_position(self, pos: int, update: Mapping[str, Any]) -> bool:
         old = self._docs[pos]
@@ -545,12 +551,8 @@ class Collection:
                 str(k).startswith("$") for k in cond
             ):
                 if "$eq" in cond:
-                    from .documents import set_path
-
                     set_path(base, field, deep_copy_doc(cond["$eq"]))
                 continue
-            from .documents import set_path
-
             set_path(base, field, deep_copy_doc(cond))
         if is_operator_update(update):
             apply_update(base, update, is_insert=True)
@@ -590,8 +592,7 @@ class Collection:
                     self._observe("findAndModify", "update", query, t0,
                                   nreturned=1)
                     if return_document == "after":
-                        stored = self.find_one({"_id": new_id}, projection)
-                        return stored
+                        return self.find_one({"_id": new_id}, projection)
                 else:
                     self._observe("findAndModify", "update", query, t0)
                 return None
@@ -910,11 +911,7 @@ class Collection:
         absorbed = isinstance(head, Mapping) and list(head) == ["$match"]
         query = head["$match"] if absorbed else {}
         matcher = compile_query(query)
-        registry = self._ops_registry()
-        active = (registry.register("aggregate", self.namespace,
-                                    {"pipeline": pipeline})
-                  if registry is not None else None)
-        try:
+        with self._track("aggregate", {"pipeline": pipeline}) as active:
             with self._lock.read():
                 hits = sorted(self._select(query, matcher, active=active),
                               key=itemgetter(1))
@@ -938,9 +935,6 @@ class Collection:
                                pipeline[1:] if absorbed else pipeline,
                                database=self.database,
                                stage_stats=stage_stats)
-        finally:
-            if registry is not None:
-                registry.finish(active)
         if explain:
             return {
                 "ns": self.namespace,
@@ -963,10 +957,15 @@ class Collection:
         query: Optional[Mapping[str, Any]] = None,
         finalize: Optional[Callable[[Any, Any], Any]] = None,
     ) -> List[dict]:
-        """Built-in single-threaded MapReduce (see :mod:`.mapreduce`)."""
-        from .mapreduce import collection_map_reduce
+        """Built-in single-threaded MapReduce (see :mod:`.mapreduce`) over
+        the documents matching ``query``; listed in ``current_op()`` and
+        killable between documents."""
+        from .mapreduce import map_reduce
 
-        return collection_map_reduce(self, mapper, reducer, query, finalize)
+        docs = self.find(query).to_list()
+        with self._track("mapreduce", query or {}) as active:
+            return map_reduce(docs, mapper, reducer, finalize, kill_check=(
+                active.check_killed if active is not None else None)).rows
 
     def stats(self) -> dict:
         """Collection statistics (counts, sizes, index info)."""

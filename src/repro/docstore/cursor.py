@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..errors import DocstoreError
 from .aggregation import _group_key
-from .documents import MISSING, deep_copy_doc, get_path, set_path
+from .documents import MISSING, deep_copy_doc, get_path, set_path, unset_path
 from .matching import _values_equal
 
 __all__ = ["Cursor", "apply_projection"]
@@ -57,8 +57,6 @@ def apply_projection(doc: Mapping[str, Any], projection: Optional[Mapping[str, A
         return out
     out = deep_copy_doc(doc)
     for path in exclude:
-        from .documents import unset_path
-
         unset_path(out, path)
     if id_flag in (0, False):
         out.pop("_id", None)
@@ -68,7 +66,7 @@ def apply_projection(doc: Mapping[str, Any], projection: Optional[Mapping[str, A
 class Cursor:
     """Lazy, chainable sort / skip / limit / hint builder over one ``find``.
 
-    ``source`` is the collection's plan-and-execute closure, called as
+    ``source`` is the collection's plan-and-execute callable, called as
     ``source(sort_spec, skip, limit, hint)`` and returning the final
     documents — ordered, cut and projected by the collection's one
     selection path, so the cursor itself touches no document.  Chaining
@@ -82,7 +80,6 @@ class Cursor:
         self._sort_spec: List[tuple] = []
         self._skip = 0
         self._limit: Optional[int] = None
-        self._batch_size: Optional[int] = None  # cosmetic parity with Mongo
 
     # -- chainable modifiers ------------------------------------------------
 
@@ -113,8 +110,7 @@ class Cursor:
         return self
 
     def batch_size(self, n: int) -> "Cursor":
-        self._batch_size = n
-        return self
+        return self  # cosmetic parity with Mongo: one batch per execution
 
     def hint(self, index_name: str) -> "Cursor":
         """Bypass the query planner and force ``index_name``.

@@ -43,7 +43,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..errors import DocstoreError
 from ..obs.profiler import current_frames
 
-__all__ = ["RWLock"]
+__all__ = ["RWLock", "attribute_to_caller"]
 
 #: Waits shorter than this are not reported to the metrics registry: an
 #: uncontended acquire always "waits" a few hundred nanoseconds, and the
@@ -58,6 +58,15 @@ MAX_CONTENTION_SITES = 64
 #: Site label absorbing attribution rows past :data:`MAX_CONTENTION_SITES`.
 OVERFLOW_SITE = "__other__"
 
+_PASS_THROUGH: set = set()
+
+
+def attribute_to_caller(fn: Any) -> Any:
+    """Decorator: report lock sites inside ``fn`` at its caller, so a
+    helper several verbs share is attributed to the verb."""
+    _PASS_THROUGH.add(fn.__code__)
+    return fn
+
 
 def _describe_frame(frame: Any) -> str:
     """``file:function:line`` for the first frame outside this module.
@@ -65,11 +74,13 @@ def _describe_frame(frame: Any) -> str:
     Frames from :mod:`threading` are skipped too: a holder parked in
     ``Condition.wait`` / ``Event.wait`` should be attributed to the
     application code that parked it, not to the stdlib wait machinery.
+    So are :func:`attribute_to_caller` helpers.
     """
     own = os.path.abspath(__file__)
     skipped = (own, os.path.abspath(threading.__file__))
-    while (frame is not None
-           and os.path.abspath(frame.f_code.co_filename) in skipped):
+    while frame is not None and (
+            frame.f_code in _PASS_THROUGH
+            or os.path.abspath(frame.f_code.co_filename) in skipped):
         frame = frame.f_back
     if frame is None:
         return "<unknown>"

@@ -17,11 +17,11 @@ value) -> value``.  Keys must be hashable after canonicalization.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .aggregation import _group_key
 
-__all__ = ["map_reduce", "collection_map_reduce", "MapReduceResult"]
+__all__ = ["map_reduce", "MapReduceResult"]
 
 Mapper = Callable[[dict], Iterable[Tuple[Any, Any]]]
 Reducer = Callable[[Any, List[Any]], Any]
@@ -98,27 +98,3 @@ def map_reduce(
         "output": len(rows),
     }
     return MapReduceResult(rows, counts, millis)
-
-
-def collection_map_reduce(
-    collection: Any,
-    mapper: Mapper,
-    reducer: Reducer,
-    query: Optional[Mapping[str, Any]] = None,
-    finalize: Optional[Finalizer] = None,
-) -> List[dict]:
-    """MapReduce over a collection, optionally pre-filtered by ``query``.
-
-    Registers in the owning store's active-ops table so ``currentOp()``
-    lists the job and ``killOp`` can terminate it between documents.
-    """
-    docs = collection.find(query or {}).to_list()
-    registry = getattr(collection, "_ops_registry", lambda: None)()
-    if registry is None:
-        return map_reduce(docs, mapper, reducer, finalize).rows
-    active = registry.register("mapreduce", collection.namespace, query or {})
-    try:
-        return map_reduce(docs, mapper, reducer, finalize,
-                          kill_check=active.check_killed).rows
-    finally:
-        registry.finish(active)

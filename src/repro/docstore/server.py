@@ -398,9 +398,10 @@ class DatastoreServer(ServerThread):
     def _op_insert_many(coll: Any, req: Mapping[str, Any]) -> Any:
         return {"inserted_ids": coll.insert_many(req["documents"]).inserted_ids}
 
+    # Reads answer with stored references, encoded after the lock is gone.
     @staticmethod
     def _op_find(coll: Any, req: Mapping[str, Any]) -> Any:
-        cursor = coll.find(
+        cursor = coll._find_stored(
             req.get("query") or {}, req.get("projection"),
             hint=req.get("$hint"),
         )
@@ -414,7 +415,8 @@ class DatastoreServer(ServerThread):
 
     @staticmethod
     def _op_find_one(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.find_one(req.get("query") or {}, req.get("projection"))
+        return coll._find_stored(req.get("query") or {}, req.get("projection"),
+                                 op="findOne").first()
 
     @staticmethod
     def _op_count(coll: Any, req: Mapping[str, Any]) -> Any:

@@ -115,6 +115,15 @@ class TestFind:
         assert sorted(populated.distinct("priority")) == [0, 1, 2]
         assert sorted(populated.distinct("elements")) == ["Li", "Na", "O", "S"]
 
+    def test_distinct_value_mutation_isolated(self, coll):
+        coll.insert_many([{"spec": {"ecut": 520, "kpts": [4, 4, 4]}},
+                          {"spec": {"ecut": 520, "kpts": [4, 4, 4]}}])
+        (spec,) = coll.distinct("spec")
+        spec["ecut"] = 0
+        spec["kpts"].append(9)
+        assert coll.distinct("spec") == [{"ecut": 520, "kpts": [4, 4, 4]}]
+        assert all(d["spec"]["kpts"] == [4, 4, 4] for d in coll._docs.values())
+
 
 class TestUpdate:
     def test_update_one(self, populated):

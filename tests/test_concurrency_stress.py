@@ -133,6 +133,69 @@ class TestWireStress:
         for c in clients:
             c.close()
 
+    def test_encoded_reads_never_see_a_torn_document(self, server):
+        """The server encodes ``find`` answers from stored references after
+        releasing the collection lock.  Writers setting ``a`` and ``b``
+        together must never show a reader one without the other, and no
+        encode may race a write (``dictionary changed size during
+        iteration`` would come back as a remote ``RuntimeError``)."""
+        n_docs = 64
+        server.store["mp"]["encode"].insert_many(
+            [{"_id": i, "a": 0, "b": 0, "pad": {"xs": list(range(16))}}
+             for i in range(n_docs)])
+        stop = threading.Event()
+        errors: list = []
+        reads = [0]
+
+        def write(client, seed):
+            coll = client["mp"]["encode"]
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    v = rng.randint(1, 10**6)
+                    coll.update_one({"_id": rng.randrange(n_docs)},
+                                    {"$set": {"a": v, "b": -v}})
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"writer {seed}: {exc!r}")
+
+        def read(client, seed):
+            coll = client["mp"]["encode"]
+            try:
+                while not stop.is_set():
+                    docs = coll.find({})
+                    torn = [d for d in docs if d["a"] + d["b"] != 0]
+                    if len(docs) != n_docs or torn:
+                        errors.append(f"reader {seed}: {len(docs)} docs, "
+                                      f"torn {torn[:3]}")
+                        return
+                    reads[0] += 1
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"reader {seed}: {exc!r}")
+
+        clients = [RemoteClient("127.0.0.1", server.port, pool_size=1)
+                   for _ in range(N_WRITERS + N_READERS)]
+        threads = [
+            threading.Thread(target=write if i < N_WRITERS else read,
+                             args=(c, i))
+            for i, c in enumerate(clients)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(DURATION_S)
+        finally:
+            stop.set()
+            sys.setswitchinterval(previous)
+            for t in threads:
+                t.join(timeout=30)
+            for c in clients:
+                c.close()
+        assert not any(t.is_alive() for t in threads), "stress thread wedged"
+        assert errors == [], errors
+        assert reads[0] > 0
+
     def test_concurrent_collection_create_drop(self):
         """Database-level churn: create/drop while writers hit other
         collections must never deadlock or corrupt the namespace map."""

@@ -217,6 +217,10 @@ operations = st.one_of(
     st.tuples(st.just("find"), selectors, total_sorts,
               st.integers(0, 4), st.integers(0, 6)),
     st.tuples(st.just("aggregate"), selectors, group_sorts),
+    st.tuples(st.just("find_stored"), selectors, total_sorts,
+              st.integers(0, 4), st.integers(0, 6),
+              st.sampled_from([None, {"a": 1}, {"b": 0},
+                               {"k": 1, "_id": 0}])),  # k_1 covers the last
 )
 
 
@@ -262,6 +266,16 @@ def _apply(coll, op, next_id):
         # The reference: every stage over a snapshot of the collection.
         assert rows == run_pipeline(coll.all_documents(), pipeline)
         return rows
+    if kind == "find_stored":
+        # The wire server's read: stored references, same answer as find.
+        query, sort, skip, limit, projection = args
+        stored = (coll._find_stored(query, projection)
+                  .sort(sort).skip(skip).limit(limit).to_list())
+        assert stored == (coll.find(query, projection)
+                          .sort(sort).skip(skip).limit(limit).to_list())
+        first = coll._find_stored(query, projection, op="findOne").first()
+        assert first == coll.find_one(query, projection)
+        return stored
     query, sort, skip, limit = args
     return (coll.find(query).sort(sort).skip(skip).limit(limit).to_list(),
             sorted(d["_id"] for d in coll.find(query)),

@@ -104,6 +104,56 @@ class TestWireProtocol:
         assert "c1" in client["mp"].list_collection_names()
 
 
+class TestWireReadsMatchInProcess:
+    """The server answers ``find``/``find_one`` from stored references;
+    what crosses the wire must be what an in-process ``find`` returns."""
+
+    @pytest.fixture
+    def pair(self, server, client):
+        local = server.store["mp"]["m"]
+        local.create_index("a")
+        local.create_index([("b", 1), ("k", 1)])
+        local.insert_many([{"_id": i, "k": i, "a": i % 4, "b": (i * 3) % 5,
+                            "sub": {"x": i, "tags": ["t", i]}}
+                           for i in range(20)])
+        return local, client["mp"]["m"]
+
+    @pytest.mark.parametrize("query", [{}, {"a": 2}, {"b": {"$lt": 3}}])
+    @pytest.mark.parametrize("projection", [
+        None, {"sub.x": 1}, {"sub": 0}, {"b": 1, "k": 1, "_id": 0},
+    ])
+    @pytest.mark.parametrize("sort, skip, limit", [
+        (None, 0, 0), ([("k", -1)], 2, 5), ([("b", 1), ("k", 1)], 3, 0),
+        ([("a", -1), ("k", 1)], 0, 4),
+    ])
+    @pytest.mark.parametrize("hint", [None, "$natural", "b_1_k_1"])
+    def test_find_matches_in_process(self, pair, query, projection, sort,
+                                     skip, limit, hint):
+        local, remote = pair
+        expected = local.find(query, projection, hint=hint)
+        if sort:
+            expected = expected.sort(sort)
+        expected = expected.skip(skip).limit(limit).to_list()
+        assert remote.find(query, projection, sort=sort, skip=skip,
+                           limit=limit, hint=hint) == expected
+
+    @pytest.mark.parametrize("query", [{"k": 7}, {"a": 3}, {"k": 99}])
+    @pytest.mark.parametrize("projection", [None, {"sub": 1}, {"sub.tags": 0}])
+    def test_find_one_matches_in_process(self, pair, query, projection):
+        local, remote = pair
+        assert remote.find_one(query, projection) == local.find_one(
+            query, projection)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"skip": -1}, {"limit": -2}, {"sort": [("k", 2)]},
+        {"sort": [(3, 1)]}, {"hint": "no_such_index"},
+    ])
+    def test_invalid_cursor_arguments_raise_over_wire(self, pair, kwargs):
+        _local, remote = pair
+        with pytest.raises(DocstoreError, match="^remote error DocstoreError:"):
+            remote.find({}, **kwargs)
+
+
 class TestProxy:
     def test_requests_forwarded_through_proxy(self, server):
         with DatastoreProxy("127.0.0.1", server.port) as proxy:

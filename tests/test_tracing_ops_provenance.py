@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -16,7 +17,7 @@ from repro.docstore import (
     ShardedCluster,
     query_shape,
 )
-from repro.errors import NotFoundError, OperationKilled
+from repro.errors import DeadlineExceeded, NotFoundError, OperationKilled
 from repro.fireworks import LaunchPad, Rocket, Workflow
 from repro.matgen import make_prototype
 from repro.obs import (
@@ -314,6 +315,54 @@ class TestCurrentOpKillOp:
         t.join(timeout=5)
         assert isinstance(failures[0], OperationKilled)
 
+    @pytest.mark.parametrize("op", ["findOne", "count"])
+    def test_find_one_and_count_listed_and_killable(self, store, op):
+        coll = store["mp"]["tasks"]
+        coll.insert_many([{"n": i} for i in range(10)])
+        verb = coll.find_one if op == "findOne" else coll.count_documents
+        failures = []
+
+        def run():
+            try:
+                verb({"n": {"$gte": 0}})
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        worker = threading.Thread(target=run)
+        with coll._lock.write():
+            worker.start()
+            ops = _wait_for_op(store, op)
+            assert ops, f"{op} never appeared in current_op()"
+            assert ops[0]["ns"] == "mp.tasks"
+            assert store.kill_op(ops[0]["opid"]) is True
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert len(failures) == 1 and isinstance(failures[0], OperationKilled)
+        assert store.current_op() == []
+
+    def test_wire_count_stops_at_its_deadline(self, store, client):
+        coll = store["mp"]["tasks"]
+        coll.insert_many([{"n": i} for i in range(10)])
+        failures = []
+        deadline = time.time() + 0.5
+
+        def run():
+            try:
+                client.request({"op": "count", "db": "mp", "coll": "tasks",
+                                "query": {"n": {"$gte": 0}},
+                                "$deadline": deadline})
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        worker = threading.Thread(target=run)
+        with coll._lock.write():
+            worker.start()
+            assert _wait_for_op(store, "count"), "count never registered"
+            time.sleep(max(0.0, deadline - time.time()) + 0.05)
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert len(failures) == 1 and isinstance(failures[0], DeadlineExceeded)
+
     def test_system_collections_not_tracked(self, store):
         db = store["mp"]
         db.set_profiling_level(2)
@@ -322,6 +371,17 @@ class TestCurrentOpKillOp:
         # Profiler reads its own system.profile without registering ops.
         assert db.profile_log
         assert store.current_op() == []
+
+
+def _wait_for_op(store, op, timeout_s=5.0):
+    """``current_op()`` rows for ``op``, polled until one shows up."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        ops = [o for o in store.current_op() if o["op"] == op]
+        if ops:
+            return ops
+        time.sleep(0.001)
+    return []
 
 
 def _run_small_workflow(db):
