@@ -235,43 +235,31 @@ class _Handler(BaseHTTPRequestHandler):
                      params: dict) -> None:
         """``GET /debug/profile|flamegraph|locks`` — continuous profiling.
 
-        ``/debug/profile`` returns the process-global sampling profiler's
-        snapshot (``?action=start&hz=N`` / ``?action=stop`` / ``?action=
-        reset`` drive the lifecycle, ``?limit=N`` bounds the stack list);
+        ``/debug/profile`` drives the process-global sampling profiler
+        through :func:`~repro.obs.profiler.profile_action`: ``?action=``
+        ``start`` (``&hz=N``), ``stop``, ``reset`` or ``snapshot`` (the
+        default; ``?limit=N`` bounds the stack list), 400 for any other;
         ``/debug/flamegraph`` the folded stacks as plain text (one
         ``stack count`` line each, ready for ``flamegraph.pl``);
         ``/debug/locks`` the backing store's lock totals and top-contended
         (waiter, holder) attribution.
         """
-        from ..obs.profiler import get_profiler, start_profiler, stop_profiler
+        from ..obs.profiler import profile_action
 
         section = path.split("/", 2)[-1]
         if section == "profile":
-            action = params.get("action", [None])[0]
-            if action == "start":
-                hz = float(params.get("hz", ["100"])[0])
-                profiler = start_profiler(hz=hz)
-                self._send_json(200, {"running": True, "hz": profiler.hz})
+            hz = params.get("hz", [None])[0]
+            try:
+                doc = profile_action(params.get("action", ["snapshot"])[0],
+                                     hz=float(hz) if hz else None,
+                                     limit=int(params.get("limit", ["0"])[0]))
+            except ValueError as exc:
+                self._send_json(400, {"error": str(exc)})
                 return
-            if action == "stop":
-                snapshot = stop_profiler()
-                self._send_json(
-                    200, snapshot if snapshot is not None
-                    else {"running": False})
-                return
-            profiler = get_profiler()
-            if profiler is None:
-                self._send_json(200, {"running": False, "samples": 0,
-                                      "stacks": []})
-                return
-            if action == "reset":
-                profiler.reset()
-            limit = int(params.get("limit", ["0"])[0])
-            self._send_json(200, profiler.snapshot(limit=limit))
+            self._send_json(200, doc)
             return
         if section == "flamegraph":
-            profiler = get_profiler()
-            lines = profiler.folded() if profiler is not None else []
+            lines = profile_action("flame")
             self._send_bytes(200, ("\n".join(lines) + "\n").encode("utf-8")
                              if lines else b"", "text/plain; charset=utf-8")
             return

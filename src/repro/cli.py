@@ -242,16 +242,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _remote_client(args: argparse.Namespace):
+    """The :class:`RemoteClient` for ``--host``/``--port``, or ``None``
+    when no ``--host`` was given."""
+    if not args.host:
+        return None
+    if args.port is None:
+        raise SystemExit("--host requires --port")
+    from .docstore.server import RemoteClient
+
+    return RemoteClient(args.host, args.port,
+                        pool_size=getattr(args, "pool_size", 4))
+
+
 def _monitor_target(args: argparse.Namespace):
     """``(target, close)`` for the sampler commands: a live wire-protocol
     server when ``--host`` is given, the local persistent store otherwise."""
-    if args.host:
-        if args.port is None:
-            raise SystemExit("--host requires --port")
-        from .docstore.server import RemoteClient
-
-        client = RemoteClient(args.host, args.port,
-                              pool_size=getattr(args, "pool_size", 4))
+    client = _remote_client(args)
+    if client is not None:
         return client, client.close
     return _open_store(args), (lambda: None)
 
@@ -309,10 +317,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "repro cluster requires --host and --port (a live server "
             "started with an attached sharded cluster)"
         )
-    from .docstore.server import RemoteClient
     from .errors import ClusterError
 
-    client = RemoteClient(args.host, args.port)
+    client = _remote_client(args)
     try:
         if args.action == "status":
             status = client.shard_status()
@@ -597,49 +604,31 @@ def cmd_profile(args: argparse.Namespace) -> int:
             _print_lock_report(report)
         return 0
 
-    if args.host:
-        if args.port is None:
-            raise SystemExit("--host requires --port")
-        from .docstore.server import RemoteClient
-
-        client = RemoteClient(args.host, args.port)
-        try:
-            started = client.profile("start", hz=args.hz)
-            time.sleep(args.duration)
-            if args.flame:
-                for line in client.profile("flame", limit=args.top or 0):
-                    print(line)
-            else:
-                snap = client.profile("snapshot", limit=args.top)
-                if args.json:
-                    print(json.dumps(snap, default=str))
-                else:
-                    _print_profile_snapshot(snap)
-            # Leave a profiler someone else started running; only stop
-            # the one this command started.
-            if not started.get("already_running"):
-                client.profile("stop")
-        finally:
-            client.close()
-        return 0
-
-    # Local mode: profile *this* process while the store serves the
-    # sampling window (warehouse ticks, TTL reaper, any embedding app).
-    from .obs.profiler import get_profiler, start_profiler, stop_profiler
-
-    existing = get_profiler()
-    already = existing is not None and existing.running
-    profiler = start_profiler(hz=args.hz)
-    time.sleep(args.duration)
-    snap = (profiler.snapshot(limit=args.top)
-            if already else (stop_profiler() or {}))
-    if args.flame:
-        for line in snap.get("stacks") or []:
-            print(f"{line['stack']} {line['count']}")
-    elif args.json:
-        print(json.dumps(snap, default=str))
+    # Over the wire this profiles the server; locally, *this* process.
+    client = _remote_client(args)
+    if client is None:
+        from .obs.profiler import profile_action as profile
     else:
-        _print_profile_snapshot(snap)
+        profile = client.profile
+    try:
+        started = profile("start", hz=args.hz)
+        time.sleep(args.duration)
+        if args.flame:
+            for line in profile("flame", limit=args.top):
+                print(line)
+        else:
+            snap = profile("snapshot", limit=args.top)
+            if args.json:
+                print(json.dumps(snap, default=str))
+            else:
+                _print_profile_snapshot(snap)
+        # Leave a profiler someone else started running; only stop the
+        # one this command started.
+        if not started.get("already_running"):
+            profile("stop")
+    finally:
+        if client is not None:
+            client.close()
     return 0
 
 
@@ -651,12 +640,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     the casualty; ``--host`` asks a live server about *its* recorder."""
     from .obs import flight as fl
 
-    if args.host:
-        if args.port is None:
-            raise SystemExit("--host requires --port")
-        from .docstore.server import RemoteClient
-
-        client = RemoteClient(args.host, args.port)
+    client = _remote_client(args)
+    if client is not None:
         try:
             if args.crash:
                 doc = client.flight("crash")

@@ -13,6 +13,15 @@ The protocol is a JSON request/response pair per line::
     {"op": "find", "db": "mp", "coll": "tasks", "query": {...}, ...}
     {"ok": true, "result": [...]}
 
+:data:`WIRE_OPS` is the protocol definition: one row per op naming its
+scope (what the handler runs against), whether a client may retry it after
+a connection loss, its handler and its required fields.  A request is
+checked against its row before any database or collection is resolved, so
+a rejected request creates nothing.  Adding an op means one row here plus
+one client method on :class:`RemoteClient`, its database handle or
+:class:`RemoteCollection`; ``tests/test_server_proxy.py`` fails until both
+exist.
+
 Distributed tracing rides the same line: a traced client attaches a
 ``"$trace"`` field (``{"trace_id": ..., "span_id": ...}``) to each request
 and the server reconstructs the remote parent, so one trace stitches
@@ -27,7 +36,7 @@ import socketserver
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..background import ServerThread
 from ..errors import (
@@ -42,6 +51,7 @@ from ..errors import (
     WireProtocolError,
 )
 from ..obs import export_traces, get_registry, remote_span, span, trace_context
+from ..obs.profiler import profile_action
 from .database import DocumentStore
 from .documents import document_from_json, document_to_json
 from .indexes import normalize_index_spec
@@ -242,266 +252,204 @@ class DatastoreServer(ServerThread):
         with self._stats_lock:
             self.requests_served += 1
         op = request["op"]
+        row = WIRE_OPS.get(op) if isinstance(op, str) else None
+        if row is None:
+            raise WireProtocolError(f"unknown wire op {op!r}")
         get_registry().counter(
             "repro_wire_requests_total", "wire-protocol requests dispatched"
-        ).inc(1, op=str(op))
-        if op == "ping":
-            return {"ok": True, "result": "pong"}
-        if op == "list_databases":
-            return {"ok": True, "result": self.store.list_database_names()}
-        if op == "current_op":
-            return {"ok": True, "result": self.store.current_op()}
-        if op == "kill_op":
-            return {"ok": True, "result": self.store.kill_op(request["opid"])}
-        if op == "export_traces":
-            return {"ok": True,
-                    "result": export_traces(request.get("trace_id"))}
-        if op == "server_status":
-            return {"ok": True, "result": self.store.server_status()}
-        if op == "profile":
-            return {"ok": True, "result": self._profile_op(request)}
-        if op == "flight":
-            return {"ok": True, "result": self._flight_op(request)}
-        if op == "lock_report":
-            return {"ok": True, "result": self.store.lock_report(
-                limit=request.get("limit", 10))}
-        if op in ("shard_status", "add_shard", "move_chunk", "step_down"):
-            return {"ok": True, "result": self._cluster_op(op, request)}
-        db_name = request.get("db")
+        ).inc(1, op=op)
+        for field in row.required:
+            if field not in request:
+                raise WireProtocolError(f"{op} request missing {field!r}")
+        return {"ok": True,
+                "result": row.handler(self._target(row.scope, request), request)}
+
+    def _target(self, scope: str, request: Mapping[str, Any]) -> Any:
+        """What a handler of ``scope`` runs against.  ``db`` and ``coll``
+        are both checked before either namespace is created."""
+        if scope == "store":
+            return self.store
+        if scope == "cluster":
+            if self.cluster is None:
+                raise ClusterError("server has no sharded cluster attached")
+            return self.cluster
+        db_name, coll_name = request.get("db"), request.get("coll")
         if not isinstance(db_name, str):
             raise WireProtocolError("request missing 'db'")
-        db = self.store.get_database(db_name)
-        if op == "list_collections":
-            return {"ok": True, "result": db.list_collection_names()}
-        if op == "db_status":
-            return {"ok": True, "result": db.server_status()}
-        if op == "top":
-            return {"ok": True, "result": db.top()}
-        coll_name = request.get("coll")
+        if scope == "db":
+            return self.store.get_database(db_name)
         if not isinstance(coll_name, str):
             raise WireProtocolError("request missing 'coll'")
-        coll = db.get_collection(coll_name)
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            raise WireProtocolError(f"unknown wire op {op!r}")
-        return {"ok": True, "result": handler(coll, request)}
+        return self.store.get_database(db_name).get_collection(coll_name)
 
-    def _cluster_op(self, op: str, request: Mapping[str, Any]) -> Any:
-        """The sharded-cluster wire ops (mongos admin-command analogs).
 
-        * ``shard_status`` — the full cluster topology/counters document;
-        * ``add_shard``    — register a shard (idempotent);
-        * ``move_chunk``   — run a chunk migration, returning docs moved;
-        * ``step_down``    — demote a shard's primary, returning the new
-          primary's member name.
-        """
-        cluster = self.cluster
-        if cluster is None:
-            raise ClusterError("server has no sharded cluster attached")
-        if op == "shard_status":
-            return cluster.status()
-        if op == "add_shard":
-            shard = cluster.add_shard(str(request["shard"]))
-            return {"shard": shard.shard_id,
-                    "shards": sorted(cluster.shards)}
-        if op == "move_chunk":
-            moved = cluster.move_chunk(str(request["ns"]),
-                                       str(request["chunk"]),
-                                       str(request["to"]))
-            return {"chunk": request["chunk"], "to": request["to"],
-                    "docs": moved}
-        new_primary = cluster.step_down(str(request["shard"]))
-        return {"shard": request["shard"], "primary": new_primary}
+# -- the op table ---------------------------------------------------------
+#
+# Each handler takes ``(target, request)``; the target is the store, the
+# attached sharded cluster, a database or a collection, per the row's scope.
 
-    @staticmethod
-    def _profile_op(request: Mapping[str, Any]) -> Any:
-        """The ``profile`` wire op: drive the server's sampling profiler.
 
-        Actions: ``start`` (optional ``hz``), ``stop``, ``reset``,
-        ``snapshot`` (the default; optional ``limit`` bounds the stack
-        list), and ``flame`` (folded ``stack count`` lines ready for a
-        flamegraph renderer).  The profiler is the process-global one, so
-        a profile started over the wire is visible on ``/debug/profile``
-        and persisted by the telemetry warehouse.
-        """
-        from ..obs.profiler import get_profiler, start_profiler, stop_profiler
+class WireOp(NamedTuple):
+    scope: str  # "store" | "cluster" | "db" | "coll"
+    idempotent: bool  # RemoteClient may retry it after a connection loss
+    handler: Callable[[Any, Mapping[str, Any]], Any]
+    required: Tuple[str, ...] = ()
 
-        action = request.get("action", "snapshot")
-        if action == "start":
-            existing = get_profiler()
-            already = existing is not None and existing.running
-            profiler = start_profiler(hz=request.get("hz") or 100.0)
-            return {"running": True, "hz": profiler.hz,
-                    "already_running": already}
-        if action == "stop":
-            snapshot = stop_profiler()
-            return snapshot if snapshot is not None else {"running": False}
-        profiler = get_profiler()
-        if profiler is None:
-            if action in ("snapshot", "reset"):
-                return {"running": False, "samples": 0, "stacks": []}
-            return []
-        if action == "reset":
-            profiler.reset()
-            return {"running": profiler.running, "samples": 0, "stacks": []}
-        if action == "flame":
-            return profiler.folded(limit=request.get("limit", 0))
-        if action == "snapshot":
-            return profiler.snapshot(limit=request.get("limit", 0))
-        raise WireProtocolError(f"unknown profile action {action!r}")
 
-    @staticmethod
-    def _flight_op(request: Mapping[str, Any]) -> Any:
-        """The ``flight`` wire op: read the server's flight recorder.
+def _sort(req: Mapping[str, Any]) -> Optional[List[tuple]]:
+    return [(f, d) for f, d in req["sort"]] if req.get("sort") else None
 
-        Actions: ``status`` (the default), ``window`` (the last ``limit``
-        in-memory snapshots), ``events`` (recent stall/shutdown events),
-        ``anomalies`` (MAD-z-score scan over the in-memory window), and
-        ``crash`` (the persisted ``crash_report.json``, if any).  The
-        recorder is the process-global one ``repro serve`` starts, so the
-        same data is live on ``GET /debug/flight``.
-        """
-        from ..obs.flight import (
-            get_flight_recorder,
-            read_crash_report,
-            scan_anomalies,
-        )
 
-        action = request.get("action", "status")
-        recorder = get_flight_recorder()
-        if recorder is None:
-            if action == "status":
-                return {"attached": False, "running": False}
-            raise DocstoreError("no flight recorder is running on the server")
-        if action == "status":
-            return {"attached": True, **recorder.status()}
-        if action == "window":
-            return {"snapshots":
-                    recorder.recent(int(request.get("limit") or 60))}
-        if action == "events":
-            return {"events":
-                    recorder.recent_events(int(request.get("limit") or 50))}
-        if action == "anomalies":
-            return {"anomalies": scan_anomalies(
-                recorder.recent(),
-                threshold=float(request.get("threshold") or 6.0))}
-        if action == "crash":
-            report = read_crash_report(recorder.directory)
-            return report if report is not None else {"crash_report": None}
-        raise WireProtocolError(f"unknown flight action {action!r}")
-
-    @staticmethod
-    def _op_insert_one(coll: Any, req: Mapping[str, Any]) -> Any:
-        return {"inserted_id": coll.insert_one(req["document"]).inserted_id}
-
-    @staticmethod
-    def _op_insert_many(coll: Any, req: Mapping[str, Any]) -> Any:
-        return {"inserted_ids": coll.insert_many(req["documents"]).inserted_ids}
-
+def _find(coll: Any, req: Mapping[str, Any]) -> Any:
     # Reads answer with stored references, encoded after the lock is gone.
-    @staticmethod
-    def _op_find(coll: Any, req: Mapping[str, Any]) -> Any:
-        cursor = coll._find_stored(
-            req.get("query") or {}, req.get("projection"),
-            hint=req.get("$hint"),
-        )
-        if req.get("sort"):
-            cursor = cursor.sort([(f, d) for f, d in req["sort"]])
-        if req.get("skip"):
-            cursor = cursor.skip(req["skip"])
-        if req.get("limit"):
-            cursor = cursor.limit(req["limit"])
-        return cursor.to_list()
+    cursor = coll._find_stored(
+        req.get("query") or {}, req.get("projection"), hint=req.get("$hint"),
+    )
+    if req.get("sort"):
+        cursor = cursor.sort(_sort(req))
+    if req.get("skip"):
+        cursor = cursor.skip(req["skip"])
+    if req.get("limit"):
+        cursor = cursor.limit(req["limit"])
+    return cursor.to_list()
 
-    @staticmethod
-    def _op_find_one(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll._find_stored(req.get("query") or {}, req.get("projection"),
-                                 op="findOne").first()
 
-    @staticmethod
-    def _op_count(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.count_documents(req.get("query") or {})
+def _update_one(coll: Any, req: Mapping[str, Any]) -> Any:
+    r = coll.update_one(req["query"], req["update"], upsert=req.get("upsert", False))
+    return {"matched_count": r.matched_count, "modified_count": r.modified_count,
+            "upserted_id": r.upserted_id}
 
-    @staticmethod
-    def _op_distinct(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.distinct(req["field"], req.get("query"))
 
-    @staticmethod
-    def _op_update_one(coll: Any, req: Mapping[str, Any]) -> Any:
-        r = coll.update_one(req["query"], req["update"], upsert=req.get("upsert", False))
-        return {
-            "matched_count": r.matched_count,
-            "modified_count": r.modified_count,
-            "upserted_id": r.upserted_id,
-        }
+def _update_many(coll: Any, req: Mapping[str, Any]) -> Any:
+    r = coll.update_many(req["query"], req["update"], upsert=req.get("upsert", False))
+    return {"matched_count": r.matched_count, "modified_count": r.modified_count}
 
-    @staticmethod
-    def _op_update_many(coll: Any, req: Mapping[str, Any]) -> Any:
-        r = coll.update_many(req["query"], req["update"], upsert=req.get("upsert", False))
-        return {"matched_count": r.matched_count, "modified_count": r.modified_count}
 
-    @staticmethod
-    def _op_find_one_and_update(coll: Any, req: Mapping[str, Any]) -> Any:
-        sort = [(f, d) for f, d in req["sort"]] if req.get("sort") else None
-        return coll.find_one_and_update(
-            req["query"],
-            req["update"],
-            sort=sort,
-            return_document=req.get("return_document", "before"),
-            upsert=req.get("upsert", False),
-        )
+def _create_index(coll: Any, req: Mapping[str, Any]) -> Any:
+    # Compound clients send ``keys`` ([[field, dir], ...]); legacy ones
+    # send the single ``field`` string.  Either is a valid index spec.
+    keys = req.get("keys")
+    if keys is not None:
+        keys = [(f, d) for f, d in keys]
+    elif "field" in req:
+        keys = req["field"]
+    else:
+        raise WireProtocolError("create_index request missing 'keys' or 'field'")
+    return coll.create_index(
+        keys, unique=req.get("unique", False), name=req.get("name"),
+        expire_after_seconds=req.get("expire_after_seconds"),
+    )
 
-    @staticmethod
-    def _op_delete_one(coll: Any, req: Mapping[str, Any]) -> Any:
-        return {"deleted_count": coll.delete_one(req["query"]).deleted_count}
 
-    @staticmethod
-    def _op_delete_many(coll: Any, req: Mapping[str, Any]) -> Any:
-        return {"deleted_count": coll.delete_many(req.get("query") or {}).deleted_count}
+def _explain(coll: Any, req: Mapping[str, Any]) -> Any:
+    if req.get("pipeline") is not None:
+        return coll.explain(pipeline=req["pipeline"])
+    return coll.explain(
+        req.get("query") or {},
+        sort=_sort(req),
+        projection=req.get("projection"),
+        hint=req.get("$hint"),
+        verbosity=req.get("verbosity", "executionStats"),
+    )
 
-    @staticmethod
-    def _op_aggregate(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.aggregate(req["pipeline"],
-                              explain=req.get("explain", False))
 
-    @staticmethod
-    def _op_create_index(coll: Any, req: Mapping[str, Any]) -> Any:
-        # Compound clients send ``keys`` ([[field, dir], ...]); legacy ones
-        # send the single ``field`` string.  Either is a valid index spec.
-        keys = req.get("keys")
-        if keys is None:
-            keys = req["field"]
-        else:
-            keys = [(f, d) for f, d in keys]
-        return coll.create_index(
-            keys, unique=req.get("unique", False), name=req.get("name"),
-            expire_after_seconds=req.get("expire_after_seconds"),
-        )
+def _flight(_store: Any, req: Mapping[str, Any]) -> Any:
+    """Read the server's flight recorder: ``status`` (the default),
+    ``window`` (the last ``limit`` in-memory snapshots), ``events``,
+    ``anomalies`` (MAD-z-score scan) or ``crash`` (the persisted
+    ``crash_report.json``).  The recorder is the process-global one
+    ``repro serve`` starts, also live on ``GET /debug/flight``."""
+    from ..obs.flight import get_flight_recorder, read_crash_report, scan_anomalies
 
-    @staticmethod
-    def _op_stats(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.stats()
+    action = req.get("action", "status")
+    recorder = get_flight_recorder()
+    if recorder is None:
+        if action == "status":
+            return {"attached": False, "running": False}
+        raise DocstoreError("no flight recorder is running on the server")
+    if action == "status":
+        return {"attached": True, **recorder.status()}
+    if action == "window":
+        return {"snapshots": recorder.recent(int(req.get("limit") or 60))}
+    if action == "events":
+        return {"events": recorder.recent_events(int(req.get("limit") or 50))}
+    if action == "anomalies":
+        return {"anomalies": scan_anomalies(
+            recorder.recent(), threshold=float(req.get("threshold") or 6.0))}
+    if action == "crash":
+        report = read_crash_report(recorder.directory)
+        return report if report is not None else {"crash_report": None}
+    raise WireProtocolError(f"unknown flight action {action!r}")
 
-    @staticmethod
-    def _op_index_stats(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.index_stats()
 
-    @staticmethod
-    def _op_explain(coll: Any, req: Mapping[str, Any]) -> Any:
-        if req.get("pipeline") is not None:
-            return coll.explain(pipeline=req["pipeline"])
-        sort = [(f, d) for f, d in req["sort"]] if req.get("sort") else None
-        return coll.explain(
-            req.get("query") or {},
-            sort=sort,
-            projection=req.get("projection"),
-            hint=req.get("$hint"),
-            verbosity=req.get("verbosity", "executionStats"),
-        )
+def _add_shard(cluster: Any, req: Mapping[str, Any]) -> Any:
+    shard = cluster.add_shard(str(req["shard"]))
+    return {"shard": shard.shard_id, "shards": sorted(cluster.shards)}
 
-    @staticmethod
-    def _op_plan_cache(coll: Any, req: Mapping[str, Any]) -> Any:
-        return coll.plan_cache_stats()
+
+def _move_chunk(cluster: Any, req: Mapping[str, Any]) -> Any:
+    moved = cluster.move_chunk(str(req["ns"]), str(req["chunk"]), str(req["to"]))
+    return {"chunk": req["chunk"], "to": req["to"], "docs": moved}
+
+
+#: The wire protocol: op name -> (scope, idempotent, handler, required).
+WIRE_OPS: Dict[str, WireOp] = {
+    # store-wide introspection and admin
+    "ping": WireOp("store", True, lambda s, r: "pong"),
+    "list_databases": WireOp("store", True, lambda s, r: s.list_database_names()),
+    "server_status": WireOp("store", True, lambda s, r: s.server_status()),
+    "current_op": WireOp("store", True, lambda s, r: s.current_op()),
+    "kill_op": WireOp("store", False, lambda s, r: s.kill_op(r["opid"]), ("opid",)),
+    "export_traces": WireOp("store", True, lambda s, r: export_traces(r.get("trace_id"))),
+    "lock_report": WireOp("store", True, lambda s, r: s.lock_report(limit=r.get("limit", 10))),
+    # the process-global profiler, shared with GET /debug/profile
+    "profile": WireOp("store", True, lambda s, r: profile_action(
+        r.get("action", "snapshot"), r.get("hz"), r.get("limit", 0))),
+    "flight": WireOp("store", True, _flight),
+    # sharded-cluster admin (mongos admin-command analogs)
+    "shard_status": WireOp("cluster", True, lambda c, r: c.status()),
+    "add_shard": WireOp("cluster", True, _add_shard, ("shard",)),
+    "move_chunk": WireOp("cluster", False, _move_chunk, ("ns", "chunk", "to")),
+    "step_down": WireOp("cluster", False, lambda c, r: {
+        "shard": r["shard"], "primary": c.step_down(str(r["shard"]))}, ("shard",)),
+    # one database
+    "list_collections": WireOp("db", True, lambda db, r: db.list_collection_names()),
+    "db_status": WireOp("db", True, lambda db, r: db.server_status()),
+    "top": WireOp("db", True, lambda db, r: db.top()),
+    # one collection
+    "insert_one": WireOp("coll", False, lambda c, r: {
+        "inserted_id": c.insert_one(r["document"]).inserted_id}, ("document",)),
+    "insert_many": WireOp("coll", False, lambda c, r: {
+        "inserted_ids": c.insert_many(r["documents"]).inserted_ids}, ("documents",)),
+    "find": WireOp("coll", True, _find),
+    "find_one": WireOp("coll", True, lambda c, r: c._find_stored(
+        r.get("query") or {}, r.get("projection"), op="findOne").first()),
+    "count": WireOp("coll", True, lambda c, r: c.count_documents(r.get("query") or {})),
+    "distinct": WireOp("coll", True, lambda c, r: c.distinct(r["field"], r.get("query")),
+                       ("field",)),
+    "update_one": WireOp("coll", False, _update_one, ("query", "update")),
+    "update_many": WireOp("coll", False, _update_many, ("query", "update")),
+    "find_one_and_update": WireOp("coll", False, lambda c, r: c.find_one_and_update(
+        r["query"], r["update"], sort=_sort(r),
+        return_document=r.get("return_document", "before"),
+        upsert=r.get("upsert", False)), ("query", "update")),
+    "delete_one": WireOp("coll", False, lambda c, r: {
+        "deleted_count": c.delete_one(r["query"]).deleted_count}, ("query",)),
+    "delete_many": WireOp("coll", False, lambda c, r: {
+        "deleted_count": c.delete_many(r.get("query") or {}).deleted_count}),
+    "aggregate": WireOp("coll", True, lambda c, r: c.aggregate(
+        r["pipeline"], explain=r.get("explain", False)), ("pipeline",)),
+    "create_index": WireOp("coll", False, _create_index),
+    "stats": WireOp("coll", True, lambda c, r: c.stats()),
+    "index_stats": WireOp("coll", True, lambda c, r: c.index_stats()),
+    "explain": WireOp("coll", True, _explain),
+    "plan_cache": WireOp("coll", True, lambda c, r: c.plan_cache_stats()),
+}
+
+#: Wire ops safe to retry after a connection failure: re-executing them
+#: cannot duplicate a write.  Everything else fails fast unless the client
+#: was built with ``retry_non_idempotent=True``.
+_IDEMPOTENT_OPS = frozenset(n for n, o in WIRE_OPS.items() if o.idempotent)
 
 
 class RemoteCollection:
@@ -663,17 +611,6 @@ class _RemoteDatabase:
         """Per-collection read/write time on the server (mongotop source)."""
         return self._client.request({"op": "top", "db": self.name})
 
-
-#: Wire ops safe to retry after a connection failure: re-executing them
-#: cannot duplicate a write.  Everything else fails fast unless the client
-#: was built with ``retry_non_idempotent=True``.
-_IDEMPOTENT_OPS = frozenset({
-    "ping", "find", "find_one", "count", "distinct", "aggregate",
-    "list_databases", "list_collections", "server_status", "db_status",
-    "top", "stats", "index_stats", "explain", "plan_cache", "current_op",
-    "export_traces", "lock_report", "profile", "flight", "shard_status",
-    "add_shard",
-})
 
 #: Server error types re-raised as their specific client-side exception
 #: (all DocstoreError subclasses, so existing handlers keep working).
@@ -880,6 +817,9 @@ class RemoteClient:
 
     def ping(self) -> bool:
         return self.request({"op": "ping"}) == "pong"
+
+    def list_database_names(self) -> List[str]:
+        return self.request({"op": "list_databases"})
 
     def server_status(self) -> dict:
         """Aggregate ``serverStatus`` across the remote store's databases."""

@@ -40,6 +40,7 @@ __all__ = [
     "SamplingProfiler",
     "current_frames",
     "get_profiler",
+    "profile_action",
     "start_profiler",
     "stop_profiler",
     "DEFAULT_HZ",
@@ -313,3 +314,34 @@ def stop_profiler() -> Optional[dict]:
     if profiler is None:
         return None
     return profiler.stop()
+
+
+def profile_action(action: str = "snapshot", hz: Optional[float] = None,
+                   limit: int = 0) -> Any:
+    """Drive the process-global profiler: the ``profile`` wire op,
+    ``GET /debug/profile|flamegraph`` and ``repro profile`` all call this.
+
+    ``start`` samples at ``hz`` (default :data:`DEFAULT_HZ`) and reports
+    ``already_running`` — a profiler someone else started is left as is;
+    ``stop`` returns the final snapshot; ``reset`` drops the samples;
+    ``snapshot`` (``limit`` bounds the stack list) and ``flame`` (folded
+    ``stack count`` lines) read it.  Other actions raise ``ValueError``.
+    """
+    if action == "start":
+        existing = _global_profiler
+        already = existing is not None and existing.running
+        profiler = start_profiler(hz=hz or DEFAULT_HZ)
+        return {"running": True, "hz": profiler.hz, "already_running": already}
+    if action == "stop":
+        return stop_profiler() or {"running": False}
+    if action not in ("reset", "snapshot", "flame"):
+        raise ValueError(f"unknown profile action {action!r}")
+    profiler = _global_profiler
+    if action == "flame":
+        return profiler.folded(limit=limit) if profiler is not None else []
+    if profiler is None:
+        return {"running": False, "samples": 0, "stacks": []}
+    if action == "reset":
+        profiler.reset()
+        return {"running": profiler.running, "samples": 0, "stacks": []}
+    return profiler.snapshot(limit=limit)

@@ -692,6 +692,21 @@ class TestDebugEndpoints:
         assert code == 200
         assert get_profiler() is None or not get_profiler().running
 
+    def test_debug_profile_start_reports_already_running(self, served):
+        server, _ = served
+        url = server.base_url + "/debug/profile?action=start&hz=50"
+        assert _get(url) == (200, {"running": True, "hz": 50,
+                                   "already_running": False})
+        code, doc = _get(url.replace("hz=50", "hz=400"))
+        assert code == 200 and doc["already_running"] is True
+        assert doc["hz"] == 50
+
+    def test_debug_profile_unknown_action_400(self, served):
+        server, _ = served
+        code, doc = _get(server.base_url + "/debug/profile?action=florp")
+        assert code == 400 and "florp" in doc["error"]
+        assert get_profiler() is None
+
     def test_debug_locks(self, served):
         server, store = served
         coll = store["mp"]["materials"]

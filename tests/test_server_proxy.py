@@ -1,5 +1,7 @@
 """Tests for the TCP wire protocol server, remote client, and the HPC proxy."""
 
+import inspect
+
 import pytest
 
 from repro.docstore import (
@@ -9,7 +11,9 @@ from repro.docstore import (
     ObjectId,
     RemoteClient,
 )
-from repro.errors import DocstoreError
+from repro.docstore.server import _IDEMPOTENT_OPS, WIRE_OPS
+from repro.errors import DocstoreError, WireProtocolError
+from repro.obs import MetricsRegistry, get_registry, set_registry
 
 
 @pytest.fixture
@@ -18,6 +22,14 @@ def server():
     srv.start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture
+def fresh_registry():
+    previous = get_registry()
+    set_registry(MetricsRegistry())
+    yield get_registry()
+    set_registry(previous)
 
 
 @pytest.fixture
@@ -102,6 +114,114 @@ class TestWireProtocol:
     def test_list_collections(self, client):
         client["mp"]["c1"].insert_one({})
         assert "c1" in client["mp"].list_collection_names()
+
+    def test_list_database_names(self, client):
+        client["mp"]["c1"].insert_one({})
+        assert client.list_database_names() == ["mp"]
+
+    def test_plan_cache_stats_over_wire(self, client):
+        coll = client["mp"]["pc"]
+        coll.create_index("a")
+        coll.create_index("b")
+        coll.insert_many([{"a": i % 5, "b": i % 7} for i in range(50)])
+        coll.find({"a": 1, "b": 2})
+        coll.find({"a": 3, "b": 4})
+        stats = coll.plan_cache_stats()
+        assert stats["hits"] >= 1 and stats["misses"] >= 1
+
+
+#: Public client methods that are not wire ops.
+_NOT_OPS = {"request", "close", "pool_stats", "get_database", "get_collection"}
+
+#: Argument values for the client methods' required parameters.
+_SAMPLE_ARGS = {"document": {"x": 1}, "documents": [{"x": 1}], "keys": "x",
+                "opid": 1}
+
+
+class TestWireOpTable:
+    """``WIRE_OPS`` is the protocol; the client must speak all of it."""
+
+    def test_retry_set_is_the_idempotent_column(self):
+        assert _IDEMPOTENT_OPS == {
+            "ping", "find", "find_one", "count", "distinct", "aggregate",
+            "list_databases", "list_collections", "server_status",
+            "db_status", "top", "stats", "index_stats", "explain",
+            "plan_cache", "current_op", "export_traces", "lock_report",
+            "profile", "flight", "shard_status", "add_shard",
+        }
+
+    def test_every_op_has_exactly_one_client_method(self, monkeypatch):
+        sent = []
+        monkeypatch.setattr(RemoteClient, "request",
+                            lambda self, request, timeout=None:
+                            sent.append(dict(request)))
+        client = RemoteClient("127.0.0.1", 1)
+        op_of = {}
+        for handle in (client, client["db"], client["db"]["coll"]):
+            for name, method in inspect.getmembers(handle, inspect.ismethod):
+                if name.startswith("_") or name in _NOT_OPS:
+                    continue
+                args = [_SAMPLE_ARGS.get(p.name, "x")
+                        for p in inspect.signature(method).parameters.values()
+                        if p.default is p.empty]
+                sent.clear()
+                method(*args)
+                assert len(sent) == 1, name
+                request = sent[0]
+                op_of[f"{type(handle).__name__}.{name}"] = request["op"]
+                row = WIRE_OPS[request["op"]]
+                namespace = {"db": ("db",), "coll": ("db", "coll")}
+                fields = row.required + namespace.get(row.scope, ())
+                assert set(fields) <= set(request), name
+        ops = list(op_of.values())
+        assert sorted(ops) == sorted(set(ops)), op_of
+        assert set(ops) == set(WIRE_OPS)
+
+    @pytest.mark.parametrize("request_doc", [
+        {"op": "bogus", "db": "x", "coll": "y"},
+        {"op": "bogus2", "db": "z"},
+        {"op": "bogus3"},
+        {"op": ["not", "a", "name"]},
+    ])
+    def test_unknown_op_touches_no_namespace(self, server, fresh_registry,
+                                             request_doc):
+        served = server.requests_served
+        with pytest.raises(WireProtocolError, match="^unknown wire op "):
+            server.dispatch(request_doc)
+        assert server.store.list_database_names() == []
+        assert server.requests_served == served + 1
+        counted = fresh_registry.counter("repro_wire_requests_total")
+        assert counted.series() == {}
+
+    @pytest.mark.parametrize("op, field", [
+        (op, field) for op, row in sorted(WIRE_OPS.items())
+        for field in row.required
+    ])
+    def test_missing_required_field_touches_no_namespace(self, server, op,
+                                                         field):
+        request = {"op": op, "db": "a", "coll": "b"}
+        request.update({f: {"x": 1} for f in WIRE_OPS[op].required
+                        if f != field})
+        with pytest.raises(WireProtocolError,
+                           match=f"^{op} request missing '{field}'$"):
+            server.dispatch(request)
+        assert server.store.list_database_names() == []
+
+    @pytest.mark.parametrize("request_doc, field", [
+        ({"op": "insert_one", "db": "a", "coll": "b"}, "document"),
+        ({"op": "update_one", "db": "a", "coll": "b2", "query": {}}, "update"),
+        ({"op": "kill_op"}, "opid"),
+    ])
+    def test_missing_field_over_the_wire(self, server, client, request_doc,
+                                         field):
+        with pytest.raises(DocstoreError,
+                           match=f"WireProtocolError: .*missing '{field}'"):
+            client.request(request_doc)
+        assert client.list_database_names() == []
+
+    def test_create_index_needs_keys_or_field(self, server):
+        with pytest.raises(WireProtocolError, match="'keys' or 'field'"):
+            server.dispatch({"op": "create_index", "db": "a", "coll": "b"})
 
 
 class TestWireReadsMatchInProcess:
