@@ -36,10 +36,12 @@ Two operational endpoints ride alongside the data API:
   events).
 
 When a :class:`~repro.obs.warehouse.TelemetryWarehouse` is attached,
-every request additionally lands a structured record in
+every request additionally lands one structured record in
 ``telemetry.access`` (endpoint template, method, resolved user id,
-status, duration, request/response bytes) — the paper's usage-analytics
-story with the datastore as its own warehouse.
+status, duration, request/response bytes, and the collection, query and
+result count of the QueryEngine calls it made) — the paper's
+usage-analytics story with the datastore as its own warehouse.  The
+handler only queues the record; the access log's writer task stores it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import parse_qs, urlparse
@@ -68,13 +71,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._last_bytes = 0
         self._request_user: Optional[str] = None
         error: Optional[str] = None
-        try:
-            self._route(parsed, params)
-        except Exception as exc:  # noqa: BLE001 - record, then let stdlib log it
-            error = type(exc).__name__
-            raise
-        finally:
-            self._record_access(parsed.path, t0, error)
+        warehouse = getattr(self.server, "warehouse", None)
+        with (warehouse.access.request() if warehouse is not None
+              else nullcontext()) as queries:
+            try:
+                self._route(parsed, params)
+            except Exception as exc:  # noqa: BLE001 - record, then let stdlib log it
+                error = type(exc).__name__
+                raise
+            finally:
+                if warehouse is not None:
+                    self._record_access(warehouse.access, parsed.path, t0,
+                                        error, queries)
 
     def _route(self, parsed: Any, params: dict) -> None:
         api: MaterialsAPI = self.server.materials_api  # type: ignore[attr-defined]
@@ -150,24 +158,26 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception:  # noqa: BLE001 - bad key: recorded as anonymous
             return None
 
-    def _record_access(self, path: str, t0: float,
-                       error: Optional[str]) -> None:
-        warehouse = getattr(self.server, "warehouse", None)
-        if warehouse is None:
-            return
+    def _record_access(self, access: Any, path: str, t0: float,
+                       error: Optional[str], queries: dict) -> None:
+        """The request's one access record, carrying what its QueryEngine
+        calls folded into ``queries`` (:meth:`QueryLog.request`)."""
         status = self._last_status
         if status is None:
             status = 500  # crashed before a response was written
         try:
-            warehouse.access.record_access(
+            access.record_access(
                 endpoint=self._endpoint_of(path),
                 method=self.command or "GET",
                 user=self._request_user,
                 status=status,
                 error=error,
                 duration_ms=(time.perf_counter() - t0) * 1e3,
+                nreturned=queries["nreturned"],
                 request_bytes=len(self.raw_requestline or b""),
                 response_bytes=self._last_bytes,
+                collection=queries["collection"],
+                query_repr=queries["query_repr"],
             )
         except Exception:  # noqa: BLE001 - telemetry must never break serving
             pass

@@ -16,7 +16,8 @@ Features reproduced:
 * **sanitization** — ``$where`` and any non-allowlisted operator are
   rejected; result sizes are capped; callers never touch Collection objects;
 * **query timing** — every call lands in a :class:`~repro.api.querylog.
-  QueryLog` (Fig. 5's data source).
+  QueryLog` (Fig. 5's data source): as its own record, or folded into the
+  record of the HTTP request that made it.
 """
 
 from __future__ import annotations

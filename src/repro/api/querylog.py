@@ -14,6 +14,20 @@ collection otherwise)::
      "nreturned": 10, "request_bytes": 91, "response_bytes": 2048,
      "collection": "materials", "query": "...", "error": None}
 
+One request is one record.  An HTTP request opens :meth:`QueryLog.request`
+around its routing, and the QueryEngine calls it makes fold their
+collection, result count and query into that request's record instead of
+writing records of their own.
+
+Recording is off the request path while the log's writer runs
+(:meth:`QueryLog.start`, done by the telemetry warehouse): a request only
+queues its record, and one :class:`~repro.background.PeriodicTask` writes
+the queue with one ``insert_many`` per tick.  A full queue drops new
+records and counts them in ``repro_api_access_dropped_total``.  With the
+writer stopped every record is written at once, as before.  Every read
+below flushes the queue first, so the log always reads its own writes;
+a reader of the bare collection sees a record within one tick.
+
 The QCFractal-style :meth:`QueryLog.query_access_log` filter surface
 answers "who hit what, when, how slowly" straight from the collection, and
 the legacy Figure 5 views (:meth:`histogram`, :meth:`time_series`,
@@ -30,8 +44,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..background import PeriodicTask, TaskDaemon
 from ..docstore.collection import Collection
 from ..obs import get_registry
 
@@ -40,6 +56,13 @@ __all__ = ["QueryLog", "ACCESS_CAP", "access_top"]
 #: Records kept before the oldest are evicted (capped-collection analog;
 #: a TTL index on ``ts`` usually reaps much earlier in a warehouse).
 ACCESS_CAP = 100_000
+
+#: How often the running writer writes the queue (one ``insert_many``).
+FLUSH_INTERVAL_S = 0.05
+
+#: Records queued before new ones are dropped: seconds of traffic at any
+#: request rate the server reaches, so only a wedged writer drops.
+MAX_PENDING = 10_000
 
 _Filter = Union[str, int, Sequence[Any], None]
 
@@ -97,25 +120,35 @@ def access_top(collection: Any, by: str = "duration",
     return out[:limit] if limit else out
 
 
-class QueryLog:
+class QueryLog(TaskDaemon):
     """Thread-safe access log backed by a docstore collection.
 
     ``QueryLog()`` uses a detached in-memory collection (seed-era
     behaviour, exercised heavily by the Figure 5 tests); the telemetry
     warehouse passes ``collection=store["telemetry"]["access"]`` so
     records persist, survive restarts, and are queryable over the wire.
+    ``start()`` runs the batch writer (steppable by a ``SimClock`` passed
+    as ``clock``); ``stop()`` stops it and writes what is still queued.
     """
 
     def __init__(self, collection: Optional[Collection] = None,
-                 cap: int = ACCESS_CAP, ttl_s: Optional[float] = None):
+                 cap: int = ACCESS_CAP, ttl_s: Optional[float] = None,
+                 clock: Any = None):
         self.collection = (
             collection if collection is not None else Collection("access")
         )
         self.cap = int(cap)
         self.ttl_s = ttl_s
         self._lock = threading.Lock()
+        # Held across a whole flush so batches land in ``seq`` order.
+        self._flush_lock = threading.Lock()
+        self._pending: List[dict] = []
+        # ``.fold`` is set while this thread serves a request (:meth:`request`).
+        self._serving = threading.local()
         self._ensure_indexes()
         self._seq = self._resume_seq()
+        self._task = PeriodicTask("repro-access-log", FLUSH_INTERVAL_S,
+                                  self.flush, clock)
 
     def _ensure_indexes(self) -> None:
         # (endpoint, ts) serves the per-endpoint analytics; ts alone serves
@@ -149,13 +182,11 @@ class QueryLog:
         query_repr: Optional[str] = None,
         error: Optional[str] = None,
     ) -> dict:
-        """Append one structured access record; returns the stored doc."""
-        with self._lock:
-            seq = self._seq
-            self._seq += 1
+        """Queue one structured access record and return it; written at
+        once when the writer is not running."""
         record = {
             "ts": time.time() if ts is None else float(ts),
-            "seq": seq,
+            "seq": None,
             "endpoint": endpoint,
             "method": method,
             "user": user,
@@ -168,12 +199,57 @@ class QueryLog:
             "collection": collection,
             "query": query_repr,
         }
-        self.collection.insert_one(record)
-        self._evict()
-        get_registry().counter(
-            "repro_api_access_total", "access records written"
-        ).inc(1, method=method)
+        with self._lock:
+            full = len(self._pending) >= MAX_PENDING
+            if not full:
+                record["seq"] = self._seq
+                self._seq += 1
+                self._pending.append(record)
+        if full:
+            get_registry().counter(
+                "repro_api_access_dropped_total",
+                "access records dropped because the write queue was full",
+            ).inc(1)
+        elif not self._task.running:
+            self.flush()
         return record
+
+    def flush(self) -> int:
+        """Write every queued record with one ``insert_many``, evict over
+        the cap, and return how many were written."""
+        with self._flush_lock:
+            with self._lock:
+                batch, self._pending = self._pending, []
+            if not batch:
+                return 0
+            self.collection.insert_many(batch)
+            self._evict()
+        written = get_registry().counter(
+            "repro_api_access_total", "access records written")
+        for record in batch:
+            written.inc(1, method=record["method"])
+        return len(batch)
+
+    def stop(self) -> None:
+        """Stop the writer, then write what is still queued."""
+        self._task.stop()
+        self.flush()
+
+    @contextmanager
+    def request(self) -> Iterator[dict]:
+        """Serve one request inside this block to give it one record.
+
+        :meth:`record` calls made here on this log fold into the yielded
+        dict — ``collection`` and ``query_repr`` of the first query and
+        ``nreturned`` summed — which the caller passes to its own
+        :meth:`record_access`."""
+        fold: Dict[str, Any] = {"collection": None, "query_repr": None,
+                                "nreturned": 0}
+        self._serving.fold = fold
+        try:
+            yield fold
+        finally:
+            self._serving.fold = None
 
     def record(
         self,
@@ -184,17 +260,26 @@ class QueryLog:
         ts: Optional[float] = None,
         query_repr: Optional[str] = None,
     ) -> None:
-        """Legacy QueryEngine entry point (Figure 5 measurement path)."""
-        self.record_access(
-            endpoint=f"query/{collection}",
-            method="QUERY",
-            user=user,
-            duration_ms=millis,
-            nreturned=nreturned,
-            ts=ts,
-            collection=collection,
-            query_repr=query_repr,
-        )
+        """Legacy QueryEngine entry point (Figure 5 measurement path): a
+        ``query/<collection>`` record, or a fold into the request this
+        log is serving (:meth:`request`)."""
+        fold = getattr(self._serving, "fold", None)
+        if fold is not None:
+            if fold["collection"] is None:
+                fold["collection"] = collection
+                fold["query_repr"] = query_repr
+            fold["nreturned"] += int(nreturned)
+        else:
+            self.record_access(
+                endpoint=f"query/{collection}",
+                method="QUERY",
+                user=user,
+                duration_ms=millis,
+                nreturned=nreturned,
+                ts=ts,
+                collection=collection,
+                query_repr=query_repr,
+            )
         registry = get_registry()
         registry.counter(
             "repro_api_queries_total", "queries served by the QueryEngine"
@@ -204,18 +289,24 @@ class QueryLog:
         ).observe(float(millis), collection=collection)
 
     def _evict(self) -> None:
-        while self.collection.count_documents() > self.cap:
-            if self.collection.find_one_and_delete(
-                {}, sort=[("seq", 1)]
-            ) is None:
-                break
+        excess = self.collection.count_documents() - self.cap
+        if excess > 0:
+            oldest = self.collection.find({}, {"seq": 1}).sort(
+                [("seq", 1)]).skip(excess - 1).limit(1).to_list()
+            self.collection.delete_many({"seq": {"$lte": oldest[0]["seq"]}})
 
     def clear(self) -> None:
         """Drop every record (test/benchmark isolation)."""
-        self.collection.delete_many({})
+        self._flushed().delete_many({})
 
     def __len__(self) -> int:
-        return self.collection.count_documents()
+        return self._flushed().count_documents()
+
+    def _flushed(self) -> Collection:
+        """The collection, with the queue written first: every read of
+        the log sees every record recorded before it."""
+        self.flush()
+        return self.collection
 
     # -- the analytics query surface ----------------------------------------
 
@@ -260,7 +351,7 @@ class QueryLog:
                 {"status": {"$gte": 400}},
                 {"error": {"$ne": None}},
             ]
-        cursor = self.collection.find(query, {"_id": 0}).sort(
+        cursor = self._flushed().find(query, {"_id": 0}).sort(
             [("ts", -1), ("seq", -1)]
         )
         if skip:
@@ -273,7 +364,7 @@ class QueryLog:
         """Endpoints ranked by total time (``by="duration"``), hit count
         (``"count"``), or error count (``"errors"``) — the data behind
         ``repro telemetry top``."""
-        return access_top(self.collection, by=by, limit=limit)
+        return access_top(self._flushed(), by=by, limit=limit)
 
     # -- legacy Fig. 5 views (now warehouse queries) -------------------------
 
@@ -289,13 +380,13 @@ class QueryLog:
                 "user": doc.get("user"),
                 "query": doc.get("query"),
             }
-            for doc in self.collection.find({}).sort([("seq", 1)])
+            for doc in self._flushed().find({}).sort([("seq", 1)])
         ]
 
     def _durations(self) -> List[float]:
         return [
             doc.get("duration_ms", 0.0)
-            for doc in self.collection.find({}, {"duration_ms": 1})
+            for doc in self._flushed().find({}, {"duration_ms": 1})
         ]
 
     def histogram(
@@ -335,7 +426,7 @@ class QueryLog:
         Served by an index-ordered scan on ``ts`` (sort push-down)."""
         return [
             (doc["ts"], doc.get("duration_ms", 0.0))
-            for doc in self.collection.find(
+            for doc in self._flushed().find(
                 {}, {"ts": 1, "duration_ms": 1}
             ).sort([("ts", 1)])
         ]
@@ -346,10 +437,11 @@ class QueryLog:
         return _percentile(self._durations(), p)
 
     def summary(self) -> dict:
-        n = self.collection.count_documents()
+        coll = self._flushed()
+        n = coll.count_documents()
         if not n:
             return {"queries": 0, "records_returned": 0}
-        grouped = self.collection.aggregate([
+        grouped = coll.aggregate([
             {"$group": {
                 "_id": None,
                 "records_returned": {"$sum": "$nreturned"},
@@ -357,7 +449,7 @@ class QueryLog:
         ])
         users = {
             doc["user"]
-            for doc in self.collection.find(
+            for doc in coll.find(
                 {"user": {"$ne": None}}, {"user": 1}
             )
         }
@@ -374,7 +466,7 @@ class QueryLog:
         }
 
     def by_collection(self) -> Dict[str, dict]:
-        rows = self.collection.aggregate([
+        rows = self._flushed().aggregate([
             {"$match": {"collection": {"$ne": None}}},
             {"$group": {
                 "_id": "$collection",

@@ -97,10 +97,11 @@ class _Handler(socketserver.StreamRequestHandler):
             registry.counter(
                 "repro_wire_bytes_total", "wire-protocol traffic"
             ).inc(len(line) + len(encoded), **labels)
-            # Access-log warehouse: recorded before the response write and
+            # Access-log warehouse: queued before the response write and
             # regardless of dispatch outcome, mirroring the byte accounting
             # above — a request that failed mid-dispatch (or never parsed)
-            # still leaves an access record carrying its error status.
+            # still leaves an access record carrying its error status.  A
+            # running log's writer task stores it, off this thread.
             server._record_access(
                 request, error_type, t0, len(line), len(encoded)
             )

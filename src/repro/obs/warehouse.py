@@ -8,8 +8,9 @@ they live only in memory; this module dogfoods the engine by landing them
 in real collections in a ``telemetry`` database:
 
 * ``telemetry.access`` — the :class:`~repro.api.querylog.QueryLog`
-  access-log warehouse, written by the QueryEngine, the Materials API
-  httpd, and the wire server.
+  access-log warehouse: one record per Materials API HTTP request (its
+  QueryEngine calls folded in) and per wire exchange, queued by the
+  request and written in batches by the log's own writer task.
 * ``telemetry.traces`` — :class:`TailSampler` keeps only traces whose root
   span breached a latency threshold or whose tree carries an error.
 * ``telemetry.profile`` — a persistent mirror of slow ``system.profile``
@@ -168,7 +169,8 @@ class TelemetryWarehouse(TaskDaemon):
     with their query and TTL indexes and wires up the access log and tail
     sampler.  :meth:`tick` runs one synchronous pass (profile mirroring
     and a profiler snapshot); :meth:`start` runs it on a background
-    interval and starts the store's TTL reaper so retention is enforced.
+    interval, starts the access log's batch writer, and starts the store's
+    TTL reaper so retention is enforced.
     """
 
     def __init__(self, store: Any, db_name: str = "telemetry",
@@ -202,7 +204,7 @@ class TelemetryWarehouse(TaskDaemon):
             "ts", name="ts_ttl", expire_after_seconds=events_ttl_s
         )
         self.access = QueryLog(
-            collection=self.db["access"], ttl_s=access_ttl_s
+            collection=self.db["access"], ttl_s=access_ttl_s, clock=clock
         )
         self.tail_sampler = TailSampler(
             self.db["traces"],
@@ -394,15 +396,19 @@ class TelemetryWarehouse(TaskDaemon):
     def start(self, interval_s: float = 5.0,
               reap_interval_s: Optional[float] = None
               ) -> "TelemetryWarehouse":
-        """Run :meth:`tick` on a background interval; also starts the
-        store's TTL reaper (stopped by ``store.close()``)."""
+        """Run :meth:`tick` on a background interval and the access log's
+        batch writer on its own; also starts the store's TTL reaper
+        (stopped by ``store.close()``)."""
         self.store.start_ttl_reaper(reap_interval_s)
+        self.access.start()
         self._task.start(interval_s)
         return self
 
     def stop(self) -> None:
-        """Stop the recording loop (the TTL reaper belongs to the store)."""
+        """Stop the recording loop and the access writer, writing what it
+        still holds (the TTL reaper belongs to the store)."""
         self._task.stop()
+        self.access.stop()
 
     def __enter__(self) -> "TelemetryWarehouse":
         return self

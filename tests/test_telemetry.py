@@ -5,6 +5,7 @@ and the CLI."""
 
 import json
 import os
+import sys
 import threading
 import time
 import urllib.error
@@ -13,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.api import MaterialsAPI, MaterialsAPIServer, QueryEngine
+from repro.api import querylog
 from repro.api.querylog import QueryLog, access_top
 from repro.docstore import (
     DatastoreServer,
@@ -293,6 +295,160 @@ class TestAccessWarehouse:
         s2.close()
 
 
+class TestAccessWriter:
+    """A running log only queues; its writer task stores the queue with
+    one ``insert_many`` per tick."""
+
+    @pytest.fixture
+    def clock(self):
+        return SimClock()
+
+    @pytest.fixture
+    def batches(self, store, monkeypatch):
+        """Sizes of the ``insert_many`` calls on ``telemetry.access``."""
+        coll = store["telemetry"]["access"]
+        sizes = []
+        real = coll.insert_many
+
+        def counting(docs):
+            docs = list(docs)
+            sizes.append(len(docs))
+            return real(docs)
+
+        monkeypatch.setattr(coll, "insert_many", counting)
+        return sizes
+
+    def test_records_queue_until_one_batch_per_tick(self, store, clock,
+                                                    batches):
+        log = QueryLog(collection=store["telemetry"]["access"], clock=clock)
+        log.start()
+        for i in range(5):
+            log.record_access(f"e{i}")
+        assert store["telemetry"]["access"].count_documents() == 0
+        clock.run_until(querylog.FLUSH_INTERVAL_S)
+        assert batches == [5]
+        stored = store["telemetry"]["access"].find({}).sort("seq", 1)
+        assert [r["endpoint"] for r in stored] == [f"e{i}" for i in range(5)]
+        assert store.server_status()["tasks"]["repro-access-log"]["runs"] == 1
+        assert get_registry().counter("repro_api_access_total", "").value(
+            method="GET") == 5
+        clock.run_until(3 * querylog.FLUSH_INTERVAL_S)
+        assert batches == [5]  # an empty queue writes nothing
+        log.stop()
+
+    def test_stopped_log_writes_each_record_at_once(self, store, batches):
+        log = QueryLog(collection=store["telemetry"]["access"])
+        log.record_access("a")
+        log.record_access("b")
+        assert batches == [1, 1]
+
+    def test_reads_see_queued_records(self, store, clock):
+        log = QueryLog(collection=store["telemetry"]["access"], clock=clock)
+        log.start()
+        log.record_access("queued", user="alice")
+        assert [r["endpoint"] for r in log.query_access_log()] == ["queued"]
+        assert len(log) == 1
+        log.stop()
+
+    def test_stop_writes_the_queue(self, store, clock, batches):
+        log = QueryLog(collection=store["telemetry"]["access"], clock=clock)
+        log.start()
+        for i in range(3):
+            log.record_access(f"e{i}")
+        log.stop()
+        assert batches == [3]
+        assert "repro-access-log" not in store.server_status()["tasks"]
+
+    def test_full_queue_drops_and_counts(self, store, clock, monkeypatch):
+        monkeypatch.setattr(querylog, "MAX_PENDING", 3)
+        log = QueryLog(collection=store["telemetry"]["access"], clock=clock)
+        log.start()
+        for i in range(5):
+            log.record_access(f"e{i}")
+        assert get_registry().counter(
+            "repro_api_access_dropped_total", "").value() == 2
+        clock.run_until(querylog.FLUSH_INTERVAL_S)
+        # the dropped records took no sequence numbers
+        assert sorted(r["seq"] for r in log.query_access_log()) == [0, 1, 2]
+        log.record_access("after")  # the queue has room again
+        assert len(log) == 4
+        log.stop()
+
+    def test_batch_evicts_exactly_the_excess(self, store, clock):
+        log = QueryLog(collection=store["telemetry"]["access"], cap=5,
+                       clock=clock)
+        log.start()
+        for i in range(8):
+            log.record_access(f"e{i}", ts=float(i))
+        clock.run_until(querylog.FLUSH_INTERVAL_S)
+        assert store["telemetry"]["access"].count_documents() == 5
+        kept = {r["endpoint"] for r in log.query_access_log()}
+        assert kept == {"e3", "e4", "e5", "e6", "e7"}
+        log.stop()
+
+    def test_warehouse_runs_the_writer(self, clock):
+        store = DocumentStore(clock=clock)
+        wh = TelemetryWarehouse(store, clock=clock)
+        wh.start(interval_s=5.0)
+        assert wh.access.running
+        wh.access.record_access("api")
+        clock.run_until(querylog.FLUSH_INTERVAL_S)
+        assert store["telemetry"]["access"].count_documents() == 1
+        wh.access.record_access("api")
+        wh.stop()
+        assert not wh.access.running
+        assert store["telemetry"]["access"].count_documents() == 2
+        store.close()
+
+    def test_concurrent_recorders_lose_nothing_and_keep_seq_order(
+            self, store):
+        """Recorders, readers and the writer thread race on the queue:
+        every record lands once, and insertion order is ``seq`` order."""
+        log = QueryLog(collection=store["telemetry"]["access"]).start()
+        n_threads, per_thread = 6, 200
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def work(t):
+                for i in range(per_thread):
+                    log.record_access(f"t{t}")
+                    if i % 50 == 0:
+                        len(log)  # a read flushes from this thread too
+
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+            log.stop()
+        # ObjectIds count up in insertion order within one process.
+        stored = store["telemetry"]["access"].find({}).sort("_id", 1)
+        seqs = [r["seq"] for r in stored]
+        assert seqs == list(range(n_threads * per_thread))
+
+    def test_wire_records_reach_the_collection_off_the_request_path(
+            self, store):
+        wh = TelemetryWarehouse(store).start()
+        try:
+            with DatastoreServer(store, access_log=wh.access) as server:
+                with RemoteClient(*server.address) as client:
+                    for i in range(3):
+                        client["mp"]["m"].insert_one({"i": i})
+            access = store["telemetry"]["access"]
+            deadline = time.time() + 5
+            while access.count_documents() < 3 and time.time() < deadline:
+                time.sleep(0.01)
+            records = access.find({}).sort("seq", 1).to_list()
+            assert [r["endpoint"] for r in records] == ["wire/insert_one"] * 3
+        finally:
+            wh.stop()
+            store.stop_ttl_reaper()
+
+
 # -- tail-sampled traces --------------------------------------------------
 
 
@@ -557,6 +713,47 @@ class TestTelemetryEndpoints:
         assert {r["status"] for r in recs} == {200, 404}
         assert all(r["response_bytes"] > 0 for r in recs)
         assert all(r["duration_ms"] > 0 for r in recs)
+
+    def test_rest_request_is_one_record(self, served_warehouse, store):
+        """The QueryEngine call a /rest request makes folds into the
+        request's record instead of writing a ``query/...`` record."""
+        server, wh = served_warehouse
+        _get(server.base_url + "/rest/v1/materials/mp-1")
+        (rec,) = _await_access(wh, 1)
+        assert rec["collection"] == "materials"
+        assert rec["nreturned"] == 1
+        assert "mp-1" in rec["query"]
+        assert store["telemetry"]["access"].count_documents() == 1
+        assert get_registry().counter("repro_api_queries_total", "").value(
+            collection="materials") == 1
+
+    def test_engine_with_its_own_log_keeps_its_records(self, store):
+        db = store["mp"]
+        db["materials"].insert_one({"material_id": "mp-1"})
+        wh = TelemetryWarehouse(store)
+        qe = QueryEngine(db)
+        with MaterialsAPIServer(MaterialsAPI(qe), warehouse=wh) as server:
+            _get(server.base_url + "/rest/v1/materials/mp-1")
+            _await_access(wh, 1)
+        assert [e["collection"] for e in qe.query_log.entries] == [
+            "materials"]
+        assert store["telemetry"]["access"].count_documents() == 1
+
+    def test_records_land_with_the_writer_running(self, served_warehouse,
+                                                  store):
+        server, wh = served_warehouse
+        wh.access.start()
+        try:
+            for i in (1, 2):
+                _get(server.base_url + f"/rest/v1/materials/mp-{i}")
+            access = store["telemetry"]["access"]
+            deadline = time.time() + 5
+            while access.count_documents() < 2 and time.time() < deadline:
+                time.sleep(0.01)
+            assert access.count_documents({"endpoint": "rest/v1/materials",
+                                           "nreturned": 1}) == 2
+        finally:
+            wh.access.stop()
 
     def test_telemetry_access_endpoint(self, served_warehouse):
         server, wh = served_warehouse
