@@ -16,9 +16,16 @@ a stored dict in place.  So a reference taken under the lock stays a
 consistent snapshot of that document after the lock is released.  Who may
 hold one: ``_select``'s callers while they hold the lock; the stages of an
 ``aggregate`` pipeline, which copy whatever they write; ``distinct``, which
-copies only the values it returns; and the wire server, which takes its
+copies only the values it returns; the wire server, which takes its
 ``find``/``find_one`` answers from :meth:`Collection._find_stored` and
-encodes them after the lock is released, never mutating them.  Who must
+encodes them after the lock is released, never mutating them; and the
+fragment cache.  That cache keeps each stored document's JSON text as a
+``(stored_dict, fragment)`` pair keyed by position: an unprojected
+``_find_stored`` fills it under the read lock, and a fragment is served
+(:meth:`Collection._json_of`) only when its pair holds the very dict the
+read returned, so a stale fragment cannot be served.  Whatever swaps or
+removes ``_docs[pos]`` drops ``_fragments[pos]`` under the write lock,
+which keeps the cache at most one entry per stored document.  Who must
 copy: anything that hands a document to an in-process caller — ``find``,
 ``find_one``, the ``find_one_and_*`` verbs, ``all_documents`` and the rows
 ``aggregate`` returns — so callers can never mutate stored state behind the
@@ -40,7 +47,7 @@ from ..errors import DocstoreError, DuplicateKeyError
 from .cursor import Cursor, apply_projection
 from .documents import (
     deep_copy_doc,
-    doc_size_bytes,
+    document_to_json,
     set_path,
     stored_copy,
     validate_document,
@@ -61,8 +68,16 @@ from .updates import apply_update, is_operator_update
 __all__ = ["Collection", "InsertResult", "UpdateResult", "DeleteResult", "BulkWriteResult"]
 
 
-def _as_stored(doc: dict, _projection: Any) -> dict:
+def _as_stored(doc: dict, _pos: int, _projection: Any) -> dict:
     return doc
+
+
+def _copied(doc: dict, _pos: int, projection: Any) -> dict:
+    return apply_projection(doc, projection)
+
+
+def _encode(doc: dict) -> bytes:
+    return document_to_json(doc).encode("utf-8")
 
 
 class InsertResult:
@@ -132,6 +147,10 @@ class Collection:
         self._usage_lock = threading.Lock()
         # Optional observers (change streams, the journal).
         self._change_listeners: List[Callable[[str, dict], None]] = []
+        # Fragment cache: position -> (stored dict, its JSON text).  Filled
+        # under the read lock by unprojected wire reads; dropped under the
+        # write lock wherever ``_docs[pos]`` is swapped or removed.
+        self._fragments: Dict[int, Tuple[dict, bytes]] = {}
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -385,19 +404,19 @@ class Collection:
 
     @attribute_to_caller
     def _read(self, op: str, query: Mapping[str, Any], matcher: Matcher,
-              projection: Any, each: Callable[[dict, Any], dict],
+              projection: Any, each: Callable[[dict, int, Any], dict],
               default_hint: Optional[str] = None, sort: Any = None,
               skip: int = 0, limit: Optional[int] = None,
               hint: Optional[str] = None) -> List[dict]:
         """The one read helper behind ``find``, ``find_one``,
         ``count_documents``, ``distinct`` and :meth:`_find_stored`: listed
         in ``current_op()`` as ``op``, planned and scanned through
-        ``_select`` under the read lock, ``each(stored_doc, projection)``
-        per survivor, reported to the instrumentation funnel.  The verbs
-        differ only in ``each``."""
+        ``_select`` under the read lock, ``each(stored_doc, position,
+        projection)`` per survivor, reported to the instrumentation funnel.
+        The verbs differ only in ``each``."""
         t0 = time.perf_counter()
         with self._track(op, query) as active, self._lock.read():
-            docs = [each(doc, projection) for doc, _pos in self._select(
+            docs = [each(doc, pos, projection) for doc, pos in self._select(
                 query, matcher, sort, skip, limit,
                 hint if hint is not None else default_hint, projection, active)]
             plan = self.last_plan
@@ -409,7 +428,7 @@ class Collection:
         return docs
 
     def _cursor(self, op: str, query: Any, projection: Any, hint: Any,
-                each: Callable[[dict, Any], dict]) -> Cursor:
+                each: Callable[[dict, int, Any], dict]) -> Cursor:
         """A lazy :meth:`_read` whose sort, skip, limit and hint the cursor
         chains; the query compiles now, so a malformed one fails here."""
         query = query or {}
@@ -430,15 +449,42 @@ class Collection:
         index keys alone (covered query).  ``hint`` forces an index by
         name (``"$natural"`` forces a collection scan).
         """
-        return self._cursor("find", query, projection, hint, apply_projection)
+        return self._cursor("find", query, projection, hint, _copied)
 
     def _find_stored(self, query: Any = None, projection: Any = None,
                      hint: Optional[str] = None, op: str = "find") -> Cursor:
         """``find`` minus the copy: the stored documents themselves (a
         projection still builds new dicts), for a reader that never
-        mutates them — the wire server, which encodes after the lock."""
+        mutates them — the wire server, which encodes after the lock.
+        Without a projection every document returned also has its JSON
+        text in the fragment cache, for :meth:`_json_of`."""
         return self._cursor(op, query, projection, hint,
-                            apply_projection if projection else _as_stored)
+                            _copied if projection else self._with_fragment)
+
+    def _with_fragment(self, doc: dict, pos: int, _projection: Any) -> dict:
+        """``each`` of an unprojected :meth:`_find_stored`: ``doc`` itself,
+        its fragment encoded now unless the cache holds it already.  Runs
+        under the read lock, so ``doc`` is what ``_docs[pos]`` holds;
+        concurrent readers that both miss store equal pairs."""
+        entry = self._fragments.get(pos)
+        if entry is None or entry[0] is not doc:
+            self._fragments[pos] = (doc, _encode(doc))
+        return doc
+
+    def _json_of(self, docs: Iterable[dict]) -> List[bytes]:
+        """The JSON text of each stored document in ``docs``, taken from the
+        fragment cache when the entry at its position holds that very dict,
+        else encoded now.  Needs no lock: stored dicts are immutable and a
+        pair is only ever replaced whole, so the identity test alone keeps
+        an outdated fragment from being served."""
+        fragments, id_to_pos, id_key = (
+            self._fragments, self._id_to_pos, self._id_key)
+        out = []
+        for doc in docs:
+            entry = fragments.get(id_to_pos.get(id_key(doc["_id"])))
+            out.append(entry[1] if entry is not None and entry[0] is doc
+                       else _encode(doc))
+        return out
 
     def find_one(
         self,
@@ -448,7 +494,7 @@ class Collection:
         """First matching document or None."""
         query = query or {}
         found = self._read("findOne", query, compile_query(query), projection,
-                           apply_projection, limit=1)
+                           _copied, limit=1)
         return found[0] if found else None
 
     def count_documents(self, query: Optional[Mapping[str, Any]] = None) -> int:
@@ -532,6 +578,7 @@ class Collection:
             self._indexes.add_document(pos, old)  # restore
             raise
         self._docs[pos] = new
+        self._fragments.pop(pos, None)
         self._notify(
             "update",
             {"ns": self.name, "_id": new.get("_id"), "doc": deep_copy_doc(new)},
@@ -648,6 +695,7 @@ class Collection:
         if pos is None:
             return
         doc = self._docs.pop(pos)
+        self._fragments.pop(pos, None)
         self._indexes.remove_document(pos, doc)
         self._notify("delete", {"ns": self.name, "_id": _id})
 
@@ -655,6 +703,7 @@ class Collection:
         """Remove all documents and indexes."""
         with self._lock.write():
             self._docs.clear()
+            self._fragments.clear()
             self._id_to_pos.clear()
             for name in self._indexes.names():
                 self._indexes.drop(name)
@@ -968,9 +1017,11 @@ class Collection:
                 active.check_killed if active is not None else None)).rows
 
     def stats(self) -> dict:
-        """Collection statistics (counts, sizes, index info)."""
+        """Collection statistics (counts, sizes, index info).  Sizes are
+        taken after the lock: the references stay valid snapshots."""
         with self._lock.read():
-            sizes = [doc_size_bytes(d) for d in self._docs.values()]
+            docs = list(self._docs.values())
+        sizes = [len(text) for text in self._json_of(docs)]
         total = sum(sizes)
         return {
             "ns": self.name,

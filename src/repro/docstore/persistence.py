@@ -95,16 +95,20 @@ class JournalWriter:
         """Assign a sequence number, enqueue, and wait for acknowledgement.
 
         Returns the record's ``seq``.  Blocks until the record has been
-        written (every policy) and fsynced (``"always"`` only).
+        written (every policy) and fsynced (``"always"`` only).  The record
+        is encoded before the lock is taken; ``seq`` is spliced in as its
+        last key, so the line is what encoding ``{**record, "seq": seq}``
+        would give.
         """
+        record = dict(record)
+        record.pop("seq", None)
+        head = document_to_json(record)[:-1] + (", " if record else "")
         with self._cond:
             if self._closed:
                 raise DocstoreError("journal writer is closed")
             seq = self._next_seq
             self._next_seq += 1
-            record = dict(record)
-            record["seq"] = seq
-            self._pending.append((seq, document_to_json(record)))
+            self._pending.append((seq, f'{head}"seq": {seq}}}'))
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name="journal-committer", daemon=True

@@ -77,13 +77,12 @@ class _Handler(socketserver.StreamRequestHandler):
                 error_type = type(exc).__name__
                 response = {"ok": False, "error": error_type, "message": str(exc)}
             try:
-                payload = document_to_json(response) + "\n"
+                encoded = _encode_response(server, request, response)
             except Exception as exc:  # noqa: BLE001 - unserializable result
                 error_type = type(exc).__name__
-                payload = document_to_json(
+                encoded = (document_to_json(
                     {"ok": False, "error": error_type, "message": str(exc)}
-                ) + "\n"
-            encoded = payload.encode("utf-8")
+                ) + "\n").encode("utf-8")
             # Traffic is accounted whether or not dispatch raised: the bytes
             # crossed the wire either way, and error responses are traffic
             # too.  Failed exchanges carry the exception type as a label.
@@ -125,6 +124,26 @@ class _Handler(socketserver.StreamRequestHandler):
                     "connections closed after a mid-response write failure"
                 ).inc(1)
                 break
+
+
+def _encode_response(server: "DatastoreServer",
+                     request: Optional[Mapping[str, Any]],
+                     response: Mapping[str, Any]) -> bytes:
+    """One response frame, byte for byte ``document_to_json(response)``
+    plus the newline.  An unprojected ``find``/``find_one`` answer is
+    stored documents, so it is spliced from their cached JSON fragments
+    (:meth:`Collection._json_of`) instead of encoded again."""
+    result = response.get("result")
+    if (response.get("ok") and result is not None
+            and request.get("op") in ("find", "find_one")
+            and not request.get("projection")):
+        coll = server._target("coll", request)
+        if isinstance(result, list):
+            body = b"[" + b", ".join(coll._json_of(result)) + b"]"
+        else:
+            body = coll._json_of([result])[0]
+        return b'{"ok": true, "result": ' + body + b"}\n"
+    return (document_to_json(response) + "\n").encode("utf-8")
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.docstore import Collection, DocumentStore, ObjectId
+from repro.docstore import Collection, DocumentStore, ObjectId, document_to_json
+from repro.docstore.documents import doc_size_bytes
 from repro.errors import DocstoreError, DuplicateKeyError
 
 
@@ -346,6 +347,48 @@ class TestStatsAndAggregates:
             reducer=lambda k, vs: sum(vs),
         )
         assert rows[0] == {"_id": "WAITING", "value": 10}
+
+
+class TestFragmentCache:
+    """Unprojected stored reads cache each document's JSON text; whatever
+    replaces or removes a stored dict drops its entry."""
+
+    @staticmethod
+    def _warm(c):
+        docs = c._find_stored().to_list()
+        assert set(c._fragments) == set(c._docs)
+        return docs
+
+    def test_update_delete_and_drop_drop_entries(self, populated):
+        self._warm(populated)
+        populated.update_one({"job": 3}, {"$set": {"state": "RUNNING"}})
+        populated.find_one_and_update({"job": 4}, {"$inc": {"priority": 1}})
+        populated.delete_one({"job": 5})
+        populated.find_one_and_delete({"job": 6})
+        cached = {populated._fragments[p][0]["job"] for p in populated._fragments}
+        assert cached == {0, 1, 2, 7, 8, 9}
+        populated.drop()
+        assert populated._fragments == {}
+
+    def test_unchanged_update_keeps_the_entry(self, populated):
+        self._warm(populated)
+        entries = dict(populated._fragments)
+        populated.update_one({"job": 3}, {"$set": {"state": "WAITING"}})
+        assert populated._fragments == entries
+
+    def test_json_of_never_serves_another_dict(self, populated):
+        old = self._warm(populated)
+        populated.update_many({}, {"$set": {"state": "DONE"}})
+        self._warm(populated)
+        # The read before the update still gets its own documents' text.
+        assert populated._json_of(old) == [
+            document_to_json(d).encode("utf-8") for d in old]
+
+    def test_stats_size_is_the_encoded_size(self, populated):
+        expected = sum(doc_size_bytes(d) for d in populated.find())
+        assert populated.stats()["size"] == expected
+        self._warm(populated)
+        assert populated.stats()["size"] == expected
 
 
 class TestDatabaseNamespace:

@@ -10,6 +10,7 @@ CI chaos job (and the weekly soak) can turn up the heat:
 * ``CHAOS_READERS``     — reader thread count (default 4)
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -19,7 +20,9 @@ import time
 
 import pytest
 
-from repro.docstore import DatastoreServer, DocumentStore, RemoteClient
+from repro.docstore import (
+    DatastoreServer, DocumentStore, RemoteClient, document_to_json,
+)
 
 DURATION_S = float(os.environ.get("CHAOS_DURATION_S", "1.5"))
 N_WRITERS = int(os.environ.get("CHAOS_WRITERS", "4"))
@@ -195,6 +198,92 @@ class TestWireStress:
         assert not any(t.is_alive() for t in threads), "stress thread wedged"
         assert errors == [], errors
         assert reads[0] > 0
+
+    def test_spliced_reads_survive_update_delete_reinsert_churn(self, server):
+        """Wire ``find({})`` answers are spliced from cached per-document
+        fragments.  Writers update, delete and re-insert the ``_id``s they
+        own, each write carrying a higher version ``v`` with ``a == v`` and
+        ``b == -v``; a reader must never see a torn document, nor an older
+        version of an ``_id`` than it saw before (a stale fragment).  At
+        stop the cache holds only the dicts stored then."""
+        n_docs = 48
+        coll = server.store["mp"]["churn"]
+        coll.insert_many([{"_id": i, "v": 0, "a": 0, "b": 0,
+                           "pad": {"xs": list(range(16))}}
+                          for i in range(n_docs)])
+        stop = threading.Event()
+        errors: list = []
+        reads = [0]
+
+        def write(client, w):
+            remote = client["mp"]["churn"]
+            rng = random.Random(w)
+            mine = list(range(w, n_docs, N_WRITERS))
+            try:
+                for v in itertools.count(1):
+                    if stop.is_set():
+                        return
+                    _id = rng.choice(mine)
+                    fields = {"v": v, "a": v, "b": -v}
+                    if rng.random() < 0.6:
+                        remote.update_one({"_id": _id}, {"$set": fields})
+                    else:
+                        remote.delete_one({"_id": _id})
+                        remote.insert_one({"_id": _id, **fields,
+                                           "pad": {"xs": [v] * 16}})
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"writer {w}: {exc!r}")
+
+        def read(client, r):
+            remote = client["mp"]["churn"]
+            seen = {}
+            try:
+                while not stop.is_set():
+                    docs = remote.find({})
+                    ids = [d["_id"] for d in docs]
+                    if len(set(ids)) != len(ids) or len(ids) > n_docs:
+                        errors.append(f"reader {r}: ids {sorted(ids)}")
+                        return
+                    for d in docs:
+                        if d["a"] != d["v"] or d["b"] != -d["v"]:
+                            errors.append(f"reader {r}: torn {d}")
+                            return
+                        if d["v"] < seen.get(d["_id"], 0):
+                            errors.append(f"reader {r}: stale {d}, saw "
+                                          f"v={seen[d['_id']]}")
+                            return
+                        seen[d["_id"]] = d["v"]
+                    reads[0] += 1
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"reader {r}: {exc!r}")
+
+        clients = [RemoteClient("127.0.0.1", server.port, pool_size=1)
+                   for _ in range(N_WRITERS + N_READERS)]
+        threads = [
+            threading.Thread(target=write if i < N_WRITERS else read,
+                             args=(c, i if i < N_WRITERS else i - N_WRITERS))
+            for i, c in enumerate(clients)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            time.sleep(DURATION_S)
+        finally:
+            stop.set()
+            sys.setswitchinterval(previous)
+            for t in threads:
+                t.join(timeout=30)
+            for c in clients:
+                c.close()
+        assert not any(t.is_alive() for t in threads), "stress thread wedged"
+        assert errors == [], errors
+        assert reads[0] > 0
+        assert len(coll._fragments) <= len(coll._docs)
+        for pos, (doc, fragment) in coll._fragments.items():
+            assert coll._docs[pos] is doc
+            assert fragment == document_to_json(doc).encode("utf-8")
 
     def test_concurrent_collection_create_drop(self):
         """Database-level churn: create/drop while writers hit other

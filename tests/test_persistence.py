@@ -7,7 +7,8 @@ import threading
 
 import pytest
 
-from repro.docstore import DocumentStore
+from repro.docstore import DocumentStore, ObjectId
+from repro.docstore.persistence import JournalWriter
 
 
 @pytest.fixture
@@ -243,6 +244,33 @@ class TestGroupCommit:
         with open(os.path.join(store_dir, "journal.jsonl"), encoding="utf-8") as fh:
             seqs = [json.loads(line)["seq"] for line in fh if line.strip()]
         assert seqs == list(range(1, 11))
+
+    def test_journal_line_bytes_are_pinned(self, store_dir):
+        """``append`` encodes outside its lock and splices ``seq`` in as
+        the last key; the line must stay what encoding the whole record
+        gave."""
+        store = DocumentStore(persistence_dir=store_dir)
+        coll = store["mp"]["m"]
+        coll.insert_one({"_id": ObjectId("0123456789abcdef01234567"),
+                         "f": "Li₂O", "e": -1.5, "tags": [None, True]})
+        coll.delete_one({"_id": ObjectId("0123456789abcdef01234567")})
+        store.close()
+        with open(os.path.join(store_dir, "journal.jsonl"), "rb") as fh:
+            lines = fh.read().splitlines()
+        assert lines == [
+            b'{"db": "mp", "op": "insert", "payload": {"ns": "m", "doc": '
+            b'{"_id": {"$oid": "0123456789abcdef01234567"}, '
+            b'"f": "Li\\u2082O", "e": -1.5, "tags": [null, true]}}, '
+            b'"seq": 1}',
+            b'{"db": "mp", "op": "delete", "payload": {"ns": "m", "_id": '
+            b'{"$oid": "0123456789abcdef01234567"}}, "seq": 2}',
+        ]
+
+    def test_empty_record_line(self, tmp_path):
+        writer = JournalWriter(str(tmp_path / "j.jsonl"), fsync="never")
+        assert writer.append({}) == 1
+        writer.close()
+        assert (tmp_path / "j.jsonl").read_bytes() == b'{"seq": 1}\n'
 
 
 class TestSnapshotSequenceGuard:

@@ -275,6 +275,10 @@ def _apply(coll, op, next_id):
                           .sort(sort).skip(skip).limit(limit).to_list())
         first = coll._find_stored(query, projection, op="findOne").first()
         assert first == coll.find_one(query, projection)
+        if projection is None:
+            # What the wire splices: each answer's own encoding.
+            assert coll._json_of(stored) == [
+                document_to_json(d).encode("utf-8") for d in stored]
         return stored
     query, sort, skip, limit = args
     return (coll.find(query).sort(sort).skip(skip).limit(limit).to_list(),
@@ -296,13 +300,27 @@ class TestEveryVerbMatchesCollscan:
         next_id = 100
         for op in ops:
             held = [_hold_stored(indexed), _hold_stored(twin)]
+            # Every document of ``indexed`` enters each op with a cached
+            # fragment; ``twin`` fills its cache only through find_stored.
+            indexed._find_stored().to_list()
             assert _apply(indexed, op, next_id) == _apply(twin, op, next_id), op
             assert indexed.all_documents() == twin.all_documents(), op
             # Copy-on-write: no verb wrote into a dict it had stored.
             for refs in held:
                 for doc, dumped in refs:
                     assert json.dumps(doc, sort_keys=True) == dumped, op
+            _assert_fragments_current(indexed, op)
+            _assert_fragments_current(twin, op)
             next_id += 1
+
+
+def _assert_fragments_current(coll, op):
+    """The fragment cache holds only dicts stored right now, each beside
+    its own encoding, and no more entries than stored documents."""
+    assert len(coll._fragments) <= len(coll._docs), op
+    for pos, (doc, fragment) in coll._fragments.items():
+        assert coll._docs.get(pos) is doc, op
+        assert fragment == document_to_json(doc).encode("utf-8"), op
 
 
 def _hold_stored(coll):

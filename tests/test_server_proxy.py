@@ -1,6 +1,7 @@
 """Tests for the TCP wire protocol server, remote client, and the HPC proxy."""
 
 import inspect
+import socket
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.docstore import (
     DocumentStore,
     ObjectId,
     RemoteClient,
+    document_to_json,
 )
 from repro.docstore.server import _IDEMPOTENT_OPS, WIRE_OPS
 from repro.errors import DocstoreError, WireProtocolError
@@ -263,6 +265,73 @@ class TestWireReadsMatchInProcess:
         local, remote = pair
         assert remote.find_one(query, projection) == local.find_one(
             query, projection)
+
+    @pytest.mark.parametrize("projection", [None, {"sub.x": 1}])
+    def test_reads_match_after_every_write_to_one_id(self, pair, projection):
+        """Cached fragments never outlive their document: after update,
+        replace, delete and re-insert of the same ``_id`` the wire still
+        answers what an in-process read returns."""
+        local, remote = pair
+        queries = [{}, {"_id": 7}, {"k": 7}, {"a": 3}, {"b": {"$lt": 3}}]
+
+        def check(step):
+            for query in queries:
+                assert remote.find(query, projection) == local.find(
+                    query, projection).to_list(), (step, query)
+                assert remote.find_one(query, projection) == local.find_one(
+                    query, projection), (step, query)
+            assert len(local._fragments) <= len(local)
+
+        check("warm")
+        remote.update_one({"_id": 7}, {"$set": {"a": 3, "sub.x": -7}})
+        check("update")
+        local.replace_one({"_id": 7}, {"k": 7, "a": 1, "b": 0, "sub": {}})
+        check("replace")
+        remote.delete_one({"_id": 7})
+        check("delete")
+        remote.insert_one({"_id": 7, "k": 7, "a": 3, "b": 4,
+                           "sub": {"x": "back", "tags": []}})
+        check("re-insert")
+
+    @pytest.mark.parametrize("request_doc", [
+        {"op": "find", "query": {}},
+        {"op": "find", "query": {"a": 2}, "sort": [["k", -1]], "limit": 3},
+        {"op": "find", "query": {"k": 99}},
+        {"op": "find", "query": {"a": 1}, "projection": {"sub": 0}},
+        {"op": "find_one", "query": {"k": 5}},
+        {"op": "find_one", "query": {"k": 99}},
+        {"op": "find_one", "query": {"k": 5}, "projection": {"sub.x": 1}},
+    ])
+    def test_raw_response_bytes_are_the_encoded_envelope(self, server, pair,
+                                                         request_doc):
+        """The spliced frame is byte for byte what encoding the whole
+        response gives, on a cache miss and on the hit after it."""
+        request_doc = {"db": "mp", "coll": "m", **request_doc}
+        line = (document_to_json(request_doc) + "\n").encode("utf-8")
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            stream = sock.makefile("rwb")
+            for _ in range(2):
+                stream.write(line)
+                stream.flush()
+                expected = document_to_json(server.dispatch(request_doc))
+                assert stream.readline() == (expected + "\n").encode("utf-8")
+
+    def test_projected_and_covered_reads_leave_the_cache_empty(self, server,
+                                                               pair):
+        local, remote = pair
+        remote.find({}, {"sub": 0})
+        remote.find({"b": {"$gte": 1}}, {"b": 1, "k": 1, "_id": 0})
+        remote.find_one({"k": 3}, {"sub.tags": 1})
+        local._find_stored({}, {"a": 1}).to_list()
+        assert local.explain({"b": 1}, projection={"b": 1, "k": 1, "_id": 0}
+                             )["covered"]
+        assert local._fragments == {}
+        # An unprojected read fills one entry per document, encoded once.
+        remote.find({})
+        entries = dict(local._fragments)
+        assert len(entries) == len(local)
+        remote.find({})
+        assert all(local._fragments[p] is e for p, e in entries.items())
 
     @pytest.mark.parametrize("kwargs", [
         {"skip": -1}, {"limit": -2}, {"sort": [("k", 2)]},
