@@ -76,6 +76,16 @@ def _copied(doc: dict, _pos: int, projection: Any) -> dict:
     return apply_projection(doc, projection)
 
 
+def _plan_report(result: Any, stats: Mapping[str, int], n: int) -> QueryPlan:
+    """The explain record of one executed :class:`PlanResult`."""
+    winner = result.winner
+    return QueryPlan(
+        winner.kind, winner.index_name, stats["docs"], keys_examined=stats["keys"],
+        n_returned=n, provides_sort=winner.provides_sort, covered=winner.covered,
+        key_pattern=winner.key_pattern, rejected=[c.describe() for c in result.rejected],
+        cache=result.cache_status, all_probe=winner.all_probe, all_filters=winner.all_filters)
+
+
 def _encode(doc: dict) -> bytes:
     return document_to_json(doc).encode("utf-8")
 
@@ -313,14 +323,7 @@ class Collection:
                 yield from sort_documents(
                     unsorted, sort, doc_of=itemgetter(0))[skip:stop]
         finally:
-            self._plan_local.plan = QueryPlan(
-                winner.kind, winner.index_name, stats["docs"],
-                keys_examined=stats["keys"], n_returned=n,
-                provides_sort=winner.provides_sort, covered=winner.covered,
-                key_pattern=winner.key_pattern,
-                rejected=[c.describe() for c in result.rejected],
-                cache=result.cache_status,
-            )
+            self._plan_local.plan = _plan_report(result, stats, n)
             if winner.index is not None:
                 self._record_usage(winner.index.name)
             self._planner.note_execution(result, stats, n)
@@ -379,22 +382,12 @@ class Collection:
             winner = result.winner
             count = sum(1 for _ in iter_plan(self, winner, matcher, stats))
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        out = {
-            "stage": winner.kind,
-            "index": winner.index_name,
-            "indexUsed": winner.index_name,
-            "docsExamined": stats["docs"],
-            "keysExamined": stats["keys"],
-            "nReturned": count,
-            "executionTimeMillis": elapsed_ms,
-            "planSummary": winner.summary,
-            "providesSort": winner.provides_sort,
-            "blockingSort": bool(sort_spec) and not winner.provides_sort,
-            "covered": winner.covered,
-            "keyPattern": [list(k) for k in winner.key_pattern]
-            if winner.key_pattern else None,
-            "rejectedPlans": [c.describe() for c in result.rejected],
-        }
+        out = dict(
+            _plan_report(result, stats, count).to_dict(),
+            indexUsed=winner.index_name, executionTimeMillis=elapsed_ms,
+            blockingSort=bool(sort_spec) and not winner.provides_sort,
+            rejectedPlans=[c.describe() for c in result.rejected],
+        )
         if verbosity == "allPlansExecution":
             out["allPlansExecution"] = [
                 dict(c.describe(), winner=(i == 0))

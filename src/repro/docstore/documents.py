@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any, Iterator, List, Mapping, Tuple
+from collections.abc import Mapping
+from typing import Any, Iterator, List, Tuple
 
 from ..errors import DocstoreError
 from .objectid import ObjectId

@@ -101,6 +101,9 @@ def _hashable(value: Any) -> bool:
 #: Type ranks whose values compare correctly with native operators — the
 #: scalar fast path that keeps bisect comparisons off ``compare_values``.
 _NATIVE_RANKS = frozenset({10, 20, 50, 70})
+#: NaN is neither above nor below any number, so its keys get a block of their
+#: own just below the numbers; that keeps the index order total.
+_NAN_RANK = 5
 
 
 class _AscKey:
@@ -115,7 +118,8 @@ class _AscKey:
 
     def __init__(self, value: Any):
         self.value = value
-        self.rank = type_rank(value)
+        self.rank = (_NAN_RANK if isinstance(value, float) and value != value
+                     else type_rank(value))
         self.fast = self.rank in _NATIVE_RANKS
 
     def __lt__(self, other: Any) -> bool:
@@ -137,18 +141,13 @@ class _AscKey:
         return compare_values(self.value, other.value) == 0
 
 
-class _DescKey:
+class _DescKey(_AscKey):
     """One descending key component: inverts the component order."""
 
     # Not matching.descending_key: the bisect hot loop needs the precomputed
     # type rank and the _MAX_KEY probe sentinel, which sort keys never see.
 
-    __slots__ = ("value", "rank", "fast")
-
-    def __init__(self, value: Any):
-        self.value = value
-        self.rank = type_rank(value)
-        self.fast = self.rank in _NATIVE_RANKS
+    __slots__ = ()
 
     def __lt__(self, other: Any) -> bool:
         if other is _MAX_KEY:
@@ -158,15 +157,6 @@ class _DescKey:
         if self.fast:
             return self.value > other.value
         return compare_values(self.value, other.value) > 0
-
-    def __eq__(self, other: Any) -> bool:
-        if other is _MAX_KEY:
-            return False
-        if self.rank != other.rank:
-            return False
-        if self.fast:
-            return self.value == other.value
-        return compare_values(self.value, other.value) == 0
 
 
 class _MaxKey:
@@ -479,6 +469,11 @@ class Index:
                 return
         lo, hi, n, want_rank = self._probe_range(prefix, bounds)
         indices = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        if bounds and "gte" in bounds and want_rank == 10:
+            # NaN is $gte every number (compare_values calls them equal), and
+            # its block lies outside the interval: scan it too.
+            nan_lo, nan_hi, _, _ = self._probe_range(tuple(prefix) + (float("nan"),), None)
+            indices = itertools.chain(indices, range(nan_lo, nan_hi))
         vals = self._entry_vals
         positions = self._positions
         for i in indices:
@@ -516,6 +511,8 @@ class QueryPlan:
         "key_pattern",
         "rejected",
         "cache",
+        "all_probe",
+        "all_filters",
     )
 
     def __init__(
@@ -530,6 +527,8 @@ class QueryPlan:
         key_pattern: Optional[List[Tuple[str, int]]] = None,
         rejected: Optional[List[dict]] = None,
         cache: str = "none",
+        all_probe: Any = None,
+        all_filters: int = 0,
     ):
         self.kind = kind  # "COLLSCAN" | "IXSCAN" | "IDHACK"
         self.index_name = index_name
@@ -541,6 +540,8 @@ class QueryPlan:
         self.key_pattern = key_pattern
         self.rejected = rejected or []
         self.cache = cache  # "none" | "hit" | "miss"
+        self.all_probe = all_probe  # the $all member an IXSCAN probed
+        self.all_filters = all_filters  # $all members filtering its entries
 
     @property
     def summary(self) -> str:
@@ -556,10 +557,13 @@ class QueryPlan:
             "index": self.index_name,
             "docsExamined": self.candidates_examined,
             "keysExamined": self.keys_examined,
+            "nReturned": self.n_returned,
             "planSummary": self.summary,
             "providesSort": self.provides_sort,
             "covered": self.covered,
             "keyPattern": [list(k) for k in self.key_pattern] if self.key_pattern else None,
+            "allProbe": self.all_probe,
+            "allFilters": self.all_filters,
         }
 
     def __repr__(self) -> str:

@@ -28,8 +28,10 @@ numbers, strings with strings); ``$ne``/``$nin`` match missing fields.
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..errors import QuerySyntaxError
 from .documents import MISSING, get_path, get_path_multi
@@ -44,9 +46,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # BSON-like type ordering used for sorts and type bracketing.
 # --------------------------------------------------------------------------
-
-_TYPE_RANKS: List[Tuple[type, int]] = []
-
 
 def type_rank(value: Any) -> int:
     """Rank of a value in the (simplified) BSON sort order.
@@ -84,7 +83,7 @@ def compare_values(a: Any, b: Any) -> int:
         ka = 0 if a is MISSING else 1
         kb = 0 if b is MISSING else 1
         return (ka > kb) - (ka < kb)
-    if ra == 30:  # dicts: compare as sorted key/value sequences
+    if ra == 30:  # dicts: key/value pairs in field order (BSON's rule)
         items_a = list(a.items())
         items_b = list(b.items())
         for (ka, va), (kb, vb) in zip(items_a, items_b):
@@ -175,6 +174,7 @@ _TYPE_NAMES: Dict[str, Callable[[Any], bool]] = {
 
 
 def _values_equal(a: Any, b: Any) -> bool:
+    """Mongo equality: the generic fallback and the tests' reference."""
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -211,42 +211,76 @@ def _is_operator_doc(value: Any) -> bool:
     )
 
 
+#: Range tests; ``$gte`` is ``not <`` and ``$lte`` ``not >``, so NaN answers
+#: as under :func:`compare_values`.
+_RANGE_CMP: Dict[str, Callable[[Any, Any], bool]] = {
+    "$gt": operator.gt, "$gte": lambda v, x: not v < x,
+    "$lt": operator.lt, "$lte": lambda v, x: not v > x,
+}
+
+
 def _bracketed_cmp(op: str, operand: Any) -> Predicate:
-    """Range comparison with type bracketing (Mongo semantics)."""
-    rank = type_rank(operand)
-
-    def pred(value: Any) -> bool:
-        if value is MISSING or type_rank(value) != rank:
-            return False
-        c = compare_values(value, operand)
-        if op == "$gt":
-            return c > 0
-        if op == "$gte":
-            return c >= 0
-        if op == "$lt":
-            return c < 0
-        return c <= 0
-
-    return pred
+    """Range comparison with type bracketing (Mongo semantics); a number
+    compares natively, anything else through :func:`compare_values`."""
+    rank, cmp = type_rank(operand), _RANGE_CMP[op]
+    if rank == 10:
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and cmp(v, operand)
+    return lambda v: type_rank(v) == rank and cmp(compare_values(v, operand), 0)
 
 
 def _compile_value_test(operand: Any) -> Predicate:
-    """Equality test used for bare values, $eq, $in members."""
+    """Equality test for bare values, $eq, $ne and non-scalar members: by
+    operand type for strings, bools and numbers (bools apart from numbers,
+    as in BSON), :func:`_values_equal` for the rest."""
     if isinstance(operand, re.Pattern):
         return lambda v: isinstance(v, str) and bool(operand.search(v))
+    if isinstance(operand, str):
+        return lambda v: isinstance(v, str) and v == operand
+    if isinstance(operand, bool):
+        return lambda v: v is operand
+    if isinstance(operand, (int, float)):
+        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v == operand
     return lambda v: _values_equal(v, operand)
 
 
-def _compile_operator(field_ops: Mapping[str, Any]) -> Tuple[Predicate, bool]:
-    """Compile an operator document like ``{"$gte": 3, "$lt": 7}``.
+#: Types whose ``(is_bool, value)`` keys (``Cursor.distinct``'s buckets) are
+#: equal exactly when :func:`_values_equal` says so, NaN aside.
+_SET_SCALARS = (str, int, float, type(None))
 
-    Returns ``(per_value_predicate, match_on_missing)``: the second element
-    is True for negative operators ($ne, $nin, $exists:false, $not) that
-    match documents lacking the field entirely.
+
+def _member_keys(members: Iterable[Any]) -> Tuple[set, List[Any]]:
+    """Split ``$in``/``$nin``/``$all`` members into the set-lookup keys of
+    the scalar ones and the rest (documents, arrays, regexes, NaN, ...)."""
+    keys: set = set()
+    rest: List[Any] = []
+    for m in members:
+        if isinstance(m, _SET_SCALARS) and m == m:
+            keys.add((isinstance(m, bool), m))
+        else:
+            rest.append(m)
+    return keys, rest
+
+
+def _any_member(op: str, members: Any) -> Predicate:
+    """"Equals some member" of an ``$in``/``$nin`` array: one set lookup,
+    then the generic tests."""
+    if not isinstance(members, Sequence) or isinstance(members, (str, bytes)):
+        raise QuerySyntaxError(f"{op} requires an array")
+    keys, rest = _member_keys(members)
+    tests = [_compile_value_test(m) for m in rest]
+    return lambda v: ((isinstance(v, _SET_SCALARS) and (isinstance(v, bool), v) in keys)
+                      or any(t(v) for t in tests))
+
+
+def _compile_operator(field_ops: Mapping[str, Any]) -> Callable[[List[Any]], bool]:
+    """Compile an operator document like ``{"$gte": 3, "$lt": 7}`` into a
+    predicate over a field's candidate values (``[]`` when it is missing;
+    only negative operators — $ne, $nin, $exists:false, $not — match that).
     """
     preds: List[Predicate] = []
-    neg_preds: List[Tuple[Predicate, str]] = []
-    match_on_missing = True  # ANDed below; only negatives keep it True
+    neg_preds: List[Predicate] = []
+    negated: List[Callable[[List[Any]], bool]] = []  # $not {...}: all values
+    all_keys: set = set()  # scalar $all members, one set lookup per document
     null_negative = False  # $ne null / $nin [... null]: missing must NOT match
 
     keys = set(field_ops)
@@ -265,23 +299,16 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Tuple[Predicate, bool]:
             preds.append(_bracketed_cmp(op, operand))
             positive = True
         elif op == "$in":
-            if not isinstance(operand, Sequence) or isinstance(operand, (str, bytes)):
-                raise QuerySyntaxError("$in requires an array")
-            tests = [_compile_value_test(v) for v in operand]
-            preds.append(lambda v, _t=tests: any(t(v) for t in _t))
+            preds.append(_any_member(op, operand))
             positive = True
         elif op == "$ne":
-            test = _compile_value_test(operand)
-            neg_preds.append((test, "$ne"))
+            neg_preds.append(_compile_value_test(operand))
             if operand is None:
                 # Mongo treats a missing field as null: {$ne: null} must
                 # NOT match documents lacking the field.
                 null_negative = True
         elif op == "$nin":
-            if not isinstance(operand, Sequence) or isinstance(operand, (str, bytes)):
-                raise QuerySyntaxError("$nin requires an array")
-            tests = [_compile_value_test(v) for v in operand]
-            neg_preds.append((lambda v, _t=tests: any(t(v) for t in _t), "$nin"))
+            neg_preds.append(_any_member(op, operand))
             if any(v is None for v in operand):
                 null_negative = True
         elif op == "$exists":
@@ -290,7 +317,7 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Tuple[Predicate, bool]:
                 preds.append(lambda v: True)
                 positive = True
             else:
-                neg_preds.append((lambda v: True, "$exists"))
+                neg_preds.append(lambda v: True)
         elif op == "$type":
             if isinstance(operand, str):
                 names = [operand]
@@ -362,27 +389,25 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Tuple[Predicate, bool]:
         elif op == "$all":
             if not isinstance(operand, list):
                 raise QuerySyntaxError("$all requires an array")
-            member_tests = []
-            for member in operand:
+            # Each member must hold of some candidate value on its own: the
+            # member test is bare equality ({f: {$all: [x]}} is {f: x}).
+            keys, rest = _member_keys(operand)
+            all_keys |= keys
+            for member in rest:
                 if _is_operator_doc(member) and "$elemMatch" in member:
                     inner = compile_query(member["$elemMatch"])
-                    member_tests.append(
+                    preds.append(
                         lambda v, _m=inner: isinstance(v, list)
                         and any(_m.matches(e) for e in v)
                     )
                 else:
-                    test = _compile_value_test(member)
-                    member_tests.append(
-                        lambda v, _t=test: _t(v)
-                        or (isinstance(v, list) and any(_t(e) for e in v))
-                    )
-            preds.append(lambda v, _mt=member_tests: all(t(v) for t in _mt))
+                    preds.append(_compile_value_test(member))
             positive = True
         elif op == "$elemMatch":
             if not isinstance(operand, Mapping):
                 raise QuerySyntaxError("$elemMatch requires a document")
             if _is_operator_doc(operand):
-                inner_pred, _ = _compile_operator(operand)
+                inner_pred = _compile_operator(operand)
                 preds.append(
                     lambda v, _p=inner_pred: isinstance(v, list)
                     and any(_p([e]) for e in v)
@@ -396,43 +421,31 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Tuple[Predicate, bool]:
             positive = True
         elif op == "$not":
             if isinstance(operand, re.Pattern):
-                sub = _compile_value_test(operand)
-                neg_preds.append((sub, "$not"))
+                neg_preds.append(_compile_value_test(operand))
             elif _is_operator_doc(operand):
-                sub, _ = _compile_operator(operand)
-                neg_preds.append((lambda v, _p=sub: _p([v]), "$not"))
+                negated.append(_compile_operator(operand))
             else:
                 raise QuerySyntaxError("$not requires an operator document or regex")
         else:  # pragma: no cover - exhaustive
             raise QuerySyntaxError(f"unhandled operator {op}")
 
-    if positive:
-        match_on_missing = False
-
-    def combined(values: List[Any]) -> bool:
-        present = [v for v in values if v is not MISSING]
-        if preds:
-            if not present:
-                return False
-            # Each positive predicate must be satisfied by at least one
-            # candidate value (Mongo array fan-out semantics).
-            for p in preds:
-                if not any(p(v) for v in present):
-                    return False
-        for np, _name in neg_preds:
-            # Negative operators must hold over every candidate value and
-            # match when the field is missing.
-            if any(np(v) for v in present):
-                return False
-        return True
-
-    def wrapper(values: List[Any]) -> bool:
+    def matches(values: List[Any]) -> bool:
+        if any(sub(values) for sub in negated):
+            return False
         if not values:
-            return match_on_missing and not preds and not null_negative
-        return combined(values)
+            return not positive and not null_negative
+        # Each positive predicate must hold of at least one candidate value
+        # (Mongo array fan-out); negatives must hold of none.
+        for p in preds:
+            if not any(p(v) for v in values):
+                return False
+        if all_keys and not all_keys <= {
+                (isinstance(v, bool), v) for v in values
+                if isinstance(v, _SET_SCALARS)}:
+            return False
+        return not any(np(v) for np in neg_preds for v in values)
 
-    # combined() already handles the all-MISSING case via `present`
-    return wrapper, match_on_missing  # type: ignore[return-value]
+    return matches
 
 
 class Matcher:
@@ -474,7 +487,7 @@ class Matcher:
     @staticmethod
     def _compile_field(path: str, condition: Any) -> Callable[[Any], bool]:
         if _is_operator_doc(condition):
-            value_pred, _ = _compile_operator(condition)
+            value_pred = _compile_operator(condition)
 
             def field_op(doc: Any) -> bool:
                 values = get_path_multi(doc, path)
@@ -566,16 +579,24 @@ class FieldPredicate:
         return f"FieldPredicate({self.field!r}, {self.kind})"
 
 
+def _point_value(value: Any) -> bool:
+    """Whether an index point probe for ``value`` finds all the matcher's
+    equality accepts: not for a document (the matcher ignores field order),
+    an array (a multikey index keys its elements) or a regex."""
+    return not isinstance(value, (Mapping, list, re.Pattern))
+
+
 def _classify_condition(field: str, condition: Any) -> FieldPredicate:
     if isinstance(condition, Mapping) and any(
         str(k).startswith("$") for k in condition
     ):
         ops = set(condition)
         if "$eq" in ops:
-            return FieldPredicate(field, "eq", value=condition["$eq"])
+            kind = "eq" if _point_value(condition["$eq"]) else "opaque"
+            return FieldPredicate(field, kind, value=condition["$eq"])
         if "$in" in ops and isinstance(condition["$in"], list):
             members = condition["$in"]
-            if all(not hasattr(m, "search") for m in members):
+            if all(_point_value(m) for m in members):
                 return FieldPredicate(field, "in", values=list(members))
             return FieldPredicate(field, "opaque")
         if ops & _INDEX_RANGE_OPS and not (
@@ -583,17 +604,18 @@ def _classify_condition(field: str, condition: Any) -> FieldPredicate:
         ):
             bounds = {op.lstrip("$"): condition[op]
                       for op in ops & _INDEX_RANGE_OPS}
-            return FieldPredicate(field, "range", bounds=bounds)
-        if ("$all" in ops and isinstance(condition["$all"], list)
-                and condition["$all"]
-                and all(not isinstance(m, Mapping)
-                        for m in condition["$all"])):
-            return FieldPredicate(field, "all", values=list(condition["$all"]))
+            if all(b == b for b in bounds.values()):  # NaN bounds no interval
+                return FieldPredicate(field, "range", bounds=bounds)
+        if "$all" in ops and isinstance(condition["$all"], list):
+            # Probe and filter by non-null, non-NaN point members only; the
+            # matcher checks the rest.
+            members = [m for m in condition["$all"]
+                       if _point_value(m) and m is not None and m == m]
+            if members:
+                return FieldPredicate(field, "all", values=members)
         return FieldPredicate(field, "opaque")
-    if hasattr(condition, "search"):  # bare regex — not index-usable
-        return FieldPredicate(field, "opaque")
-    # Bare value (including a plain subdocument): equality.
-    return FieldPredicate(field, "eq", value=condition)
+    return FieldPredicate(field, "eq" if _point_value(condition) else "opaque",
+                          value=condition)
 
 
 def index_predicates(query: Mapping[str, Any]) -> Dict[str, FieldPredicate]:

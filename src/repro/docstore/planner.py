@@ -142,6 +142,7 @@ class CandidatePlan:
         "kind", "index", "scans", "direction", "n_components",
         "provides_sort", "needs_blocking_sort", "covered", "id_value",
         "trial_works", "trial_advanced", "trial_finished", "score",
+        "all_probe", "all_filters", "allowed",
     )
 
     def __init__(
@@ -169,6 +170,10 @@ class CandidatePlan:
         self.trial_advanced = 0
         self.trial_finished = False
         self.score = 0.0
+        # $all: the member probed, how many filter it, their common positions
+        self.all_probe: Any = None
+        self.all_filters = 0
+        self.allowed: Optional[set] = None
 
     @property
     def index_name(self) -> Optional[str]:
@@ -355,12 +360,15 @@ def iter_plan(
     seen: Optional[set] = (
         set() if (index.multikey or len(candidate.scans) > 1) else None
     )
+    allowed = candidate.allowed
     for spec in candidate.scans:
         for values, pos in index.scan(spec.prefix, spec.bounds, reverse=reverse):
             if max_works is not None and stats["keys"] >= max_works:
                 stats["capped"] = 1
                 return
             stats["keys"] += 1
+            if allowed is not None and pos not in allowed:
+                continue
             if seen is not None:
                 if pos in seen:
                     continue
@@ -499,6 +507,7 @@ class QueryPlanner:
         prefixes: List[Tuple[Any, ...]] = [()]
         n_points = 0
         bounds: Optional[Dict[str, Any]] = None
+        members: List[Any] = []
         for field, _direction in index.keys:
             pred = predicates.get(field)
             if pred is None or pred.kind == "opaque":
@@ -512,8 +521,10 @@ class QueryPlanner:
                 points = []
                 for v in pred.values:
                     points.extend(self._eq_points(v))
-            else:  # "all": any one member is a superset point probe
-                points = [pred.values[0]]
+            else:  # "all": each member's entries are a superset probe
+                members = sorted(pred.values, key=lambda m: sum(
+                    index.entry_count_in(p + (m,)) for p in prefixes))
+                points = members[:1]
             if len(prefixes) * len(points) > MAX_SCANS:
                 break
             prefixes = [p + (v,) for p in prefixes for v in points]
@@ -533,7 +544,7 @@ class QueryPlanner:
             n_points = 0
         covered = self._is_covered(index, query, projection, sort_spec)
         provides = bool(sort_direction)
-        return CandidatePlan(
+        candidate = CandidatePlan(
             "IXSCAN",
             index=index,
             scans=scans,
@@ -543,6 +554,15 @@ class QueryPlanner:
             needs_blocking_sort=bool(sort_spec) and not provides,
             covered=covered,
         )
+        if members:
+            # Probe the rarest member; on a single-field index a document
+            # must also sit in every other member's bucket.
+            candidate.all_probe = members[0]
+            if len(index.fields) == 1 and len(members) > 1:
+                candidate.allowed = set.intersection(*(
+                    {pos for _, pos in index.scan((m,))} for m in members[1:]))
+                candidate.all_filters = len(members) - 1
+        return candidate
 
     @staticmethod
     def _provides_sort(

@@ -225,6 +225,33 @@ class TestArrayOperators:
         assert matches(q, {"runs": [{"code": "vasp"}, {"code": "aflow"}]})
         assert not matches(q, {"runs": [{"code": "vasp"}]})
 
+    def test_all_on_nested_arrays_is_bare_equality_planned_or_not(self):
+        # {f: {$all: [x]}} is {f: x}: "a" is not an element of [["a"]].
+        from repro.docstore import Collection
+
+        coll = Collection("nested")
+        coll.create_index("tags")
+        coll.insert_many([{"_id": 1, "tags": [["a"]]},
+                          {"_id": 2, "tags": ["a", "b"]},
+                          {"_id": 3, "tags": [["a", "b"]]}])
+        for query in ({"tags": {"$all": ["a"]}}, {"tags": "a"}):
+            planned = sorted(d["_id"] for d in coll.find(query))
+            natural = sorted(d["_id"] for d in coll.find(query, hint="$natural"))
+            assert planned == natural == [2], query
+        both = {"tags": {"$all": [["a", "b"]]}}
+        assert sorted(d["_id"] for d in coll.find(both)) == [2, 3]
+
+    def test_all_members_may_hit_different_elements(self):
+        q = {"a": {"$all": ["x", 1.0, True]}}
+        assert matches(q, {"a": ["x", 1, True]})
+        assert not matches(q, {"a": ["x", 1]})  # 1 is not True
+
+    def test_not_all_negates_the_whole_conjunction(self):
+        q = {"a": {"$not": {"$all": ["x", "y"]}}}
+        assert not matches(q, {"a": ["y", "x"]})
+        assert matches(q, {"a": ["x"]})
+        assert matches(q, {})
+
 
 class TestEvaluation:
     def test_mod(self):

@@ -329,6 +329,81 @@ class TestExplain:
         assert explain["docsExamined"] == 1
 
 
+class TestAllPlan:
+    """``$all`` probes its rarest member's bucket and, on a single-field
+    index, fetches only documents in every other member's bucket too."""
+
+    @pytest.fixture
+    def compounds(self):
+        c = Collection("materials")
+        c.create_index("elements")
+        systems = [["Cl", "Na"], ["Cl", "Cr", "O"], ["Cr", "O"], ["Fe", "O"],
+                   ["O"], ["Cl", "Cr"]]
+        c.insert_many([{"_id": i, "elements": systems[i % len(systems)]}
+                       for i in range(120)])
+        return c
+
+    def test_explain_names_the_probe_and_counts_filters(self, compounds):
+        query = {"elements": {"$all": ["O", "Cl"]}}
+        explain = compounds.explain(query)
+        assert explain["planSummary"] == "IXSCAN { elements: 1 }"
+        assert explain["allProbe"] == "Cl"  # 60 entries against O's 80
+        assert explain["allFilters"] == 1
+        assert explain["nReturned"] == 20
+        assert explain["keysExamined"] >= explain["docsExamined"]
+        assert explain["docsExamined"] == explain["nReturned"]
+        compounds.find(query).to_list()
+        plan = compounds.last_plan.to_dict()
+        assert (plan["allProbe"], plan["allFilters"]) == ("Cl", 1)
+        assert plan["docsExamined"] == plan["nReturned"] == 20
+
+    def test_cached_plan_rebuilds_the_filter_per_query(self, compounds):
+        first = {"elements": {"$all": ["O", "Cl"]}}
+        second = {"elements": {"$all": ["Fe", "O"]}}
+        compounds.find(first).to_list()
+        got = sorted(d["_id"] for d in compounds.find(second))
+        assert compounds.last_plan.cache == "hit"
+        assert compounds.last_plan.all_probe == "Fe"
+        assert got == sorted(d["_id"] for d in
+                             compounds.find(second, hint="$natural"))
+        compounds.insert_one({"_id": 999, "elements": ["Fe", "O"]})
+        assert 999 in {d["_id"] for d in compounds.find(second)}
+
+    def test_non_point_members_are_left_to_the_matcher(self, compounds):
+        query = {"elements": {"$all": [None, "O", ["Cr", "O"]]}}
+        explain = compounds.explain(query)
+        assert explain["allProbe"] == "O"
+        assert explain["allFilters"] == 0
+        assert explain["nReturned"] == 0
+
+    def test_other_plans_report_no_probe(self, compounds):
+        plan = compounds.explain({"elements": "O"})
+        assert (plan["allProbe"], plan["allFilters"]) == (None, 0)
+
+
+class TestNaNKeys:
+    def test_range_scans_match_collscan_with_nan_stored(self):
+        # NaN is $gte and $lte every number under compare_values; its index
+        # keys keep a block of their own so bisects stay sound.
+        nan = float("nan")
+        c = Collection("n")
+        c.create_index("a")
+        c.create_index([("a", -1)])
+        c.insert_many([{"_id": i, "a": v}
+                       for i, v in enumerate([3, 0.5, nan, 0, 1, 0.5, nan, 2])])
+        for op in ("$gt", "$gte", "$lt", "$lte"):
+            for bound in (0, 1, nan):
+                query = {"a": {op: bound}}
+                natural = sorted(d["_id"] for d in c.find(query, hint="$natural"))
+                for hint in ("a_1", "a_-1"):
+                    got = sorted(d["_id"] for d in c.find(query, hint=hint))
+                    assert got == natural, (query, hint)
+        # Removal finds NaN entries by bisect too: no phantom entries left.
+        assert c.delete_many({"a": {"$type": "double"}}).deleted_count == 4
+        for name in ("a_1", "a_-1"):
+            assert len(c._indexes.get(name)) == 4
+
+
 class TestIndexUsageAccounting:
     def test_sort_only_consultation_counts(self, materials):
         materials.create_index([("e_above_hull", -1)])

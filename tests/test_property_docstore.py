@@ -172,14 +172,27 @@ class TestUpdatePreservesValidity:
 
 # -- every verb, planned vs. COLLSCAN ---------------------------------------
 #
-# One random op stream runs against a collection with single and compound
-# indexes and against an index-free twin whose every plan is a COLLSCAN.
-# Documents carry explicit ``_id``s and a unique ``k``, so single-target ops
-# name their target by a unique selector or a total sort.
+# One random op stream runs against a collection with single, compound and
+# multikey indexes and against an index-free twin whose every plan is a
+# COLLSCAN.  Documents carry explicit ``_id``s and a unique ``k``, so
+# single-target ops name their target by a unique selector or a total sort.
+# ``tags`` is a bare string or a list of strings and string lists, so the
+# ``$all`` probe-and-intersect plan runs under write churn.
 
 small = st.integers(0, 5)
 doc_ids = st.integers(0, 24)
+tag_words = st.sampled_from(["x", "y", "z"])
+tag_values = st.one_of(tag_words, st.lists(
+    st.one_of(tag_words, st.lists(tag_words, max_size=2)), max_size=3))
+SEED_TAGS = [["x", "y"], "y", ["x", ["y", "z"]], [], ["z", "x", "y"], ["y"]]
 selectors = st.one_of(
+    st.builds(lambda t: {"tags": t}, tag_words),
+    st.builds(lambda ts: {"tags": {"$all": ts}},
+              st.lists(tag_words, min_size=1, max_size=3)),
+    st.builds(lambda ts: {"tags": {"$in": ts}},
+              st.lists(tag_words, min_size=1, max_size=2)),
+    st.builds(lambda v, ts: {"a": v, "tags": {"$all": ts}}, small,
+              st.lists(tag_words, min_size=2, max_size=2)),
     st.builds(lambda v: {"a": v}, small),
     st.builds(lambda v: {"a": {"$gte": v}}, small),
     st.builds(lambda v: {"b": {"$lt": v}}, small),
@@ -197,6 +210,7 @@ mutations = st.one_of(
     st.builds(lambda v: {"$inc": {"a": v}}, small),  # moves along a_1
     st.builds(lambda v: {"$inc": {"b": v - 2}}, small),
     st.builds(lambda v: {"$set": {"note": v}}, small),
+    st.builds(lambda t: {"$set": {"tags": t}}, tag_values),
 )
 total_sorts = st.sampled_from([
     [("k", 1)], [("k", -1)],
@@ -205,10 +219,11 @@ total_sorts = st.sampled_from([
 ])
 group_sorts = st.sampled_from([None, {"first": 1}, {"last": -1, "_id": 1}])
 operations = st.one_of(
-    st.tuples(st.just("insert"), small, small),
+    st.tuples(st.just("insert"), small, small, tag_values),
     st.tuples(st.just("update_one"), unique_selectors, mutations),
     st.tuples(st.just("update_many"), selectors, mutations),
-    st.tuples(st.just("replace_one"), doc_ids, small, small, st.booleans()),
+    st.tuples(st.just("replace_one"), doc_ids, small, small, tag_values,
+              st.booleans()),
     st.tuples(st.just("delete_one"), unique_selectors),
     st.tuples(st.just("delete_many"), selectors),
     st.tuples(st.just("find_one_and_update"), selectors, mutations,
@@ -240,15 +255,15 @@ def _apply(coll, op, next_id):
     """Run one op; return a comparable result."""
     kind, args = op[0], op[1:]
     if kind == "insert":
-        a, b = args
-        return coll.insert_one(
-            {"_id": next_id, "k": next_id, "a": a, "b": b}).inserted_id
+        a, b, tags = args
+        return coll.insert_one({"_id": next_id, "k": next_id, "a": a, "b": b,
+                                "tags": tags}).inserted_id
     if kind in ("update_one", "update_many"):
         r = getattr(coll, kind)(*args)
         return r.matched_count, r.modified_count
     if kind == "replace_one":
-        i, a, b, upsert = args
-        r = coll.replace_one({"_id": i}, {"k": i, "a": a, "b": b},
+        i, a, b, tags, upsert = args
+        r = coll.replace_one({"_id": i}, {"k": i, "a": a, "b": b, "tags": tags},
                              upsert=upsert)
         return r.matched_count, r.modified_count, r.upserted_id
     if kind in ("delete_one", "delete_many"):
@@ -291,10 +306,11 @@ class TestEveryVerbMatchesCollscan:
     @settings(max_examples=150, deadline=None)
     def test_indexed_collection_tracks_index_free_twin(self, ops):
         indexed, twin = Collection("indexed"), Collection("twin")
-        for keys in ("a", "k", [("a", 1), ("b", -1)], [("b", 1), ("k", 1)]):
+        for keys in ("a", "k", "tags", [("a", 1), ("b", -1)],
+                     [("b", 1), ("k", 1)]):
             indexed.create_index(keys)
-        seed = [{"_id": i, "k": i, "a": i % 4, "b": (i * 3) % 5}
-                for i in range(8)]
+        seed = [{"_id": i, "k": i, "a": i % 4, "b": (i * 3) % 5,
+                 "tags": SEED_TAGS[i % len(SEED_TAGS)]} for i in range(8)]
         indexed.insert_many(seed)
         twin.insert_many(seed)
         next_id = 100
