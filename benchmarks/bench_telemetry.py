@@ -5,14 +5,13 @@ Two questions, two gates:
 1. **Does the warehouse tax the hot path?**  Re-runs :mod:`bench_obs`'s
    core workloads (indexed ``find``, ``insert_one``, group-by
    ``aggregate``) on a store with a live :class:`TelemetryWarehouse`
-   attached — its tick (profile mirroring, profiler snapshots) running on
-   a background interval.  CI gates ``find``/``insert`` against the *same*
+   attached — its access-log writer and the store's TTL reaper running in
+   the background.  CI gates ``find``/``insert`` against the *same*
    ``baseline_obs.json`` budget (20% p95) as the bare store:
    observability that slows the datastore it observes is a bug.  The
-   multi-millisecond ``aggregate`` inevitably shares CPU with the
-   background tick, so it is gated against its own warehouse-attached
-   number in ``baseline_telemetry.json`` instead (via the gate's
-   ``--only`` flag).
+   multi-millisecond ``aggregate`` is gated against its own
+   warehouse-attached number in ``baseline_telemetry.json`` instead (via
+   the gate's ``--only`` flag).
 
 2. **Are warehouse analytics fast?**  Times the warehouse's own read
    surface — filtered access-log scans (on the compound-index IXSCAN
@@ -45,14 +44,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_telemetry.json")
 
 N_ACCESS = 5000
-WAREHOUSE_INTERVAL_S = 0.25
 
 
 def run_core_with_warehouse(n_docs: int, iters: int) -> Dict[str, dict]:
     """bench_obs's find/insert/aggregate with a live warehouse attached."""
     store, _coll = _build_collection(n_docs)
     warehouse = TelemetryWarehouse(store)
-    warehouse.start(interval_s=WAREHOUSE_INTERVAL_S)
+    warehouse.start()
     try:
         return bench_obs.run_benchmarks(n_docs, iters, store=store)
     finally:
@@ -121,7 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "n_docs": args.n_docs,
             "iters": args.iters,
             "n_access": N_ACCESS,
-            "warehouse_interval_s": WAREHOUSE_INTERVAL_S,
             "calibration_ms": calibration_ms,
         },
         "benchmarks": benchmarks,

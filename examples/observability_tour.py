@@ -19,6 +19,7 @@ from repro.docstore import DatastoreProxy, DatastoreServer, DocumentStore
 from repro.fireworks import LaunchPad, Rocket, Workflow, vasp_firework
 from repro.matgen import make_prototype, mps_from_structure
 from repro.obs import (
+    IndexAdvisor,
     TelemetryWarehouse,
     format_provenance,
     format_trace,
@@ -117,17 +118,16 @@ def main() -> None:
     print("[/metrics]  " + "\n[/metrics]  ".join(lines))
     print(f"[/ops]      {ops}")
 
-    # 9. The telemetry warehouse dogfoods the datastore: one tick mirrors
-    #    system.profile into telemetry.profile (the index advisor's
-    #    evidence across restarts), and the access log above is already
-    #    sitting in an indexed collection.  TTL indexes on every telemetry
-    #    collection bound retention — the reaper sweep below deletes an
-    #    event planted with an already-expired timestamp.  (Metrics history
-    #    lives in the flight ring of step 11, not here.)
-    warehouse.watch_profile(db)
-    tick = warehouse.tick()
-    print(f"[warehouse] tick mirrored {tick['profile_mirrored']} profile "
-          f"entries into telemetry.profile")
+    # 9. The telemetry warehouse dogfoods the datastore: the access log
+    #    above is already sitting in an indexed collection.  TTL indexes on
+    #    every telemetry collection bound retention — the reaper sweep below
+    #    deletes an event planted with an already-expired timestamp.  Index
+    #    advice mines the live system.profile, which the warehouse does not
+    #    copy (so advice does not survive a restart); metrics history lives
+    #    in the flight ring of step 11, not here.
+    recs = IndexAdvisor(db).analyze()
+    print(f"[advisor] live system.profile: {len(db.profile_log)} entries, "
+          f"{len(recs)} index recommendations")
     for row in access_top(warehouse.access.collection, by="count", limit=3):
         print(f"[warehouse] access {row['endpoint']}: {row['count']} reqs, "
               f"mean {row['mean_ms']:.2f}ms")

@@ -1,6 +1,6 @@
 """One lifecycle for every background thread in the package.
 
-TTL sweeps, the telemetry tick, the flight recorder and its watchdog, the
+TTL sweeps, the access-log writer, the flight recorder and its watchdog, the
 profiler, the balancer, the heartbeat monitor and the three socket servers
 all start, stop and fail the same way, here.
 The journal committer (:mod:`repro.docstore.persistence`) is deliberately
@@ -37,7 +37,7 @@ class PeriodicTask:
 
     With ``clock=None`` this is a daemon thread waiting on an ``Event`` —
     one OS thread per task, because a shared timer thread would let a slow
-    warehouse tick delay the watchdog that exists to notice it.  With a
+    TTL sweep delay the watchdog that exists to notice it.  With a
     clock that has ``schedule_in`` and ``now`` (duck-typed;
     :class:`repro.hpc.simclock.SimClock` is used as is) ``start()`` spawns
     no thread: the task re-arms itself on the clock, so

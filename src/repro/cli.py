@@ -158,8 +158,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         warehouse = TelemetryWarehouse(store)
         warehouse.tail_sampler.install()
-        warehouse.watch_profile(db)
-        warehouse.start(interval_s=args.telemetry_interval)
+        warehouse.start()
         query_log = warehouse.access
         # Alerts live in telemetry.alerts: open alerts survive restarts.
         monitor = HealthMonitor(
@@ -220,8 +219,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"Materials API + Web UI on {server.base_url} "
           f"(try {server.base_url}/ui) — Ctrl-C to stop")
     if warehouse is not None:
-        print(f"telemetry warehouse recording every "
-              f"{args.telemetry_interval:g}s "
+        print("telemetry warehouse on "
               f"(try {server.base_url}/telemetry/access?top=duration)")
     try:
         import time
@@ -855,10 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serve the wire protocol on this port")
     p.add_argument("--no-telemetry", action="store_true",
                    help="disable the telemetry warehouse (access log, "
-                        "tail-sampled traces, profile mirror, TTL "
-                        "retention)")
-    p.add_argument("--telemetry-interval", type=float, default=5.0,
-                   help="seconds between warehouse recording passes")
+                        "tail-sampled traces, alerts, incident events, "
+                        "TTL retention)")
     p.add_argument("--no-flight", action="store_true",
                    help="disable the flight recorder, stall watchdog, and "
                         "crash forensics")

@@ -33,13 +33,14 @@ Fleet-health tooling builds on that substrate:
 * :mod:`.advisor` — the slow-query index advisor mining ``system.profile``
   COLLSCAN shapes into verified ``create_index`` recommendations;
 * :mod:`.warehouse` — the self-hosted telemetry warehouse: the access-log
-  warehouse, tail-sampled traces, a persisted profile mirror, alerts, and
-  incident events, all stored in a ``telemetry`` database with TTL
-  retention — the datastore dogfooding itself;
+  warehouse, tail-sampled traces, alerts, and incident events, all stored
+  in a ``telemetry`` database with TTL retention — the datastore
+  dogfooding itself;
 * :mod:`.profiler` — the continuous wall-clock sampling profiler: a
   daemon sampling every thread's stack via ``sys._current_frames`` into
   bounded flamegraph-ready folded stacks, shared process-wide so the wire
-  server, ``/debug`` endpoints, CLI, and warehouse see one profile;
+  server, ``/debug`` endpoints and CLI see one profile (it is not
+  persisted: flamegraphs do not survive a restart);
 * :mod:`.flight` — the out-of-band flight recorder and the only metrics
   history: FTDC-style snapshots (``server_status``, counter deltas, gauges,
   histogram quantiles, process stats) into a size-capped

@@ -37,7 +37,7 @@ pushdown work (ROADMAP item 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["IndexRecommendation", "IndexAdvisor"]
 
@@ -110,39 +110,16 @@ class IndexAdvisor:
     min_occurrences:
         Require a query shape to appear at least this many times before
         recommending; one-off scans don't justify an index either.
-    profile_entries:
-        Optional callable yielding the profile documents to mine instead
-        of the live ``db.profile_log`` — :meth:`from_warehouse` uses this
-        to mine entries persisted in ``telemetry.profile``, which survive
-        a restart (the in-memory ``system.profile`` does not).
+
+    The evidence is the live ``db.profile_log``; it is not persisted, so
+    advice after a restart starts from an empty profile.
     """
 
     def __init__(self, db: Any, min_millis: float = 0.0,
-                 min_occurrences: int = 1,
-                 profile_entries: Optional[Callable[[], Iterable[dict]]] = None):
+                 min_occurrences: int = 1):
         self.db = db
         self.min_millis = min_millis
         self.min_occurrences = min_occurrences
-        self._profile_entries = (
-            profile_entries if profile_entries is not None
-            else lambda: self.db.profile_log
-        )
-
-    @classmethod
-    def from_warehouse(cls, warehouse: Any, db: Any,
-                       min_millis: float = 0.0,
-                       min_occurrences: int = 1) -> "IndexAdvisor":
-        """An advisor mining the telemetry warehouse's persisted profile
-        mirror (``telemetry.profile``) for ``db``'s slow scans.
-
-        Probing and verification still run against the live ``db``; only
-        the evidence comes from the warehouse, so recommendations can be
-        produced after a restart wiped ``system.profile``.
-        """
-        return cls(
-            db, min_millis=min_millis, min_occurrences=min_occurrences,
-            profile_entries=lambda: warehouse.profile_entries(db_name=db.name),
-        )
 
     # -- mining ----------------------------------------------------------
 
@@ -207,7 +184,7 @@ class IndexAdvisor:
         from ..docstore.ops import query_shape
 
         groups: Dict[tuple, List[dict]] = {}
-        for entry in self._profile_entries():
+        for entry in self.db.profile_log:
             if entry.get("op") not in _READ_OPS:
                 continue
             if entry.get("planSummary") != "COLLSCAN":
@@ -296,7 +273,7 @@ class IndexAdvisor:
         profiled run recorded stage stats.
         """
         groups: Dict[tuple, List[dict]] = {}
-        for entry in self._profile_entries():
+        for entry in self.db.profile_log:
             if entry.get("op") != "aggregate":
                 continue
             if entry.get("millis", 0.0) < self.min_millis:

@@ -21,8 +21,9 @@ further novel stacks collapse into the ``__other__`` bucket (the
 ``truncated`` count in snapshots says how many samples landed there).
 
 Lifecycle is start/stop/snapshot; the module also keeps one
-process-global profiler so the wire server, httpd ``/debug`` endpoints,
-CLI, and telemetry warehouse all observe the same instance.
+process-global profiler so the wire server, httpd ``/debug`` endpoints
+and CLI all observe the same instance.  Nothing persists a snapshot:
+flamegraphs live as long as the process.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class SamplingProfiler(TaskDaemon):
 
 # -- the process-global profiler ------------------------------------------
 #
-# The wire server, httpd /debug endpoints, CLI, and warehouse all talk to
+# The wire server, httpd /debug endpoints and CLI all talk to
 # one shared instance, so "start profiling over the wire, pull the
 # flamegraph over HTTP" works without plumbing an object through every
 # constructor.

@@ -317,10 +317,6 @@ class SLOEngine:
         for alert in self.history.open_alerts():
             self._active.setdefault(alert["rule"], alert.get("opened_at", 0.0))
 
-    def add_rule(self, rule: Any) -> "SLOEngine":
-        self._rules.append(rule)
-        return self
-
     @property
     def rules(self) -> List[Any]:
         return list(self._rules)

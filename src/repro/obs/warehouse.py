@@ -3,7 +3,7 @@
 The paper's operational stance is that a datastore's own telemetry is best
 served *by* the datastore — Materials Project runs query logs and usage
 analytics through the same MongoDB that serves science.  Access records,
-sampled traces, profiler evidence, and alerts evaporate on restart when
+sampled traces, alerts and incidents evaporate on restart when
 they live only in memory; this module dogfoods the engine by landing them
 in real collections in a ``telemetry`` database:
 
@@ -13,13 +13,6 @@ in real collections in a ``telemetry`` database:
   request and written in batches by the log's own writer task.
 * ``telemetry.traces`` — :class:`TailSampler` keeps only traces whose root
   span breached a latency threshold or whose tree carries an error.
-* ``telemetry.profile`` — a persistent mirror of slow ``system.profile``
-  entries, so the index advisor can mine evidence across restarts
-  (:meth:`~repro.obs.advisor.IndexAdvisor.from_warehouse`).
-* ``telemetry.profiles`` — periodic snapshots of the continuous sampling
-  profiler (:mod:`repro.obs.profiler`): folded stacks and top functions
-  land on every tick while the profiler runs, so flamegraphs survive
-  restarts and can be diffed across deploys.
 * ``telemetry.alerts`` — the SLO engine's alert history
   (:meth:`TelemetryWarehouse.slo_engine`); open alerts persist and are
   re-adopted after a restart.
@@ -28,13 +21,16 @@ in real collections in a ``telemetry`` database:
   detections with their thread-stack dumps and post-crash reports, queryable
   long after the on-disk flight ring has rotated past them.
 
-Metrics history is not here: the registry's time series (counter deltas,
-gauges, histogram quantiles) live only in the out-of-band flight ring
-(:mod:`repro.obs.flight`), the way MongoDB keeps FTDC out of its own
-collections.
+Nothing here is a second copy of state the process already holds.
+Metrics history (counter deltas, gauges, histogram quantiles) lives only in
+the out-of-band flight ring (:mod:`repro.obs.flight`), the way MongoDB keeps
+FTDC out of its own collections.  Index advice mines the live
+``system.profile`` and flamegraphs come from the running sampling profiler
+(``repro advise``, ``repro profile``, ``/debug/profile``); neither survives
+a restart.
 
-Every collection carries compound query indexes (``(endpoint, ts)``,
-``(db, ts)``, ``(type, ts)``) so warehouse analytics ride the cost-based
+The collections carry compound query indexes (``(endpoint, ts)``,
+``(type, ts)``) so warehouse analytics ride the cost-based
 planner's IXSCAN path, and TTL indexes (``create_index(...,
 expire_after_seconds=N)``) so the warehouse bounds its own disk use via
 the engine's reaper — retention is a datastore feature here, not a cron
@@ -46,7 +42,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
-from ..background import PeriodicTask, TaskDaemon
 from .metrics import get_registry
 from .tracing import Span, add_tail_sampler, remove_tail_sampler
 
@@ -58,12 +53,7 @@ __all__ = [
 #: Default retention windows (seconds) per telemetry collection.
 ACCESS_TTL_S = 14 * 86400.0
 TRACES_TTL_S = 86400.0
-PROFILE_TTL_S = 86400.0
-PROFILES_TTL_S = 86400.0
 EVENTS_TTL_S = 30 * 86400.0
-
-#: Folded stacks persisted per profiler snapshot (hottest first).
-PROFILE_SNAPSHOT_STACKS = 50
 
 #: Root spans slower than this are tail-sampled by default.
 TRACE_LATENCY_THRESHOLD_MS = 250.0
@@ -162,22 +152,18 @@ class TailSampler:
         return list(cursor)
 
 
-class TelemetryWarehouse(TaskDaemon):
+class TelemetryWarehouse:
     """The telemetry database and its recorders, built over a live store.
 
     ``TelemetryWarehouse(store)`` creates the ``telemetry`` collections
     with their query and TTL indexes and wires up the access log and tail
-    sampler.  :meth:`tick` runs one synchronous pass (profile mirroring
-    and a profiler snapshot); :meth:`start` runs it on a background
-    interval, starts the access log's batch writer, and starts the store's
-    TTL reaper so retention is enforced.
+    sampler.  :meth:`start` starts the access log's batch writer and the
+    store's TTL reaper, so retention is enforced.
     """
 
     def __init__(self, store: Any, db_name: str = "telemetry",
                  access_ttl_s: float = ACCESS_TTL_S,
                  traces_ttl_s: float = TRACES_TTL_S,
-                 profile_ttl_s: float = PROFILE_TTL_S,
-                 profiles_ttl_s: float = PROFILES_TTL_S,
                  events_ttl_s: float = EVENTS_TTL_S,
                  trace_latency_threshold_ms: float =
                  TRACE_LATENCY_THRESHOLD_MS, clock: Any = None):
@@ -190,15 +176,6 @@ class TelemetryWarehouse(TaskDaemon):
         self.db["traces"].create_index(
             "ts", name="ts_ttl", expire_after_seconds=traces_ttl_s
         )
-        self.db["profile"].create_index(
-            [("db", 1), ("ts", 1)]
-        )
-        self.db["profile"].create_index(
-            "ts", name="ts_ttl", expire_after_seconds=profile_ttl_s
-        )
-        self.db["profiles"].create_index(
-            "ts", name="ts_ttl", expire_after_seconds=profiles_ttl_s
-        )
         self.db["events"].create_index([("type", 1), ("ts", 1)])
         self.db["events"].create_index(
             "ts", name="ts_ttl", expire_after_seconds=events_ttl_s
@@ -210,100 +187,6 @@ class TelemetryWarehouse(TaskDaemon):
             self.db["traces"],
             latency_threshold_ms=trace_latency_threshold_ms,
         )
-        self._profile_dbs: Dict[str, Any] = {}
-        self._profile_cursor: Dict[str, float] = {}
-        self._task = PeriodicTask("repro-telemetry-warehouse", 5.0, self.tick,
-                                  clock)
-
-    # -- profile mirroring ------------------------------------------------
-
-    def watch_profile(self, db: Any) -> "TelemetryWarehouse":
-        """Mirror ``db``'s new ``system.profile`` entries on every tick."""
-        self._profile_dbs[db.name] = db
-        return self
-
-    def sync_profile(self, db: Optional[Any] = None) -> int:
-        """Copy new profile entries into ``telemetry.profile``; returns
-        the number mirrored.  The cursor is the last seen ``ts`` per
-        database (strictly-greater matching: same-instant entries arriving
-        across two syncs can be skipped, which retention tolerates)."""
-        dbs = [db] if db is not None else list(self._profile_dbs.values())
-        mirrored = 0
-        for source in dbs:
-            cursor = self._profile_cursor.get(source.name, float("-inf"))
-            fresh = [
-                e for e in source.profile_log if e.get("ts", 0.0) > cursor
-            ]
-            if not fresh:
-                continue
-            docs = [
-                {
-                    "db": source.name,
-                    "ns": e.get("ns"),
-                    "op": e.get("op"),
-                    "millis": e.get("millis", 0.0),
-                    "ts": e.get("ts", 0.0),
-                    "planSummary": e.get("planSummary"),
-                    "query": e.get("query"),
-                    "docsExamined": e.get("docsExamined", 0),
-                    "nreturned": e.get("nreturned", 0),
-                }
-                for e in fresh
-            ]
-            self.db["profile"].insert_many(docs)
-            self._profile_cursor[source.name] = max(
-                e.get("ts", 0.0) for e in fresh
-            )
-            mirrored += len(docs)
-        return mirrored
-
-    def profile_entries(self, db_name: Optional[str] = None) -> List[dict]:
-        """Mirrored profile documents (the advisor's warehouse evidence)."""
-        query = {"db": db_name} if db_name is not None else {}
-        return list(self.db["profile"].find(query, {"_id": 0}).sort(
-            [("ts", 1)]
-        ))
-
-    # -- profiler snapshots -----------------------------------------------
-
-    def record_profiler_snapshot(self, profiler: Optional[Any] = None,
-                                 stacks: int = PROFILE_SNAPSHOT_STACKS,
-                                 now: Optional[float] = None) -> int:
-        """Persist one sampling-profiler snapshot into
-        ``telemetry.profiles``; returns the number of documents written
-        (0 when no profiler is running or it has no samples yet).
-
-        Only the hottest ``stacks`` folded stacks are stored — the
-        profiler itself already bounds distinct stacks, this bounds the
-        per-snapshot document size.
-        """
-        from .profiler import get_profiler
-
-        if profiler is None:
-            profiler = get_profiler()
-        if profiler is None or not profiler.running:
-            return 0
-        snap = profiler.snapshot(limit=stacks)
-        if not snap.get("samples"):
-            return 0
-        doc = {
-            "ts": time.time() if now is None else now,
-            "hz": snap["hz"],
-            "samples": snap["samples"],
-            "threads": snap["threads"],
-            "distinct_stacks": snap["distinct_stacks"],
-            "truncated": snap["truncated"],
-            "duration_s": snap["duration_s"],
-            "overhead_ms": snap["overhead_ms"],
-            "stacks": snap["stacks"],
-            "top": snap["top"],
-        }
-        self.db["profiles"].insert_one(doc)
-        get_registry().counter(
-            "repro_warehouse_profiler_snapshots_total",
-            "sampling-profiler snapshots recorded into telemetry.profiles",
-        ).inc(1)
-        return 1
 
     # -- flight-recorder events --------------------------------------------
 
@@ -342,29 +225,7 @@ class TelemetryWarehouse(TaskDaemon):
             cursor = cursor.limit(int(limit))
         return list(cursor)
 
-    def profiler_snapshots(self, since: Optional[float] = None,
-                           limit: int = 0) -> List[dict]:
-        """Persisted profiler snapshots, time-ascending."""
-        query: Dict[str, Any] = {}
-        if since is not None:
-            query["ts"] = {"$gte": float(since)}
-        cursor = self.db["profiles"].find(query, {"_id": 0}).sort(
-            [("ts", 1)]
-        )
-        if limit:
-            cursor = cursor.limit(int(limit))
-        return list(cursor)
-
-    # -- SLO / advisor integration ---------------------------------------
-
-    def latency_source(self, threshold_ms: float,
-                       endpoint: Any = None) -> Any:
-        """A warehouse-backed SLO latency source (survives restarts)."""
-        from .slo import LatencyWindowSource
-
-        return LatencyWindowSource.from_warehouse(
-            self.access, threshold_ms, endpoint=endpoint
-        )
+    # -- SLO integration -------------------------------------------------
 
     def slo_engine(self, rules: Optional[List[Any]] = None) -> Any:
         """An SLO engine whose alert history lives in ``telemetry.alerts``
@@ -374,41 +235,26 @@ class TelemetryWarehouse(TaskDaemon):
 
         return SLOEngine(self.db, rules or [], collection="alerts")
 
-    def advisor(self, db: Any, min_millis: float = 0.0,
-                min_occurrences: int = 1) -> Any:
-        """An index advisor mining the persisted profile mirror for ``db``."""
-        from .advisor import IndexAdvisor
+    # -- lifecycle ---------------------------------------------------------
 
-        return IndexAdvisor.from_warehouse(
-            self, db, min_millis=min_millis,
-            min_occurrences=min_occurrences,
-        )
-
-    # -- recording loop ----------------------------------------------------
-
-    def tick(self, now: Optional[float] = None) -> dict:
-        """One synchronous pass: mirror profiles, snapshot the profiler."""
-        return {
-            "profile_mirrored": self.sync_profile(),
-            "profiler_snapshots": self.record_profiler_snapshot(now=now),
-        }
-
-    def start(self, interval_s: float = 5.0,
-              reap_interval_s: Optional[float] = None
-              ) -> "TelemetryWarehouse":
-        """Run :meth:`tick` on a background interval and the access log's
-        batch writer on its own; also starts the store's TTL reaper
-        (stopped by ``store.close()``)."""
+    def start(self, reap_interval_s: Optional[float] = None, *,
+              interval_s: Optional[float] = None) -> "TelemetryWarehouse":
+        """Start the access log's batch writer and the store's TTL reaper
+        (stopped by ``store.close()``).  ``interval_s`` is ignored: the
+        warehouse has no recording loop, and the keyword is accepted only
+        so callers written against the old signature keep working."""
         self.store.start_ttl_reaper(reap_interval_s)
         self.access.start()
-        self._task.start(interval_s)
         return self
 
     def stop(self) -> None:
-        """Stop the recording loop and the access writer, writing what it
-        still holds (the TTL reaper belongs to the store)."""
-        self._task.stop()
+        """Stop the access writer, writing what it still holds (the TTL
+        reaper belongs to the store)."""
         self.access.stop()
+
+    @property
+    def running(self) -> bool:
+        return self.access.running
 
     def __enter__(self) -> "TelemetryWarehouse":
         return self
@@ -422,6 +268,5 @@ class TelemetryWarehouse(TaskDaemon):
         """Row counts per telemetry collection (the warehouse's own size)."""
         return {
             name: self.db[name].count_documents()
-            for name in ("access", "traces", "profile", "profiles",
-                         "alerts", "events")
+            for name in ("access", "traces", "alerts", "events")
         }

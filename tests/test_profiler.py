@@ -40,7 +40,6 @@ from repro.obs.profiler import (
     start_profiler,
     stop_profiler,
 )
-from repro.obs.warehouse import TelemetryWarehouse
 
 
 @pytest.fixture(autouse=True)
@@ -813,42 +812,3 @@ class TestProfileCLI:
                 assert client.profile("snapshot")["running"] is True
                 client.profile("stop")
 
-
-class TestWarehousePersistence:
-    def test_profiles_collection_has_ttl(self, store):
-        wh = TelemetryWarehouse(store, profiles_ttl_s=120.0)
-        info = wh.db["profiles"].index_information()["ts_ttl"]
-        assert info["expireAfterSeconds"] == 120.0
-
-    def test_tick_persists_running_profiler(self, store):
-        wh = TelemetryWarehouse(store)
-        assert wh.tick()["profiler_snapshots"] == 0  # no profiler yet
-        profiler = start_profiler(hz=200)
-        stop = threading.Event()
-        t = _busy_thread(stop)
-        try:
-            deadline = time.time() + 5
-            while (profiler.snapshot()["samples"] == 0
-                   and time.time() < deadline):
-                time.sleep(0.01)
-            assert wh.tick()["profiler_snapshots"] == 1
-        finally:
-            stop.set()
-            t.join()
-        rows = wh.profiler_snapshots()
-        assert len(rows) == 1
-        assert rows[0]["samples"] > 0 and rows[0]["stacks"]
-        assert wh.stats()["profiles"] == 1
-        stop_profiler()
-        # stopped profiler: ticks stop recording
-        assert wh.tick()["profiler_snapshots"] == 0
-
-    def test_snapshot_stack_count_bounded(self, store):
-        wh = TelemetryWarehouse(store)
-        profiler = start_profiler(hz=50)
-        for i in range(100):
-            profiler._ingest(f"s{i};leaf_{i}")
-        assert wh.record_profiler_snapshot(stacks=10) == 1
-        row = wh.profiler_snapshots()[0]
-        assert len(row["stacks"]) == 10
-        assert row["distinct_stacks"] == 100

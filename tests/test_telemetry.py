@@ -1,7 +1,7 @@
 """Tests for the self-hosted telemetry warehouse: TTL retention in the
 engine, metrics history in the flight ring, the access-log warehouse,
-tail-sampled traces, warehouse-backed SLO alerts/advisor, HTTP endpoints,
-and the CLI."""
+tail-sampled traces, warehouse-backed SLO alerts, HTTP endpoints, and the
+CLI."""
 
 import json
 import os
@@ -389,7 +389,7 @@ class TestAccessWriter:
     def test_warehouse_runs_the_writer(self, clock):
         store = DocumentStore(clock=clock)
         wh = TelemetryWarehouse(store, clock=clock)
-        wh.start(interval_s=5.0)
+        wh.start()
         assert wh.access.running
         wh.access.record_access("api")
         clock.run_until(querylog.FLUSH_INTERVAL_S)
@@ -622,54 +622,6 @@ class TestWarehouseSLO:
             assert code == 200 and report["status"] == "green"
 
 
-# -- advisor over the persisted profile mirror ----------------------------
-
-
-class TestWarehouseAdvisor:
-    def test_recommendation_after_restart(self, tmp_path):
-        s1 = DocumentStore(persistence_dir=tmp_path)
-        db1 = s1["mp"]
-        db1["mat"].insert_many(
-            [{"formula": f"F{i}", "n": i} for i in range(40)]
-        )
-        db1.set_profiling_level(2)
-        for _ in range(3):
-            list(db1["mat"].find({"formula": "F7"}))
-        db1.set_profiling_level(0)
-        wh1 = TelemetryWarehouse(s1)
-        wh1.watch_profile(db1)
-        assert wh1.sync_profile() >= 3
-        s1.snapshot()
-        s1.close()
-
-        s2 = DocumentStore(persistence_dir=tmp_path)
-        wh2 = TelemetryWarehouse(s2)
-        db2 = s2["mp"]
-        assert db2.profile_log == []  # in-memory profile died with s1
-        advisor = wh2.advisor(db2, min_occurrences=2)
-        recs = advisor.analyze()
-        assert any(r.field == "formula" for r in recs)
-        result = advisor.verify(recs[0])
-        assert result["after"]["planSummary"].startswith("IXSCAN")
-        s2.close()
-
-    def test_sync_profile_is_incremental(self, store):
-        db = store["mp"]
-        db["m"].insert_many([{"i": i} for i in range(5)])
-        wh = TelemetryWarehouse(store)
-        wh.watch_profile(db)
-        db.set_profiling_level(2)
-        list(db["m"].find({"i": 1}))
-        db.set_profiling_level(0)
-        first = wh.sync_profile()
-        assert first >= 1
-        assert wh.sync_profile() == 0  # nothing new
-        db.set_profiling_level(2)
-        list(db["m"].find({"i": 2}))
-        db.set_profiling_level(0)
-        assert wh.sync_profile() >= 1
-
-
 # -- HTTP surface ---------------------------------------------------------
 
 
@@ -812,30 +764,53 @@ class TestTelemetryEndpoints:
 
 class TestWarehouseLifecycle:
     def test_tick_and_stats(self, store):
-        db = store["mp"]
-        db["m"].insert_many([{"i": i} for i in range(3)])
         wh = TelemetryWarehouse(store)
-        wh.watch_profile(db)
-        db.set_profiling_level(2)
-        list(db["m"].find({"i": 1}))
-        db.set_profiling_level(0)
-        out = wh.tick(now=100.0)
-        assert out["profile_mirrored"] >= 1
-        stats = wh.stats()
-        assert stats["profile"] == out["profile_mirrored"]
-        assert set(stats) == {"access", "traces", "profile", "profiles",
-                              "alerts", "events"}
+        wh.access.record_access("api")
+        assert wh.stats() == {"access": 1, "traces": 0, "alerts": 0,
+                              "events": 0}
 
-    def test_tick_writes_no_metric_rows(self, store):
-        wh = TelemetryWarehouse(store)
+    def test_tick_writes_no_metric_rows(self):
+        clock = SimClock()
+        store = DocumentStore(clock=clock)
+        wh = TelemetryWarehouse(store, clock=clock)
         get_registry().counter("t_total", "x").inc(1)
-        wh.tick(now=100.0)
+        wh.start()
+        assert wh.running
+        clock.run_until(60.0)
+        wh.stop()
+        assert not wh.running
         names = store["telemetry"].list_collection_names()
         # neither raw metric points nor their rollups
         assert not [n for n in names if n.startswith("metrics")]
+        store.close()
+
+    def test_no_copy_of_profile_or_profiler(self):
+        """The warehouse copies neither ``system.profile`` nor profiler
+        snapshots: both live in the process and nowhere else."""
+        from repro.obs import profiler as profiler_module
+
+        clock = SimClock()
+        store = DocumentStore(clock=clock)
+        db = store["mp"]
+        db["m"].insert_many([{"i": i} for i in range(3)])
+        db.set_profiling_level(2)
+        profiler = profiler_module.start_profiler(hz=10)
+        try:
+            profiler._ingest("main;serve;find")
+            wh = TelemetryWarehouse(store, clock=clock).start()
+            list(db["m"].find({"i": 1}))
+            clock.run_until(60.0)
+            wh.stop()
+        finally:
+            profiler_module.stop_profiler()
+            profiler_module._global_profiler = None
+        assert db.profile_log
+        names = store["telemetry"].list_collection_names()
+        assert "profile" not in names and "profiles" not in names
+        store.close()
 
     def test_background_loop_and_reaper(self):
-        """Warehouse tick and the store's TTL reaper on one simulated
+        """The access writer and the store's TTL reaper on one simulated
         clock: both run when due, in the test's own thread."""
         clock = SimClock()
         store = DocumentStore(clock=clock)
@@ -843,20 +818,19 @@ class TestWarehouseLifecycle:
         store["telemetry"]["events"].insert_one(
             {"type": "stale", "ts": time.time() - 7200.0})
         before = threading.active_count()
-        wh.start(interval_s=5.0, reap_interval_s=8.0)
+        wh.start(reap_interval_s=8.0)
         assert wh.running
         assert store.ttl_reaper is not None and store.ttl_reaper.running
         assert threading.active_count() == before
-        clock.run_until(5.0)  # one tick, no sweep yet
-        tasks = store.server_status()["tasks"]
-        assert tasks["repro-telemetry-warehouse"]["runs"] == 1
+        clock.run_until(5.0)  # writer passes, no sweep yet
         assert store["telemetry"]["events"].count_documents(
             {"type": "stale"}) == 1
         clock.run_until(8.0)  # the reaper's first sweep
         assert store["telemetry"]["events"].count_documents(
             {"type": "stale"}) == 0
         tasks = store.server_status()["tasks"]
-        assert tasks["repro-telemetry-warehouse"]["runs"] == 1
+        assert {"repro-access-log", "repro-ttl-reaper"} <= set(tasks)
+        assert "repro-telemetry-warehouse" not in tasks
         assert tasks["repro-ttl-reaper"]["runs"] == 1
         wh.stop()
         assert not wh.running
