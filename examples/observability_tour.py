@@ -121,7 +121,7 @@ def main() -> None:
     # 9. The telemetry warehouse dogfoods the datastore: the access log
     #    above is already sitting in an indexed collection.  TTL indexes on
     #    every telemetry collection bound retention — the reaper sweep below
-    #    deletes an event planted with an already-expired timestamp.  Index
+    #    deletes a trace planted with an already-expired timestamp.  Index
     #    advice mines the live system.profile, which the warehouse does not
     #    copy (so advice does not survive a restart); metrics history lives
     #    in the flight ring of step 11, not here.
@@ -134,7 +134,7 @@ def main() -> None:
     plan = warehouse.db["access"].explain(
         {"endpoint": "rest/v1/materials", "ts": {"$gte": 0.0}})
     print(f"[warehouse] access query plan: {plan['planSummary']}")
-    warehouse.db["events"].insert_one({"ts": 1.0, "type": "tour_stale"})
+    warehouse.db["traces"].insert_one({"ts": 1.0, "trace_id": "tour_stale"})
     reaped = store.start_ttl_reaper().sweep()
     store.stop_ttl_reaper()
     print(f"[warehouse] ttl sweep reaped {reaped} expired docs")
@@ -261,11 +261,14 @@ def main() -> None:
     #     to it (copy -> delta drain -> epoch-bumped commit), then show a
     #     shard-key query routing to a single shard while everything else
     #     scatter-gathers.  Cluster events (migrations, elections) land in
-    #     telemetry.events through the same warehouse as step 9.
+    #     a flight ring like step 11's stalls: the one incident log.
     from repro.docstore import Balancer, ShardedCluster
 
-    cluster = ShardedCluster(n_replicas=3, split_threshold=40,
-                             event_sink=warehouse.record_flight_event)
+    cluster_rec = FlightRecorder(None, tempfile.mkdtemp(prefix="tour-cluster-"),
+                                 interval_s=60.0)
+    cluster = ShardedCluster(
+        n_replicas=3, split_threshold=40,
+        event_sink=lambda e: cluster_rec.record_event(e["type"], e))
     cluster.add_shard("shard0")
     materials = cluster.shard_collection("mp.materials", "material_id",
                                          strategy="range")
@@ -304,11 +307,11 @@ def main() -> None:
     print(f"[cluster] killed primary {primary_before}; re-elected "
           f"{cluster.shard('shard0').rs.primary.name} "
           f"(term {cluster.shard('shard0').rs.term}), writes resumed")
-    migrations = [e for e in warehouse.flight_events("migration")]
-    elections = [e for e in warehouse.flight_events("election")]
-    print(f"[cluster] telemetry.events recorded {len(migrations)} "
-          f"migrations, {len(elections)} elections")
+    types = [e["type"] for e in cluster_rec.recent_events()]
+    print(f"[cluster] flight ring recorded {types.count('migration')} "
+          f"migrations, {types.count('election')} elections")
     cluster.stop()
+    cluster_rec.stop()
 
 
 if __name__ == "__main__":

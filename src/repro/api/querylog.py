@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..background import PeriodicTask, TaskDaemon
 from ..docstore.collection import Collection
-from ..obs import get_registry
+from ..obs import get_registry, percentile
 
 __all__ = ["QueryLog", "ACCESS_CAP", "access_top"]
 
@@ -432,9 +432,7 @@ class QueryLog(TaskDaemon):
         ]
 
     def percentile(self, p: float) -> float:
-        from ..obs import percentile as _percentile
-
-        return _percentile(self._durations(), p)
+        return percentile(self._durations(), p)
 
     def summary(self) -> dict:
         coll = self._flushed()
@@ -454,14 +452,15 @@ class QueryLog(TaskDaemon):
             )
         }
         lat = self._durations()
+        ordered = sorted(lat)
         return {
             "queries": n,
             "records_returned": grouped[0]["records_returned"] if grouped else 0,
             "distinct_users": len(users),
-            "median_ms": self.percentile(50),
-            "p95_ms": self.percentile(95),
-            "p99_ms": self.percentile(99),
-            "max_ms": max(lat),
+            "median_ms": percentile(ordered, 50),
+            "p95_ms": percentile(ordered, 95),
+            "p99_ms": percentile(ordered, 99),
+            "max_ms": ordered[-1],
             "mean_ms": sum(lat) / len(lat),
         }
 

@@ -192,26 +192,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         flight_dir = args.flight_dir or os.path.join(args.data_dir, "flight")
         enable_fault_handler(flight_dir)
-        crash = generate_crash_report(
-            flight_dir, journal_recovery=store.last_recovery)
-        if crash is not None:
+        if generate_crash_report(
+                flight_dir, journal_recovery=store.last_recovery) is not None:
             print(f"unclean shutdown detected: crash report written to "
                   f"{os.path.join(flight_dir, 'crash_report.json')}")
-            if warehouse is not None:
-                warehouse.record_flight_event({
-                    "type": "crash",
-                    "session": crash.get("session"),
-                    "last_snapshot_ts": crash.get("last_snapshot_ts"),
-                    "snapshots_in_window": crash.get("snapshots_in_window"),
-                    "journal_recovery": crash.get("journal_recovery"),
-                })
         recorder = start_flight_recorder(
             store, flight_dir, interval_s=args.flight_interval)
         watchdog = StallWatchdog(
             recorder, store=store, wire_server=wire,
             stall_timeout_s=args.stall_timeout,
-            event_sink=(warehouse.record_flight_event
-                        if warehouse is not None else None),
         ).start()
         print(f"flight recorder on {flight_dir} "
               f"(every {args.flight_interval:g}s, stall timeout "

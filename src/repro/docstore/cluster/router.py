@@ -467,9 +467,9 @@ class ShardedCluster:
 
     ``config_store`` may be a journal-backed :class:`DocumentStore` so the
     chunk map survives restarts; by default it is in-memory.  ``event_sink``
-    receives balancer/election/migration event dicts — wire it to
-    ``TelemetryWarehouse.record_flight_event`` to land them in
-    ``telemetry.events``.  ``clock`` is handed to the heartbeat and balancer
+    receives balancer/election/migration event dicts — e.g.
+    ``lambda e: recorder.record_event(e["type"], e)`` lands them in a
+    :class:`~repro.obs.flight.FlightRecorder` ring.  ``clock`` is handed to the heartbeat and balancer
     tasks (see :mod:`repro.background`): ``None`` runs them on threads, a
     ``SimClock`` makes every beat and round a step of ``clock.run_until``.
     """

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..background import task_table
 from ..errors import CollectionNotFound, DocstoreError
@@ -55,6 +55,36 @@ _READ_OPS = frozenset({"find", "findOne", "aggregate", "getmore"})
 #: Opcounter categories classified as writes by per-collection ``top()``
 #: accounting; everything else (query/getmore/command) counts as a read.
 _WRITE_KINDS = frozenset({"insert", "update", "delete"})
+
+#: ``locks`` totals, in report order (the ``*_ms`` ones are floats).
+LOCK_TOTAL_KEYS = ("read_acquires", "write_acquires", "read_wait_ms",
+                   "write_wait_ms", "read_contended", "write_contended",
+                   "active_readers", "writers_held", "waiting_writers")
+
+#: ``planCache`` totals, in report order.
+PLAN_CACHE_KEYS = ("size", "hits", "misses", "evictions", "invalidations",
+                   "replans")
+
+
+def _rollup(keys: Tuple[str, ...], rows: Iterable[Mapping[str, Any]]) -> dict:
+    """Sum ``keys`` over ``rows`` (a missing key counts 0), in ``keys``
+    order."""
+    out = {key: 0.0 if key.endswith("_ms") else 0 for key in keys}
+    for row in rows:
+        for key in keys:
+            out[key] += row.get(key, 0)
+    return out
+
+
+def _merge_lock_status(named: List[Tuple[str, dict]],
+                       limit: int) -> Tuple[dict, List[dict]]:
+    """Store-wide lock totals and the ``limit`` worst contended rows, each
+    tagged with its ``db``, from ``(db name, Database.lock_status())``
+    pairs."""
+    top = [{"db": name, **row}
+           for name, status in named for row in status["top_contended"]]
+    top.sort(key=lambda r: (-r["wait_ms"], r["db"]))
+    return _rollup(LOCK_TOTAL_KEYS, (s for _, s in named)), top[:limit]
 
 
 class Database:
@@ -278,22 +308,11 @@ class Database:
         with self._lock:
             colls = [c for n, c in self._collections.items()
                      if not n.startswith("system.")]
-        out = {
-            "read_acquires": 0, "write_acquires": 0,
-            "read_wait_ms": 0.0, "write_wait_ms": 0.0,
-            "read_contended": 0, "write_contended": 0,
-            "active_readers": 0, "writers_held": 0, "waiting_writers": 0,
-        }
-        top: List[dict] = []
-        for coll in colls:
-            stats = coll.lock_stats()
-            for key in ("read_acquires", "write_acquires", "read_wait_ms",
-                        "write_wait_ms", "read_contended", "write_contended",
-                        "active_readers", "waiting_writers"):
-                out[key] += stats[key]
-            out["writers_held"] += int(stats["writer_held"])
-            for row in coll.lock_contention(limit=limit):
-                top.append({"coll": coll.name, **row})
+        stats = [coll.lock_stats() for coll in colls]
+        out = _rollup(LOCK_TOTAL_KEYS, [
+            {**s, "writers_held": int(s["writer_held"])} for s in stats])
+        top = [{"coll": coll.name, **row}
+               for coll in colls for row in coll.lock_contention(limit=limit)]
         top.sort(key=lambda r: (-r["wait_ms"], r["coll"]))
         out["top_contended"] = top[:limit]
         return out
@@ -308,15 +327,9 @@ class Database:
         with self._lock:
             colls = [c for n, c in self._collections.items()
                      if not n.startswith("system.")]
-        totals = {"size": 0, "hits": 0, "misses": 0, "evictions": 0,
-                  "invalidations": 0, "replans": 0}
-        per_collection: Dict[str, dict] = {}
-        for coll in colls:
-            stats = coll.plan_cache_stats()
-            per_collection[coll.name] = stats
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        return {"totals": totals, "collections": per_collection}
+        per_collection = {coll.name: coll.plan_cache_stats() for coll in colls}
+        return {"totals": _rollup(PLAN_CACHE_KEYS, per_collection.values()),
+                "collections": per_collection}
 
     def server_status(self) -> dict:
         """MongoDB ``serverStatus``-style snapshot of this database."""
@@ -434,41 +447,22 @@ class DocumentStore:
         """Aggregate serverStatus across every database."""
         with self._lock:
             databases = list(self._databases.values())
+        statuses = [db.server_status() for db in databases]
         opcounters = {k: 0 for k in OPCOUNTER_KEYS}
-        objects = collections = 0
-        locks = {
-            "read_acquires": 0, "write_acquires": 0,
-            "read_wait_ms": 0.0, "write_wait_ms": 0.0,
-            "read_contended": 0, "write_contended": 0,
-            "active_readers": 0, "writers_held": 0, "waiting_writers": 0,
-        }
-        plan_cache = {"size": 0, "hits": 0, "misses": 0, "evictions": 0,
-                      "invalidations": 0, "replans": 0}
-        top_contended: List[dict] = []
-        for db in databases:
-            status = db.server_status()
+        for status in statuses:
             for key, value in status["opcounters"].items():
                 opcounters[key] = opcounters.get(key, 0) + value
-            objects += status["objects"]
-            collections += status["collections"]
-            for key, value in status["locks"].items():
-                if key == "top_contended":
-                    top_contended.extend(
-                        {"db": db.name, **row} for row in value
-                    )
-                    continue
-                locks[key] = locks.get(key, 0) + value
-            for key, value in status["planCache"].items():
-                plan_cache[key] = plan_cache.get(key, 0) + value
-        top_contended.sort(key=lambda r: (-r["wait_ms"], r["db"]))
-        locks["top_contended"] = top_contended[:10]
+        locks, top_contended = _merge_lock_status(
+            [(s["db"], s["locks"]) for s in statuses], 10)
+        locks["top_contended"] = top_contended
         out = {
             "databases": sorted(db.name for db in databases),
             "opcounters": opcounters,
-            "objects": objects,
-            "collections": collections,
+            "objects": sum(s["objects"] for s in statuses),
+            "collections": sum(s["collections"] for s in statuses),
             "locks": locks,
-            "planCache": plan_cache,
+            "planCache": _rollup(PLAN_CACHE_KEYS,
+                                 (s["planCache"] for s in statuses)),
             "process": process_status(),
             "tasks": task_table(),
         }
@@ -510,22 +504,10 @@ class DocumentStore:
         """
         with self._lock:
             databases = list(self._databases.values())
-        totals: Dict[str, Any] = {
-            "read_acquires": 0, "write_acquires": 0,
-            "read_wait_ms": 0.0, "write_wait_ms": 0.0,
-            "read_contended": 0, "write_contended": 0,
-            "active_readers": 0, "writers_held": 0, "waiting_writers": 0,
-        }
-        top: List[dict] = []
-        for db in databases:
-            status = db.lock_status(limit=limit)
-            for key, value in status.items():
-                if key == "top_contended":
-                    top.extend({"db": db.name, **row} for row in value)
-                else:
-                    totals[key] = totals.get(key, 0) + value
-        top.sort(key=lambda r: (-r["wait_ms"], r["db"]))
-        return {"totals": totals, "top_contended": top[:limit]}
+        totals, top = _merge_lock_status(
+            [(db.name, db.lock_status(limit=limit)) for db in databases],
+            limit)
+        return {"totals": totals, "top_contended": top}
 
     # -- live operation introspection -------------------------------------
 

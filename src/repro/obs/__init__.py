@@ -24,7 +24,7 @@ end layer their own signals on top.
 
 Fleet-health tooling builds on that substrate:
 
-* :mod:`.health` — mongostat/mongotop-style interval samplers plus the
+* :mod:`.health` — mongostat/mongotop-style delta samplers plus the
   :class:`HealthMonitor` rolling replication lag, shard balance, and
   changestream backlog gauges into one ``GET /health`` report;
 * :mod:`.slo` — threshold and error-budget burn-rate rules evaluated by
@@ -33,20 +33,21 @@ Fleet-health tooling builds on that substrate:
 * :mod:`.advisor` — the slow-query index advisor mining ``system.profile``
   COLLSCAN shapes into verified ``create_index`` recommendations;
 * :mod:`.warehouse` — the self-hosted telemetry warehouse: the access-log
-  warehouse, tail-sampled traces, alerts, and incident events, all stored
-  in a ``telemetry`` database with TTL retention — the datastore
-  dogfooding itself;
+  warehouse, tail-sampled traces and alerts, all stored in a
+  ``telemetry`` database with TTL retention — the datastore dogfooding
+  itself;
 * :mod:`.profiler` — the continuous wall-clock sampling profiler: a
   daemon sampling every thread's stack via ``sys._current_frames`` into
   bounded flamegraph-ready folded stacks, shared process-wide so the wire
   server, ``/debug`` endpoints and CLI see one profile (it is not
   persisted: flamegraphs do not survive a restart);
-* :mod:`.flight` — the out-of-band flight recorder and the only metrics
-  history: FTDC-style snapshots (``server_status``, counter deltas, gauges,
-  histogram quantiles, process stats) into a size-capped
-  on-disk ring of delta-compressed CRC-checked chunks, a stall watchdog
-  probing lock/journal/wire liveness, and crash forensics that turn an
-  unclean shutdown into a ``crash_report.json``;
+* :mod:`.flight` — the out-of-band flight recorder, the only metrics
+  history and the only incident log: FTDC-style snapshots
+  (``server_status``, counter deltas, gauges, histogram quantiles,
+  process stats) into a size-capped on-disk ring of delta-compressed
+  CRC-checked chunks, a stall watchdog probing lock/journal/wire
+  liveness, and crash forensics that turn an unclean shutdown into a
+  ``crash_report.json``;
 * :mod:`.procstats` — ``/proc``-derived process stats (RSS, CPU seconds,
   fds, threads) feeding ``server_status()["process"]`` and the recorder.
 """

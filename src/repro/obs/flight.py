@@ -28,9 +28,10 @@ Three layers:
   heartbeat age, oldest in-flight wire dispatch).  A probe that fails
   continuously past ``stall_timeout_s`` fires a stall event: all-thread
   stacks folded via the sampling profiler's :func:`fold_stack`, an EVENT
-  record in the ring, an immediate flush, a
-  ``repro_flight_stalls_total`` counter bump, and an optional sink call
-  (warehouse ingestion).
+  record in the ring, an immediate flush, and a
+  ``repro_flight_stalls_total`` counter bump.  The ring is the only
+  incident log: the watchdog never writes into the store it watches, so
+  a wedged journal cannot block the report of its own wedge.
 
 * **Crash forensics** — ``faulthandler`` wired to a log file inside the
   ring directory, a ``session.json`` marker flipped to clean on orderly
@@ -54,7 +55,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..background import PeriodicTask, TaskDaemon
 from .metrics import get_registry, labels_key
@@ -105,8 +106,17 @@ DEFAULT_STALL_TIMEOUT_S = 5.0
 #: Ring budget defaults: ~16 MiB total across ~256 KiB chunks.  At 1 Hz a
 #: delta record is typically well under 1 KiB, so the ring holds hours.
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
-DEFAULT_MAX_CHUNK_BYTES = 256 * 1024
+MAX_CHUNK_BYTES = 256 * 1024
 DEFAULT_CHUNK_RECORDS = 120
+
+#: Fixed bounds: snapshots kept for ``recent()`` (5 min at 1 Hz), the
+#: shortest series and most findings of :func:`scan_anomalies`, and the
+#: collections lock-probed per watchdog tick and stacks dumped per stall.
+RECENT_SNAPSHOTS = 300
+ANOMALY_MIN_POINTS = 8
+ANOMALY_LIMIT = 50
+MAX_PROBED_COLLECTIONS = 32
+MAX_STACK_THREADS = 64
 
 SESSION_FILE = "session.json"
 CRASH_REPORT_FILE = "crash_report.json"
@@ -219,11 +229,9 @@ class _RingWriter:
 
     def __init__(self, directory: str,
                  max_bytes: int = DEFAULT_MAX_BYTES,
-                 max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                  chunk_records: int = DEFAULT_CHUNK_RECORDS):
         self.directory = directory
         self.max_bytes = int(max_bytes)
-        self.max_chunk_bytes = int(max_chunk_bytes)
         self.chunk_records = int(chunk_records)
         os.makedirs(directory, exist_ok=True)
         existing = _list_chunks(directory)
@@ -243,7 +251,7 @@ class _RingWriter:
     def needs_keyframe(self) -> bool:
         return self._fd is None or not self._chunk_has_keyframe or (
             self._chunk_records >= self.chunk_records
-            or self._chunk_bytes >= self.max_chunk_bytes)
+            or self._chunk_bytes >= MAX_CHUNK_BYTES)
 
     def _rotate(self) -> None:
         if self._fd is not None:
@@ -288,7 +296,7 @@ class _RingWriter:
                               else time.time(), len(comp), crc) + comp
         if self._fd is None or (kind != KIND_EVENT and (
                 self._chunk_records >= self.chunk_records
-                or self._chunk_bytes >= self.max_chunk_bytes)):
+                or self._chunk_bytes >= MAX_CHUNK_BYTES)):
             self._rotate()
         os.write(self._fd, record)
         if kind == KIND_FULL:
@@ -480,8 +488,8 @@ def _median(values: List[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def scan_anomalies(snapshots: List[dict], threshold: float = 6.0,
-                   min_points: int = 8, limit: int = 50) -> List[dict]:
+def scan_anomalies(snapshots: List[dict],
+                   threshold: float = 6.0) -> List[dict]:
     """MAD-z-score outlier scan over every flattened numeric series.
 
     The modified z-score ``0.6745 * (x - median) / MAD`` is robust to the
@@ -500,7 +508,7 @@ def scan_anomalies(snapshots: List[dict], threshold: float = 6.0,
 
     findings: List[dict] = []
     for path, points in series.items():
-        if len(points) < min_points:
+        if len(points) < ANOMALY_MIN_POINTS:
             continue
         values = [v for _, v in points]
         monotonic = all(b >= a for a, b in zip(values, values[1:]))
@@ -508,7 +516,7 @@ def scan_anomalies(snapshots: List[dict], threshold: float = 6.0,
             points = [(points[i + 1][0], values[i + 1] - values[i])
                       for i in range(len(values) - 1)]
             values = [v for _, v in points]
-        if len(values) < min_points or len(set(values)) == 1:
+        if len(values) < ANOMALY_MIN_POINTS or len(set(values)) == 1:
             continue
         med = _median(values)
         mad = _median([abs(v - med) for v in values])
@@ -524,7 +532,7 @@ def scan_anomalies(snapshots: List[dict], threshold: float = 6.0,
                 findings.append({"series": path, "ts": ts, "value": value,
                                  "median": med, "z": round(z, 2)})
     findings.sort(key=lambda f: -abs(f["z"]))
-    return findings[:limit]
+    return findings[:ANOMALY_LIMIT]
 
 
 # -- the recorder -----------------------------------------------------------
@@ -550,9 +558,8 @@ class FlightRecorder(TaskDaemon):
                  interval_s: float = DEFAULT_INTERVAL_S,
                  registry: Any = None,
                  max_bytes: int = DEFAULT_MAX_BYTES,
-                 max_chunk_bytes: int = DEFAULT_MAX_CHUNK_BYTES,
                  chunk_records: int = DEFAULT_CHUNK_RECORDS,
-                 recent_max: int = 300, clock: Any = None):
+                 clock: Any = None):
         if interval_s <= 0:
             raise ValueError(
                 f"interval must be positive, got {interval_s!r}")
@@ -562,12 +569,11 @@ class FlightRecorder(TaskDaemon):
                                   clock)
         self._registry = registry
         self._writer = _RingWriter(directory, max_bytes=max_bytes,
-                                   max_chunk_bytes=max_chunk_bytes,
                                    chunk_records=chunk_records)
         self._lock = threading.Lock()
         self._prev_snapshot: Optional[dict] = None
         self._prev_counters: Dict[str, float] = {}
-        self._recent: deque = deque(maxlen=int(recent_max))
+        self._recent: deque = deque(maxlen=RECENT_SNAPSHOTS)
         self._recent_events: deque = deque(maxlen=64)
         self._seq = 0
         self._errors = 0
@@ -641,16 +647,16 @@ class FlightRecorder(TaskDaemon):
             self._recent.append(snap)
         return snap
 
-    def record_event(self, event_type: str, data: Optional[dict] = None,
-                     flush: bool = True) -> dict:
-        """Append an out-of-band EVENT record (stall, shutdown, crash)."""
+    def record_event(self, event_type: str,
+                     data: Optional[dict] = None) -> dict:
+        """Append an out-of-band EVENT record (stall, shutdown, crash) and
+        fsync it."""
         event = {"type": event_type, "ts": time.time()}
         if data:
             event.update(data)
         with self._lock:
             self._writer.append(KIND_EVENT, event, ts=event["ts"])
-            if flush:
-                self._writer.flush()
+            self._writer.flush()
             self._recent_events.append(event)
         return event
 
@@ -701,7 +707,7 @@ class FlightRecorder(TaskDaemon):
     def stop(self) -> dict:
         """Stop the daemon, write a shutdown event, mark the session clean."""
         self._task.stop()
-        self.record_event("shutdown", {"seq": self._seq}, flush=True)
+        self.record_event("shutdown", {"seq": self._seq})
         self._write_session(clean=True)
         with self._lock:
             self._writer.close()
@@ -737,13 +743,13 @@ class FlightRecorder(TaskDaemon):
 # -- stall watchdog ---------------------------------------------------------
 
 
-def dump_all_stacks(max_threads: int = 64) -> List[dict]:
+def dump_all_stacks() -> List[dict]:
     """Fold every live thread's stack via the profiler's folder."""
     frames = current_frames()
     names = {t.ident: t.name for t in threading.enumerate()}
     me = threading.get_ident()
     out = []
-    for ident, frame in list(frames.items())[:max_threads]:
+    for ident, frame in list(frames.items())[:MAX_STACK_THREADS]:
         if ident == me:
             continue
         out.append({"thread": names.get(ident, str(ident)),
@@ -765,9 +771,10 @@ class StallWatchdog(TaskDaemon):
       a stale heartbeat.
     * ``wire`` — the oldest in-flight dispatch on the wire server.
 
-    On a stall: all-thread stack dump, EVENT record + ring flush,
-    ``repro_flight_stalls_total`` counter, optional ``event_sink`` call
-    (warehouse ingestion).  Each probe fires once per episode and re-arms
+    On a stall: all-thread stack dump, EVENT record + ring flush, and the
+    ``repro_flight_stalls_total`` counter; :meth:`FlightRecorder.recent_events`
+    serves it.  Nothing goes into the store, whose journal may be the
+    thing that is wedged.  Each probe fires once per episode and re-arms
     when it recovers.
     """
 
@@ -775,8 +782,7 @@ class StallWatchdog(TaskDaemon):
                  store: Any = None, wire_server: Any = None,
                  interval_s: float = 1.0,
                  stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
-                 event_sink: Optional[Callable[[dict], None]] = None,
-                 max_probed_collections: int = 32, clock: Any = None):
+                 clock: Any = None):
         self.recorder = recorder
         self.store = store
         self.wire_server = wire_server
@@ -784,8 +790,6 @@ class StallWatchdog(TaskDaemon):
         self._task = PeriodicTask("repro-flight-watchdog", interval_s,
                                   self.check_once, clock)
         self.stall_timeout_s = float(stall_timeout_s)
-        self.event_sink = event_sink
-        self.max_probed_collections = int(max_probed_collections)
         self.stalls_detected = 0
         self._failing_since: Dict[str, float] = {}
         self._stalled: Dict[str, bool] = {}
@@ -808,7 +812,7 @@ class StallWatchdog(TaskDaemon):
             except Exception:
                 continue
             for coll_name in coll_names:
-                if count >= self.max_probed_collections:
+                if count >= MAX_PROBED_COLLECTIONS:
                     return
                 try:
                     coll = db.get_collection(coll_name)
@@ -904,12 +908,7 @@ class StallWatchdog(TaskDaemon):
             pass
         if self.recorder is not None:
             try:
-                self.recorder.record_event("stall", event, flush=True)
-            except Exception:
-                pass
-        if self.event_sink is not None:
-            try:
-                self.event_sink({"type": "stall", "ts": time.time(), **event})
+                self.recorder.record_event("stall", event)
             except Exception:
                 pass
         return event

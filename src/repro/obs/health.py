@@ -5,14 +5,16 @@ The paper's operators kept the Materials Project datastore healthy by
 time, replication/sharding dashboards for topology drift.  This module is
 that operator loop for the reproduction:
 
-* :class:`ServerStatusSampler` — snapshots ``serverStatus`` opcounters on
-  an interval and keeps the deltas as a queryable time series (the
-  ``mongostat`` data source).  Works against a local
+* :class:`ServerStatusSampler` — turns successive ``serverStatus``
+  snapshots into opcounter deltas (the ``mongostat`` data source).  It
+  keeps only the previous totals: the process's one metrics history is
+  the flight ring (:mod:`repro.obs.flight`).  Works against a local
   :class:`~repro.docstore.database.DocumentStore`, a single
   :class:`~repro.docstore.database.Database`, or a
   :class:`~repro.docstore.server.RemoteClient` watching a live server.
 * :class:`TopSampler` — diffs :meth:`Database.top` snapshots into
-  per-interval, per-collection read/write time (the ``mongotop`` source).
+  per-interval, per-collection read/write time (the ``mongotop`` source),
+  likewise keeping only the previous totals.
 * :class:`HealthMonitor` — rolls replication lag, shard balance/chunk
   skew, and changestream backlog gauges into one report, evaluated
   against an attached :class:`~repro.obs.slo.SLOEngine` so breaches land
@@ -23,8 +25,7 @@ that operator loop for the reproduction:
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .metrics import get_registry
 
@@ -41,25 +42,25 @@ STAT_COLUMNS = ("insert", "query", "update", "delete", "getmore", "command")
 
 
 class ServerStatusSampler:
-    """Interval sampler over ``serverStatus`` opcounters (mongostat).
+    """Delta computer over ``serverStatus`` opcounters (mongostat).
 
     ``target`` is anything with a ``server_status()`` method returning a
     dict with an ``"opcounters"`` mapping: a ``DocumentStore`` (aggregate
     across databases), a ``Database``, a ``RemoteClient``, or a remote
-    database handle.  Each :meth:`sample` records the opcounter *deltas*
+    database handle.  Each :meth:`sample` returns the opcounter *deltas*
     since the previous sample plus point-in-time gauges (objects,
     collections, in-flight ops when the target exposes ``current_op``).
+    The caller drives the interval (``repro mongostat``).
     """
 
-    def __init__(self, target: Any, max_samples: int = 4096):
+    def __init__(self, target: Any):
         if not hasattr(target, "server_status"):
             raise TypeError("sampler target must expose server_status()")
         self.target = target
-        self._samples: Deque[dict] = deque(maxlen=max_samples)
         self._prev_counters: Optional[Dict[str, int]] = None
 
     def sample(self, now: Optional[float] = None) -> dict:
-        """Take one snapshot; returns the recorded sample document."""
+        """Take one snapshot; returns the sample document."""
         status = self.target.server_status()
         counters = dict(status.get("opcounters") or {})
         prev = self._prev_counters or {k: 0 for k in counters}
@@ -78,7 +79,6 @@ class ServerStatusSampler:
             "sharding": status.get("sharding"),
         }
         self._prev_counters = counters
-        self._samples.append(sample)
         return sample
 
     def _active_ops(self) -> Optional[int]:
@@ -100,38 +100,20 @@ class ServerStatusSampler:
                 return None
         return None
 
-    def run(self, n: int, interval_s: float = 1.0) -> List[dict]:
-        """Sample ``n`` times, sleeping ``interval_s`` between samples."""
-        out = []
-        for i in range(n):
-            out.append(self.sample())
-            if i + 1 < n:
-                time.sleep(interval_s)
-        return out
-
-    def samples(self) -> List[dict]:
-        """The recorded time series (oldest first)."""
-        return list(self._samples)
-
-    def series(self, column: str) -> List[tuple]:
-        """``(ts, delta)`` pairs for one opcounter column."""
-        return [(s["ts"], s["deltas"].get(column, 0)) for s in self._samples]
-
 
 class TopSampler:
-    """Interval sampler over per-collection read/write time (mongotop).
+    """Delta computer over per-collection read/write time (mongotop).
 
     ``db`` is anything with a ``top()`` method returning cumulative
     ``{ns: {total_ms, read_ms, write_ms, ...}}`` — a local
     :class:`~repro.docstore.database.Database` or a remote database
-    handle.  Samples hold the per-interval deltas.
+    handle.  Each :meth:`sample` holds the deltas since the previous one.
     """
 
-    def __init__(self, db: Any, max_samples: int = 4096):
+    def __init__(self, db: Any):
         if not hasattr(db, "top"):
             raise TypeError("sampler target must expose top()")
         self.db = db
-        self._samples: Deque[dict] = deque(maxlen=max_samples)
         self._prev: Dict[str, dict] = {}
 
     def sample(self, now: Optional[float] = None) -> dict:
@@ -148,19 +130,7 @@ class TopSampler:
             "totals": totals,
         }
         self._prev = totals
-        self._samples.append(sample)
         return sample
-
-    def run(self, n: int, interval_s: float = 1.0) -> List[dict]:
-        out = []
-        for i in range(n):
-            out.append(self.sample())
-            if i + 1 < n:
-                time.sleep(interval_s)
-        return out
-
-    def samples(self) -> List[dict]:
-        return list(self._samples)
 
 
 # -- live-table rendering (the CLI subcommands) ---------------------------
@@ -262,7 +232,6 @@ class HealthMonitor:
     """
 
     def __init__(self, db: Any = None, rules: Optional[List[Any]] = None,
-                 alert_collection: str = "system.alerts",
                  engine: Optional[Any] = None):
         from .slo import SLOEngine, default_rules
 
@@ -275,8 +244,7 @@ class HealthMonitor:
         else:
             self.engine = (
                 SLOEngine(db,
-                          rules if rules is not None else default_rules(db),
-                          collection=alert_collection)
+                          rules if rules is not None else default_rules(db))
                 if db is not None else None
             )
         self._replica_sets: List[Any] = []

@@ -1,11 +1,11 @@
-"""Telemetry warehouse: per-request and per-incident telemetry in the datastore.
+"""Telemetry warehouse: the query log and its companions in the datastore.
 
 The paper's operational stance is that a datastore's own telemetry is best
 served *by* the datastore — Materials Project runs query logs and usage
 analytics through the same MongoDB that serves science.  Access records,
-sampled traces, alerts and incidents evaporate on restart when
-they live only in memory; this module dogfoods the engine by landing them
-in real collections in a ``telemetry`` database:
+sampled traces and alerts evaporate on restart when they live only in
+memory; this module dogfoods the engine by landing them in real
+collections in a ``telemetry`` database:
 
 * ``telemetry.access`` — the :class:`~repro.api.querylog.QueryLog`
   access-log warehouse: one record per Materials API HTTP request (its
@@ -16,25 +16,23 @@ in real collections in a ``telemetry`` database:
 * ``telemetry.alerts`` — the SLO engine's alert history
   (:meth:`TelemetryWarehouse.slo_engine`); open alerts persist and are
   re-adopted after a restart.
-* ``telemetry.events`` — operational incidents from the flight recorder's
-  stall watchdog and crash forensics (:mod:`repro.obs.flight`): stall
-  detections with their thread-stack dumps and post-crash reports, queryable
-  long after the on-disk flight ring has rotated past them.
 
 Nothing here is a second copy of state the process already holds.
-Metrics history (counter deltas, gauges, histogram quantiles) lives only in
-the out-of-band flight ring (:mod:`repro.obs.flight`), the way MongoDB keeps
-FTDC out of its own collections.  Index advice mines the live
-``system.profile`` and flamegraphs come from the running sampling profiler
-(``repro advise``, ``repro profile``, ``/debug/profile``); neither survives
-a restart.
+Metrics history (counter deltas, gauges, histogram quantiles) and
+incidents (stalls, shutdowns) live only in the out-of-band flight ring
+(:mod:`repro.obs.flight`), the way MongoDB keeps FTDC out of its own
+collections: the ring is written with plain file appends, so it keeps
+recording when the store's journal wedges, and an incident lasts as long
+as the ring holds it (plus the last ``crash_report.json``).  Index advice
+mines the live ``system.profile`` and flamegraphs come from the running
+sampling profiler (``repro advise``, ``repro profile``,
+``/debug/profile``); neither survives a restart.
 
-The collections carry compound query indexes (``(endpoint, ts)``,
-``(type, ts)``) so warehouse analytics ride the cost-based
-planner's IXSCAN path, and TTL indexes (``create_index(...,
-expire_after_seconds=N)``) so the warehouse bounds its own disk use via
-the engine's reaper — retention is a datastore feature here, not a cron
-job.
+The collections carry query indexes (``(endpoint, ts)``, ``trace_id``)
+so warehouse analytics ride the cost-based planner's IXSCAN path, and
+TTL indexes (``create_index(..., expire_after_seconds=N)``) so the
+warehouse bounds its own disk use via the engine's reaper — retention is
+a datastore feature here, not a cron job.
 """
 
 from __future__ import annotations
@@ -50,10 +48,12 @@ __all__ = [
     "TailSampler",
 ]
 
-#: Default retention windows (seconds) per telemetry collection.
+#: The database the warehouse lives in.
+DB_NAME = "telemetry"
+
+#: Retention windows (seconds) per telemetry collection.
 ACCESS_TTL_S = 14 * 86400.0
 TRACES_TTL_S = 86400.0
-EVENTS_TTL_S = 30 * 86400.0
 
 #: Root spans slower than this are tail-sampled by default.
 TRACE_LATENCY_THRESHOLD_MS = 250.0
@@ -75,10 +75,9 @@ class TailSampler:
 
     def __init__(self, collection: Any,
                  latency_threshold_ms: float = TRACE_LATENCY_THRESHOLD_MS,
-                 sample_errors: bool = True, cap: int = TRACE_CAP):
+                 cap: int = TRACE_CAP):
         self.collection = collection
         self.latency_threshold_ms = float(latency_threshold_ms)
-        self.sample_errors = sample_errors
         self.cap = int(cap)
         self.collection.create_index([("trace_id", 1)])
         self.collection.create_index("ts")
@@ -86,9 +85,7 @@ class TailSampler:
     def _decision(self, root: Span) -> Optional[str]:
         if root.duration_ms >= self.latency_threshold_ms:
             return "slow"
-        if self.sample_errors and any(
-            s.status == "error" for s in root.walk()
-        ):
+        if any(s.status == "error" for s in root.walk()):
             return "error"
         return None
 
@@ -161,69 +158,24 @@ class TelemetryWarehouse:
     store's TTL reaper, so retention is enforced.
     """
 
-    def __init__(self, store: Any, db_name: str = "telemetry",
-                 access_ttl_s: float = ACCESS_TTL_S,
-                 traces_ttl_s: float = TRACES_TTL_S,
-                 events_ttl_s: float = EVENTS_TTL_S,
-                 trace_latency_threshold_ms: float =
+    def __init__(self, store: Any, trace_latency_threshold_ms: float =
                  TRACE_LATENCY_THRESHOLD_MS, clock: Any = None):
         # Imported lazily: repro.api pulls repro.obs in at import time, so
         # the reverse edge must not exist at module scope.
         from ..api.querylog import QueryLog
 
         self.store = store
-        self.db = store.get_database(db_name)
+        self.db = store.get_database(DB_NAME)
         self.db["traces"].create_index(
-            "ts", name="ts_ttl", expire_after_seconds=traces_ttl_s
-        )
-        self.db["events"].create_index([("type", 1), ("ts", 1)])
-        self.db["events"].create_index(
-            "ts", name="ts_ttl", expire_after_seconds=events_ttl_s
+            "ts", name="ts_ttl", expire_after_seconds=TRACES_TTL_S
         )
         self.access = QueryLog(
-            collection=self.db["access"], ttl_s=access_ttl_s, clock=clock
+            collection=self.db["access"], ttl_s=ACCESS_TTL_S, clock=clock
         )
         self.tail_sampler = TailSampler(
             self.db["traces"],
             latency_threshold_ms=trace_latency_threshold_ms,
         )
-
-    # -- flight-recorder events --------------------------------------------
-
-    def record_flight_event(self, event: dict) -> dict:
-        """Land one flight-recorder incident in ``telemetry.events``.
-
-        Usable directly as a :class:`~repro.obs.flight.StallWatchdog`
-        ``event_sink``.  Stack dumps are capped so a many-threaded stall
-        can't write an unbounded document.
-        """
-        doc = dict(event)
-        doc.setdefault("ts", time.time())
-        doc.setdefault("type", "unknown")
-        stacks = doc.get("stacks")
-        if isinstance(stacks, list) and len(stacks) > 32:
-            doc["stacks"] = stacks[:32]
-            doc["stacks_truncated"] = len(stacks) - 32
-        self.db["events"].insert_one(doc)
-        get_registry().counter(
-            "repro_warehouse_flight_events_total",
-            "flight-recorder incidents recorded into telemetry.events",
-        ).inc(1, type=str(doc["type"]))
-        return doc
-
-    def flight_events(self, event_type: Optional[str] = None,
-                      since: Optional[float] = None,
-                      limit: int = 0) -> List[dict]:
-        """Recorded flight incidents, time-ascending, via ``(type, ts)``."""
-        query: Dict[str, Any] = {}
-        if event_type is not None:
-            query["type"] = event_type
-        if since is not None:
-            query["ts"] = {"$gte": float(since)}
-        cursor = self.db["events"].find(query, {"_id": 0}).sort([("ts", 1)])
-        if limit:
-            cursor = cursor.limit(int(limit))
-        return list(cursor)
 
     # -- SLO integration -------------------------------------------------
 
@@ -256,17 +208,11 @@ class TelemetryWarehouse:
     def running(self) -> bool:
         return self.access.running
 
-    def __enter__(self) -> "TelemetryWarehouse":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
     # -- read surface ------------------------------------------------------
 
     def stats(self) -> dict:
         """Row counts per telemetry collection (the warehouse's own size)."""
         return {
             name: self.db[name].count_documents()
-            for name in ("access", "traces", "alerts", "events")
+            for name in ("access", "traces", "alerts")
         }

@@ -542,12 +542,13 @@ class TestWireOpsAndObservability:
         table = format_stat_table([sampler.sample(), sampler.sample()])
         assert "shards" in table
 
-    def test_cluster_events_land_in_telemetry_events(self):
-        from repro.obs.warehouse import TelemetryWarehouse
+    def test_cluster_events_land_in_the_flight_ring(self, tmp_path):
+        from repro.obs.flight import FlightRecorder, decode_ring
 
-        warehouse = TelemetryWarehouse(DocumentStore())
+        rec = FlightRecorder(None, str(tmp_path))
         cluster = ShardedCluster(
-            n_replicas=3, event_sink=warehouse.record_flight_event)
+            n_replicas=3,
+            event_sink=lambda e: rec.record_event(e["type"], e))
         cluster.add_shard("s0")
         cluster.add_shard("s1")
         coll = cluster.shard_collection("mp.m", "mid")
@@ -557,8 +558,11 @@ class TestWireOpsAndObservability:
                      if c.shard == "s0")
         cluster.move_chunk("mp.m", chunk.chunk_id, "s1")
         cluster.step_down("s0")
-        types = {e["type"] for e in warehouse.flight_events()}
+        types = {e["type"] for e in rec.recent_events()}
         assert {"add_shard", "migration", "election"} <= types
+        rec.stop()
+        ring_types = {e["type"] for e in decode_ring(str(tmp_path))["events"]}
+        assert {"add_shard", "migration", "election"} <= ring_types
 
     def test_cli_cluster_commands(self, served):
         from repro.cli import main

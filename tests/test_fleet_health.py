@@ -97,20 +97,6 @@ class TestServerStatusSampler:
         assert s["totals"]["insert"] == 2
         assert s["objects"] == 2
 
-    def test_series_extraction(self, db):
-        sampler = ServerStatusSampler(db)
-        sampler.sample(now=1.0)
-        db["m"].insert_one({})
-        sampler.sample(now=2.0)
-        series = sampler.series("insert")
-        assert series == [(1.0, 0), (2.0, 1)]
-
-    def test_run_collects_n_samples(self, db):
-        sampler = ServerStatusSampler(db)
-        out = sampler.run(3, interval_s=0.0)
-        assert len(out) == 3
-        assert len(sampler.samples()) == 3
-
     def test_active_ops_counts_inflight(self, db):
         # current_op lives on the store; reaches it via db.client
         sampler = ServerStatusSampler(db)

@@ -488,10 +488,9 @@ class TestStallWatchdog:
     def test_lock_stall_fires_once_and_rearms(self, tmp_path, store):
         store["mp"]["m"].insert_one({"i": 1})
         rec = FlightRecorder(store, str(tmp_path))
-        sunk = []
         clock = SimClock()
         wd = StallWatchdog(rec, store=store, stall_timeout_s=0.05,
-                           event_sink=sunk.append, clock=clock)
+                           clock=clock)
         release, t = self._hold_write(store["mp"]["m"]._lock)
         try:
             assert wd.check_once() == []  # first failure only arms
@@ -522,11 +521,11 @@ class TestStallWatchdog:
         series = metrics["repro_flight_stalls_total"]["series"]
         assert [(s["labels"], s["value"]) for s in series] == [
             ({"probe": "lock"}, 2)]
-        # Events landed in the ring and in the sink.
-        rec.flush()
+        # Events landed in the ring (fsynced) and in recent_events().
         ring_events = decode_ring(str(tmp_path))["events"]
         assert [e["type"] for e in ring_events] == ["stall", "stall"]
-        assert sunk[0]["type"] == "stall"
+        assert [e["probe"] for e in rec.recent_events()] == [
+            "lock:mp.m", "lock:mp.m"]
         rec.stop()
 
     def test_arms_after_consecutive_failed_probes_on_the_clock(self):
@@ -597,6 +596,64 @@ class TestStallWatchdog:
         assert "7 records pending" in events[0]["detail"]
         assert wd.check_once() == []  # debounced
         rec.stop()
+
+    def test_wedged_journal_stall_with_warehouse_attached(
+            self, tmp_path, monkeypatch):
+        """The watchdog ``repro serve`` builds reports a wedged journal at
+        once, even with a telemetry warehouse on the same store: the stall
+        goes to the ring, never through the journal that is stuck."""
+        from repro.docstore import persistence
+
+        store = DocumentStore(persistence_dir=str(tmp_path / "data"),
+                              fsync="always")
+        TelemetryWarehouse(store)
+        coll = store["mp"]["m"]
+        coll.insert_one({"i": 0})
+
+        gate = threading.Event()
+
+        class BlockedFsync:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def fsync(self, fd):
+                gate.wait(10)
+                os.fsync(fd)
+
+        monkeypatch.setattr(persistence, "os", BlockedFsync())
+        writers = [threading.Thread(target=coll.insert_one, args=({"i": i},))
+                   for i in (1, 2)]
+        rec = FlightRecorder(store, str(tmp_path / "flight"))
+        wd = StallWatchdog(rec, store=store, stall_timeout_s=0.05)
+        fired: list = []
+        try:
+            for t in writers:  # the first wedges in fsync, the second queues
+                t.start()
+            deadline = time.time() + 5.0
+            while time.time() < deadline:
+                journal = store.server_status()["journal"]
+                if (journal["pending"] > 0
+                        and (journal["heartbeat_age_s"] or 0.0) >= 0.1):
+                    break
+                time.sleep(0.01)
+            assert journal["pending"] > 0, "the second insert never queued"
+            inserts = store.server_status()["opcounters"]["insert"]
+            checker = threading.Thread(
+                target=lambda: fired.extend(wd.check_once()), daemon=True)
+            checker.start()
+            checker.join(1.0)
+            assert not checker.is_alive(), "check_once() blocked"
+            assert store.server_status()["opcounters"]["insert"] == inserts
+        finally:
+            gate.set()
+            for t in writers:
+                t.join(5)
+        assert not any(t.is_alive() for t in writers)
+        assert [e["probe"] for e in fired] == ["journal"]
+        ring_events = decode_ring(str(tmp_path / "flight"))["events"]
+        assert [e["probe"] for e in ring_events] == ["journal"]
+        rec.stop()
+        store.close()
 
     def test_wire_stall_detection(self, tmp_path, store):
         with DatastoreServer(store, port=0).start() as server:
@@ -710,24 +767,6 @@ class TestFlightSurfaces:
             assert doc["events"][-1]["type"] == "stall"
             code, doc = _get(server.base_url + "/debug/flight?anomalies=1")
             assert code == 200 and "anomalies" in doc
-
-    def test_warehouse_ingestion(self, tmp_path, store):
-        warehouse = TelemetryWarehouse(store)
-        warehouse.record_flight_event({
-            "type": "stall", "probe": "lock:mp.m",
-            "stacks": [{"thread": f"t{i}", "stack": "f"} for i in range(50)],
-        })
-        warehouse.record_flight_event({"type": "crash", "session": {"pid": 1}})
-        events = warehouse.flight_events()
-        assert [e["type"] for e in events] == ["stall", "crash"]
-        assert len(events[0]["stacks"]) == 32  # capped
-        assert events[0]["stacks_truncated"] == 18
-        assert warehouse.flight_events(event_type="crash")[0]["type"] == "crash"
-        assert warehouse.stats()["events"] == 2
-        metrics = {m["name"]: m for m in get_registry().collect()}
-        series = metrics["repro_warehouse_flight_events_total"]["series"]
-        assert {s["labels"]["type"]: s["value"] for s in series} == {
-            "stall": 1, "crash": 1}
 
 
 # -- crash forensics ------------------------------------------------------

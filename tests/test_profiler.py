@@ -431,6 +431,32 @@ class TestLockContention:
         status_top = store.server_status()["locks"]["top_contended"]
         assert status_top and status_top[0]["waiter"] == top[0]["waiter"]
 
+    def test_lock_report_totals_match_server_status(self, store):
+        """Both store-wide lock views are one rollup: on two databases
+        after a contended write, the totals agree key for key."""
+        store["tasks"]["queue"].insert_one({"state": "READY"})
+        coll = store["mp"]["materials"]
+        coll.insert_one({"x": 1})
+        held, release = threading.Event(), threading.Event()
+        t = _hold_write(coll._lock, held, release)
+        writer = threading.Thread(target=lambda: coll.insert_one({"x": 2}))
+        writer.start()
+        time.sleep(0.05)
+        release.set()
+        writer.join(timeout=5)
+        t.join(timeout=5)
+        assert not writer.is_alive() and not t.is_alive()
+        totals = store.lock_report()["totals"]
+        assert totals["write_contended"] >= 1
+        locks = store.server_status()["locks"]
+        assert locks.pop("top_contended")
+        assert list(totals) == list(locks) and totals == locks
+        plan_cache = store.server_status()["planCache"]
+        assert plan_cache == {
+            key: sum(store[name].plan_cache_status()["totals"][key]
+                     for name in ("mp", "tasks"))
+            for key in plan_cache}
+
 
 # -- per-stage aggregation executionStats ---------------------------------
 

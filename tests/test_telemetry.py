@@ -43,7 +43,7 @@ from repro.obs.flight import (
     set_flight_recorder,
 )
 from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_LABEL_VALUE
-from repro.obs.warehouse import TailSampler
+from repro.obs.warehouse import TRACES_TTL_S, TailSampler
 
 
 @pytest.fixture(autouse=True)
@@ -766,8 +766,13 @@ class TestWarehouseLifecycle:
     def test_tick_and_stats(self, store):
         wh = TelemetryWarehouse(store)
         wh.access.record_access("api")
-        assert wh.stats() == {"access": 1, "traces": 0, "alerts": 0,
-                              "events": 0}
+        assert wh.stats() == {"access": 1, "traces": 0, "alerts": 0}
+
+    def test_no_events_collection(self, store):
+        """Incidents live in the flight ring only: the warehouse creates
+        no ``telemetry.events`` mirror."""
+        TelemetryWarehouse(store)
+        assert "events" not in store["telemetry"].list_collection_names()
 
     def test_tick_writes_no_metric_rows(self):
         clock = SimClock()
@@ -814,20 +819,20 @@ class TestWarehouseLifecycle:
         clock: both run when due, in the test's own thread."""
         clock = SimClock()
         store = DocumentStore(clock=clock)
-        wh = TelemetryWarehouse(store, clock=clock, events_ttl_s=3600.0)
-        store["telemetry"]["events"].insert_one(
-            {"type": "stale", "ts": time.time() - 7200.0})
+        wh = TelemetryWarehouse(store, clock=clock)
+        store["telemetry"]["traces"].insert_one(
+            {"trace_id": "stale", "ts": time.time() - TRACES_TTL_S - 60.0})
         before = threading.active_count()
         wh.start(reap_interval_s=8.0)
         assert wh.running
         assert store.ttl_reaper is not None and store.ttl_reaper.running
         assert threading.active_count() == before
         clock.run_until(5.0)  # writer passes, no sweep yet
-        assert store["telemetry"]["events"].count_documents(
-            {"type": "stale"}) == 1
+        assert store["telemetry"]["traces"].count_documents(
+            {"trace_id": "stale"}) == 1
         clock.run_until(8.0)  # the reaper's first sweep
-        assert store["telemetry"]["events"].count_documents(
-            {"type": "stale"}) == 0
+        assert store["telemetry"]["traces"].count_documents(
+            {"trace_id": "stale"}) == 0
         tasks = store.server_status()["tasks"]
         assert {"repro-access-log", "repro-ttl-reaper"} <= set(tasks)
         assert "repro-telemetry-warehouse" not in tasks
