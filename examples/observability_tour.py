@@ -140,7 +140,8 @@ def main() -> None:
     print(f"[warehouse] ttl sweep reaped {reaped} expired docs")
 
     # 10. Continuous profiling: sample a hot loop's stacks, attribute a
-    #     lock wait to its (waiter, holder) call sites, and dissect an
+    #     lock wait to its (waiter, holder) pair — the waiting op and the
+    #     holding thread, which runs no op — and dissect an
     #     aggregation pipeline stage by stage.  The same data is live on
     #     GET /debug/profile|flamegraph|locks and `repro profile`.
     import threading
@@ -209,7 +210,7 @@ def main() -> None:
     #     diagnostic snapshots (serverStatus, /proc, the metrics history) to a
     #     size-capped on-disk ring of delta-compressed chunks, plus a
     #     stall watchdog that dumps every thread's stack the moment a
-    #     lock, the journal committer, or wire dispatch wedges.  After a
+    #     lock, the journal committer, or an in-flight op wedges.  After a
     #     crash the ring alone reconstructs the final pre-crash window —
     #     `repro diagnose --crash` never has to open the datastore.
     import tempfile

@@ -252,7 +252,7 @@ class _Handler(BaseHTTPRequestHandler):
         ``/debug/flamegraph`` the folded stacks as plain text (one
         ``stack count`` line each, ready for ``flamegraph.pl``);
         ``/debug/locks`` the backing store's lock totals and top-contended
-        (waiter, holder) attribution.
+        (waiter op, holder op) attribution.
         """
         from ..obs.profiler import profile_action
 

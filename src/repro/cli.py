@@ -199,8 +199,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         recorder = start_flight_recorder(
             store, flight_dir, interval_s=args.flight_interval)
         watchdog = StallWatchdog(
-            recorder, store=store, wire_server=wire,
-            stall_timeout_s=args.stall_timeout,
+            recorder, store=store, stall_timeout_s=args.stall_timeout,
         ).start()
         print(f"flight recorder on {flight_dir} "
               f"(every {args.flight_interval:g}s, stall timeout "

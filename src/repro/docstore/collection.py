@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from functools import partial
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
+    Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Mapping,
+    Optional, Tuple,
 )
 
 from ..errors import DocstoreError, DuplicateKeyError
@@ -58,7 +59,7 @@ from .indexes import (
     default_index_name,
     normalize_index_spec,
 )
-from .locks import RWLock, attribute_to_caller
+from .locks import RWLock
 from .matching import Matcher, compile_query, sort_documents
 from .objectid import ObjectId
 from .ops import ActiveOp
@@ -187,17 +188,15 @@ class Collection:
         db = self.database
         return f"{db.name}.{self.name}" if db is not None else self.name
 
-    @contextmanager
-    def _track(self, op: str, query: Any) -> Iterator[Optional[ActiveOp]]:
+    def _track(self, op: str, query: Any
+               ) -> ContextManager[Optional[ActiveOp]]:
         """List the block in the owning store's ``current_op()``; yields
         None when detached, and for ``system.*`` namespaces so the
         profiler's own writes never appear there."""
         registry = getattr(getattr(self.database, "client", None), "_ops", None)
         if registry is None or self.name.startswith("system."):
-            yield None
-            return
-        with registry.track(op, self.namespace, query) as active:
-            yield active
+            return nullcontext()
+        return registry.track(op, self.namespace, query)
 
     def _observe(
         self,
@@ -231,13 +230,15 @@ class Collection:
     def insert_one(self, document: Mapping[str, Any]) -> InsertResult:
         """Insert a single document, assigning an ObjectId if needed."""
         t0 = time.perf_counter()
-        result = InsertResult([self._insert(document)])
+        with self._track("insert", {}):
+            result = InsertResult([self._insert(document)])
         self._observe("insert", "insert", {}, t0)
         return result
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertResult:
         t0 = time.perf_counter()
-        ids = [self._insert(d) for d in documents]
+        with self._track("insert", {}):
+            ids = [self._insert(d) for d in documents]
         self._observe("insert", "insert", {}, t0, n_ops=len(ids))
         return InsertResult(ids)
 
@@ -395,7 +396,6 @@ class Collection:
             ]
         return out
 
-    @attribute_to_caller
     def _read(self, op: str, query: Mapping[str, Any], matcher: Matcher,
               projection: Any, each: Callable[[dict, int, Any], dict],
               default_hint: Optional[str] = None, sort: Any = None,
@@ -545,7 +545,7 @@ class Collection:
         is_operator_update(update)  # validates mixing eagerly
         matched = modified = 0
         upserted_id = None
-        with self._lock.write():
+        with self._track("update", query), self._lock.write():
             for pos in self._matched_positions(query, matcher, multi):
                 matched += 1
                 if self._apply_to_position(pos, update):
@@ -623,7 +623,7 @@ class Collection:
             raise DocstoreError("return_document must be 'before' or 'after'")
         matcher = compile_query(query)
         t0 = time.perf_counter()
-        with self._lock.write():
+        with self._track("findAndModify", query), self._lock.write():
             hits = list(self._select(query, matcher, sort=sort, limit=1))
             if not hits:
                 if upsert:
@@ -653,7 +653,7 @@ class Collection:
         """Atomically find one matching document and remove it."""
         matcher = compile_query(query)
         t0 = time.perf_counter()
-        with self._lock.write():
+        with self._track("findAndModify", query), self._lock.write():
             hits = list(self._select(query, matcher, sort=sort, limit=1))
             if not hits:
                 self._observe("findAndModify", "delete", query, t0)
@@ -674,7 +674,7 @@ class Collection:
     def _delete(self, query: Mapping[str, Any], multi: bool) -> DeleteResult:
         matcher = compile_query(query)
         t0 = time.perf_counter()
-        with self._lock.write():
+        with self._track("delete", query), self._lock.write():
             ids = [self._docs[pos]["_id"] for pos in
                    self._matched_positions(query, matcher, multi)]
             for _id in ids:

@@ -271,10 +271,12 @@ class Database:
                 # Query held a value the store cannot hold; keep its repr.
                 entry["query"] = repr(query)
                 profile._insert(entry, _notify=False)
-            # Capped-collection behavior: evict the oldest records.
+            # Capped-collection behavior: evict the oldest records.  Docs
+            # are keyed by ever-growing positions in insertion order, so
+            # the first key is the oldest.
             while len(profile) > PROFILE_CAP:
-                oldest = min(profile._docs)
-                profile._delete_by_id(profile._docs[oldest]["_id"])
+                oldest = next(iter(profile._docs.values()))
+                profile._delete_by_id(oldest["_id"])
 
     @property
     def profile_log(self) -> List[dict]:

@@ -20,13 +20,13 @@ Semantics:
 * instrumented: cumulative acquire counts and wait time per mode, the
   data behind ``server_status()["locks"]`` and the
   ``repro_docstore_lock_wait_millis`` histogram;
-* attributed: a wait above the noise floor records *who waited on whom* —
-  the waiter's call site plus the current holder's live stack frame (via
-  ``sys._current_frames``), rolled up per (mode, waiter, holder) into the
+* attributed: a wait above the noise floor records *who waited on whom*,
+  each side labelled ``"<op> <ns> <query shape>"`` from the op it runs
+  (:func:`repro.docstore.ops.thread_op`), else by its thread name, rolled
+  up per (mode, waiter, holder) with the last opids of both sides into the
   bounded :meth:`RWLock.contention_report` behind
-  ``server_status()["locks"]["top_contended"]``.  Attribution costs
-  nothing on the uncontended fast path: sites are only captured when a
-  thread is already about to block.
+  ``server_status()["locks"]["top_contended"]``.  No stack is read, and
+  labels are only taken when a thread is already about to block.
 
 ``with lock:`` takes the exclusive (write) side, so legacy call sites that
 treated the collection lock as a mutex remain correct.
@@ -34,16 +34,15 @@ treated the collection lock as a mutex remain correct.
 
 from __future__ import annotations
 
-import os
-import sys
+import json
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import DocstoreError
-from ..obs.profiler import current_frames
+from .ops import thread_op
 
-__all__ = ["RWLock", "attribute_to_caller"]
+__all__ = ["RWLock"]
 
 #: Waits shorter than this are not reported to the metrics registry: an
 #: uncontended acquire always "waits" a few hundred nanoseconds, and the
@@ -51,42 +50,24 @@ __all__ = ["RWLock", "attribute_to_caller"]
 _CONTENTION_FLOOR_S = 1e-4
 
 #: Distinct (mode, waiter, holder) attribution rows kept per lock before
-#: novel pairings collapse into the overflow site — same bounded-memory
-#: discipline as the metrics cardinality cap.
+#: novel pairings collapse into the one overflow row, keyed by the mode of
+#: the first wait that overflowed — same bounded-memory discipline as the
+#: metrics cardinality cap.
 MAX_CONTENTION_SITES = 64
 
 #: Site label absorbing attribution rows past :data:`MAX_CONTENTION_SITES`.
 OVERFLOW_SITE = "__other__"
 
-_PASS_THROUGH: set = set()
 
-
-def attribute_to_caller(fn: Any) -> Any:
-    """Decorator: report lock sites inside ``fn`` at its caller, so a
-    helper several verbs share is attributed to the verb."""
-    _PASS_THROUGH.add(fn.__code__)
-    return fn
-
-
-def _describe_frame(frame: Any) -> str:
-    """``file:function:line`` for the first frame outside this module.
-
-    Frames from :mod:`threading` are skipped too: a holder parked in
-    ``Condition.wait`` / ``Event.wait`` should be attributed to the
-    application code that parked it, not to the stdlib wait machinery.
-    So are :func:`attribute_to_caller` helpers.
-    """
-    own = os.path.abspath(__file__)
-    skipped = (own, os.path.abspath(threading.__file__))
-    while frame is not None and (
-            frame.f_code in _PASS_THROUGH
-            or os.path.abspath(frame.f_code.co_filename) in skipped):
-        frame = frame.f_back
-    if frame is None:
-        return "<unknown>"
-    code = frame.f_code
-    return (f"{os.path.basename(code.co_filename)}:"
-            f"{code.co_name}:{frame.f_lineno}")
+def _describe_thread(ident: int) -> Tuple[str, Optional[int]]:
+    """(label, opid) of thread ``ident``: its innermost registered op, or
+    its ``threading`` name and no opid when it runs none."""
+    active = thread_op(ident)
+    if active is not None:
+        return (f"{active.op} {active.ns} {json.dumps(active.shape)}",
+                active.opid)
+    return next((t.name for t in threading.enumerate() if t.ident == ident),
+                str(ident)), None
 
 
 class _ReadGuard:
@@ -245,46 +226,35 @@ class RWLock:
                 self._writer = None
                 self._cond.notify_all()
 
-    def _capture_sites(self) -> Tuple[str, str]:
-        """(waiter_site, holder_site) for a thread about to block.
+    def _capture_sites(self) -> Tuple[str, str, Tuple[Optional[int], ...]]:
+        """(waiter, holder, (waiter opid, holder opid)) for a thread about
+        to block.
 
         Called with the condition mutex held, once per wait, *before* the
-        first ``cond.wait()`` — the only moment both sides exist: the
-        waiter is this thread's own stack, the holder is whichever thread
-        currently owns the lock, read live out of
-        :func:`repro.obs.profiler.current_frames`.  Uncontended acquires never get here,
-        so attribution adds zero cost to the fast path.
+        first ``cond.wait()`` — the only moment both sides exist.
+        Uncontended acquires never get here, so attribution adds zero cost
+        to the fast path.
         """
-        waiter = _describe_frame(sys._getframe(1))
-        holder_idents = ([self._writer] if self._writer is not None
-                         else list(self._readers))
-        holder = None
-        if holder_idents:
-            frames = current_frames()
-            for ident in holder_idents:
-                frame = frames.get(ident)
-                if frame is not None:
-                    holder = _describe_frame(frame)
-                    break
-            if (holder is not None and self._writer is None
-                    and len(self._readers) > 1):
+        waiter, waiter_opid = _describe_thread(threading.get_ident())
+        if self._writer is not None or self._readers:
+            holder, holder_opid = _describe_thread(
+                self._writer if self._writer is not None
+                else next(iter(self._readers)))
+            if self._writer is None and len(self._readers) > 1:
                 holder += f" (+{len(self._readers) - 1} readers)"
-        if holder is None:
+        else:
             # Queued behind a writer that is itself still waiting
-            # (writer preference), or the holder released mid-capture.
-            holder = ("<waiting-writer>" if self._waiting_writers
-                      else "<released>")
-        return waiter, holder
+            # (writer preference).
+            holder, holder_opid = "<waiting-writer>", None
+        return waiter, holder, (waiter_opid, holder_opid)
 
-    def _record_wait(self, mode: str, waited_s: float,
-                     sites: Optional[Tuple[str, str]] = None) -> None:
+    def _record_wait(self, mode: str, waited_s: float, sites: tuple) -> None:
         # Called with the condition mutex held.
         self._wait_s[mode] += waited_s
         if waited_s < _CONTENTION_FLOOR_S:
             return
         self._contended[mode] += 1
-        if sites is not None:
-            self._note_contention(mode, sites[0], sites[1], waited_s)
+        self._note_contention(mode, sites[0], sites[1], waited_s, sites[2])
         from ..obs import get_registry  # local: keep import cost off hot path
 
         get_registry().histogram(
@@ -293,13 +263,17 @@ class RWLock:
                   **({"coll": self.name} if self.name else {}))
 
     def _note_contention(self, mode: str, waiter: str, holder: str,
-                         waited_s: float) -> None:
+                         waited_s: float,
+                         opids: Tuple[Optional[int], ...] = (None, None)
+                         ) -> None:
         # Called with the condition mutex held.
         key = (mode, waiter, holder)
         entry = self._contention.get(key)
         if entry is None:
             if len(self._contention) >= MAX_CONTENTION_SITES:
-                key = (mode, OVERFLOW_SITE, OVERFLOW_SITE)
+                key = next((k for k in self._contention
+                            if k[1] == OVERFLOW_SITE),
+                           (mode, OVERFLOW_SITE, OVERFLOW_SITE))
                 entry = self._contention.get(key)
             if entry is None:
                 entry = self._contention[key] = {
@@ -310,6 +284,7 @@ class RWLock:
         entry["wait_ms"] += waited_s * 1e3
         entry["max_wait_ms"] = max(entry["max_wait_ms"], waited_s * 1e3)
         entry["last_ts"] = time.time()
+        entry["waiter_opid"], entry["holder_opid"] = opids
 
     # -- context-manager faces -------------------------------------------
 
@@ -349,10 +324,12 @@ class RWLock:
     def contention_report(self, limit: int = 10) -> list:
         """Top contended (mode, waiter, holder) pairings by total wait.
 
-        Each row carries the waiting call site, the holder's site at the
+        Each row carries the waiter's label, the holder's label at the
         moment the wait began, the number of waits above the noise floor,
-        and cumulative/max wait milliseconds — the "who is blocking whom"
-        view behind ``server_status()["locks"]["top_contended"]``.
+        cumulative/max wait milliseconds, and the opids of the last waiter
+        and holder (None for a thread running no op) — the "who is
+        blocking whom" view behind
+        ``server_status()["locks"]["top_contended"]``.
         """
         with self._cond:
             rows = [

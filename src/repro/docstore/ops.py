@@ -13,6 +13,10 @@ the flag; the executing operation notices at its next check point (cursor
 scans check per candidate document, MapReduce per input document) and
 raises :class:`~repro.errors.OperationKilled` out of the caller's stack.
 
+Writes register too; they have no check point, so a killed write runs to
+completion.  :func:`thread_op` names the op a thread is running, which is
+how a contended :class:`~repro.docstore.locks.RWLock` labels both sides.
+
 Exposure: :meth:`DocumentStore.current_op` / :meth:`DocumentStore.kill_op`
 in-process, ``op: "current_op"`` / ``op: "kill_op"`` on the wire protocol,
 and ``GET /ops`` on the Materials API httpd.
@@ -29,7 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 from ..errors import DeadlineExceeded, OperationKilled
 from ..obs import current_span, get_registry
 
-__all__ = ["ActiveOp", "OperationRegistry", "query_shape",
+__all__ = ["ActiveOp", "OperationRegistry", "query_shape", "thread_op",
            "current_deadline", "deadline_scope"]
 
 # Per-thread deadline propagated from the wire server: when a request
@@ -76,32 +80,36 @@ def query_shape(query: Any) -> Any:
 
 
 class ActiveOp:
-    """One in-flight operation: identity, shape, and the kill flag."""
+    """One in-flight operation: identity, query, and the kill flag."""
 
-    __slots__ = ("opid", "op", "ns", "shape", "started_s", "started_wall",
-                 "trace_id", "deadline", "plan_summary", "_killed")
+    __slots__ = ("opid", "op", "ns", "query", "started_s", "started_wall",
+                 "trace_id", "deadline", "plan_summary", "killed",
+                 "thread", "outer")
 
-    def __init__(self, opid: int, op: str, ns: str, query: Any,
-                 deadline: Optional[float] = None):
+    def __init__(self, opid: int, op: str, ns: str, query: Any):
         self.opid = opid
         self.op = op
         self.ns = ns
-        self.shape = query_shape(query) if query is not None else None
+        #: Shaped only when described: registration is on every verb's path.
+        self.query = query
         #: MongoDB-style planSummary, filled in once the planner has run.
         self.plan_summary: Optional[str] = None
         self.started_s = time.perf_counter()
         self.started_wall = time.time()
         s = current_span()
         self.trace_id = s.trace_id if s is not None else None
-        self.deadline = deadline if deadline is not None else current_deadline()
-        self._killed = threading.Event()
+        self.deadline = current_deadline()
+        self.killed = False
+        self.thread = threading.get_ident()
+        #: The op this one shadows in :func:`thread_op` while it runs.
+        self.outer: Optional[ActiveOp] = None
 
     @property
-    def killed(self) -> bool:
-        return self._killed.is_set()
+    def shape(self) -> Any:
+        return query_shape(self.query) if self.query is not None else None
 
     def kill(self) -> None:
-        self._killed.set()
+        self.killed = True
 
     def check_killed(self) -> None:
         """The cooperative check point; raises if ``killOp`` targeted us
@@ -109,12 +117,12 @@ class ActiveOp:
         # Deadline first: an op swept by ``kill_expired`` should report
         # *why* it died, not just that the kill flag was set.
         if self.deadline is not None and time.time() > self.deadline:
-            self._killed.set()
+            self.killed = True
             raise DeadlineExceeded(
                 f"operation {self.opid} ({self.op} on {self.ns}) "
                 "exceeded its deadline"
             )
-        if self._killed.is_set():
+        if self.killed:
             raise OperationKilled(
                 f"operation {self.opid} ({self.op} on {self.ns}) "
                 "terminated by killOp"
@@ -136,6 +144,16 @@ class ActiveOp:
         }
 
 
+#: Thread ident -> the innermost op that thread is running, across every
+#: registry in the process.  Only the owning thread writes its key.
+_by_thread: Dict[int, ActiveOp] = {}
+
+
+def thread_op(ident: int) -> Optional[ActiveOp]:
+    """The innermost in-flight op of thread ``ident``, or None."""
+    return _by_thread.get(ident)
+
+
 class OperationRegistry:
     """Thread-safe table of every in-flight operation on one store."""
 
@@ -146,6 +164,8 @@ class OperationRegistry:
 
     def register(self, op: str, ns: str, query: Any = None) -> ActiveOp:
         active = ActiveOp(next(self._opids), op, ns, query)
+        active.outer = _by_thread.get(active.thread)
+        _by_thread[active.thread] = active
         with self._lock:
             self._ops[active.opid] = active
         get_registry().gauge(
@@ -158,6 +178,10 @@ class OperationRegistry:
             return
         with self._lock:
             self._ops.pop(active.opid, None)
+        if active.outer is None:
+            _by_thread.pop(active.thread, None)
+        else:
+            _by_thread[active.thread] = active.outer
         get_registry().gauge(
             "repro_docstore_active_ops", "operations currently executing"
         ).dec(1, op=active.op)

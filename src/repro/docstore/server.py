@@ -176,11 +176,6 @@ class DatastoreServer(ServerThread):
         # Test hook: ``fn(wfile, encoded)`` replaces the response write so
         # chaos tests can fail mid-frame; None in production.
         self._response_fault = None
-        # In-flight dispatch registry keyed by handler thread ident: the
-        # flight watchdog's wire probe reads the oldest entry's age to spot
-        # a dispatch wedged inside the engine.
-        self._inflight: Dict[int, tuple] = {}
-        self._inflight_lock = threading.Lock()
 
     def _record_access(self, request: Optional[Mapping[str, Any]],
                        error_type: Optional[str], t0: float,
@@ -239,34 +234,13 @@ class DatastoreServer(ServerThread):
                 f"request {request['op']!r} arrived past its deadline"
             )
         ctx = request.get("$trace")
-        ident = threading.get_ident()
-        with self._inflight_lock:
-            self._inflight[ident] = (str(request["op"]), time.monotonic())
-        try:
-            with deadline_scope(deadline):
-                if ctx is None:
-                    return self._dispatch(request)
-                with remote_span(f"wire.{request['op']}", ctx,
-                                 db=request.get("db"),
-                                 coll=request.get("coll")):
-                    return self._dispatch(request)
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(ident, None)
-
-    def dispatch_inflight(self) -> List[dict]:
-        """Currently dispatching wire ops with their ages (oldest first).
-
-        The flight watchdog's wire-liveness probe: a dispatch older than
-        the stall timeout means a handler thread is wedged inside the
-        engine (the probe itself never enters the engine).
-        """
-        now = time.monotonic()
-        with self._inflight_lock:
-            rows = [{"op": op, "age_s": now - t0}
-                    for op, t0 in self._inflight.values()]
-        rows.sort(key=lambda r: -r["age_s"])
-        return rows
+        with deadline_scope(deadline):
+            if ctx is None:
+                return self._dispatch(request)
+            with remote_span(f"wire.{request['op']}", ctx,
+                             db=request.get("db"),
+                             coll=request.get("coll")):
+                return self._dispatch(request)
 
     def _dispatch(self, request: Mapping[str, Any]) -> dict:
         with self._stats_lock:

@@ -45,7 +45,7 @@ Fleet-health tooling builds on that substrate:
   history and the only incident log: FTDC-style snapshots
   (``server_status``, counter deltas, gauges, histogram quantiles,
   process stats) into a size-capped on-disk ring of delta-compressed
-  CRC-checked chunks, a stall watchdog probing lock/journal/wire
+  CRC-checked chunks, a stall watchdog probing lock/journal/op
   liveness, and crash forensics that turn an unclean shutdown into a
   ``crash_report.json``;
 * :mod:`.procstats` — ``/proc``-derived process stats (RSS, CPU seconds,

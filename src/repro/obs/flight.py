@@ -25,11 +25,12 @@ Three layers:
 
 * **Stall watchdog** — a separate daemon thread probes hot-path liveness
   (non-blocking RWLock read acquisition per collection, journal committer
-  heartbeat age, oldest in-flight wire dispatch).  A probe that fails
+  heartbeat age, the oldest op in the store's ``currentOp`` table, which
+  wire and HTTP requests alike register in).  A probe that fails
   continuously past ``stall_timeout_s`` fires a stall event: all-thread
-  stacks folded via the sampling profiler's :func:`fold_stack`, an EVENT
-  record in the ring, an immediate flush, and a
-  ``repro_flight_stalls_total`` counter bump.  The ring is the only
+  stacks read from :func:`faulthandler.dump_traceback` and folded
+  ``outer;inner;leaf``, an EVENT record in the ring, an immediate flush,
+  and a ``repro_flight_stalls_total`` counter bump.  The ring is the only
   incident log: the watchdog never writes into the store it watches, so
   a wedged journal cannot block the report of its own wedge.
 
@@ -47,10 +48,12 @@ from __future__ import annotations
 
 import atexit
 import copy
+import faulthandler
 import json
 import os
 import re
 import struct
+import tempfile
 import threading
 import time
 import zlib
@@ -60,7 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..background import PeriodicTask, TaskDaemon
 from .metrics import get_registry, labels_key
 from .procstats import process_status
-from .profiler import current_frames, fold_stack
+from .profiler import MAX_DEPTH
 
 __all__ = [
     "FlightRecorder",
@@ -743,18 +746,35 @@ class FlightRecorder(TaskDaemon):
 # -- stall watchdog ---------------------------------------------------------
 
 
+_STACK_THREAD_RE = re.compile(r"^(Current thread|Thread) (0x[0-9a-f]+)")
+_STACK_FRAME_RE = re.compile(r'^  File "(.*)", line \S+ in (.*)$', re.M)
+
+
 def dump_all_stacks() -> List[dict]:
-    """Fold every live thread's stack via the profiler's folder."""
-    frames = current_frames()
+    """Every other thread's stack as ``{"thread", "stack"}`` rows, folded
+    ``outer;inner;leaf`` like the sampling profiler's.
+
+    Parsed from :func:`faulthandler.dump_traceback`, which reads each
+    thread's interpreter frames in C with the GIL held and builds no frame
+    objects, so a dump carries neither the CPython 3.11 hang risk of
+    ``sys._current_frames()`` nor the crash risk of walking ``f_back``
+    under thread churn.
+    """
     names = {t.ident: t.name for t in threading.enumerate()}
-    me = threading.get_ident()
-    out = []
-    for ident, frame in list(frames.items())[:MAX_STACK_THREADS]:
-        if ident == me:
+    with tempfile.TemporaryFile() as f:
+        faulthandler.dump_traceback(f, all_threads=True)
+        f.seek(0)
+        text = f.read().decode("utf-8", "replace")
+    rows = []
+    for block in text.split("\n\n"):  # one block per thread, innermost first
+        head = _STACK_THREAD_RE.match(block)
+        if head is None or head.group(1) == "Current thread":
             continue
-        out.append({"thread": names.get(ident, str(ident)),
-                    "stack": fold_stack(frame)})
-    return out
+        frames = [f"{os.path.splitext(os.path.basename(path))[0]}:{func}"
+                  for path, func in _STACK_FRAME_RE.findall(block)]
+        rows.append({"thread": names.get(int(head.group(2), 16), head.group(2)),
+                     "stack": ";".join(reversed(frames[:MAX_DEPTH]))})
+    return rows[:MAX_STACK_THREADS]
 
 
 class StallWatchdog(TaskDaemon):
@@ -769,7 +789,9 @@ class StallWatchdog(TaskDaemon):
     * ``journal`` — the committer thread's heartbeat age while records
       are pending: a wedged ``fsync`` shows up as a growing backlog under
       a stale heartbeat.
-    * ``wire`` — the oldest in-flight dispatch on the wire server.
+    * ``op`` — the oldest op in the store's ``current_op()`` table, which
+      lists reads and writes from the wire server and HTTP alike.  It is
+      skipped while the journal probe fails.
 
     On a stall: all-thread stack dump, EVENT record + ring flush, and the
     ``repro_flight_stalls_total`` counter; :meth:`FlightRecorder.recent_events`
@@ -779,13 +801,12 @@ class StallWatchdog(TaskDaemon):
     """
 
     def __init__(self, recorder: Optional[FlightRecorder],
-                 store: Any = None, wire_server: Any = None,
+                 store: Any = None,
                  interval_s: float = 1.0,
                  stall_timeout_s: float = DEFAULT_STALL_TIMEOUT_S,
                  clock: Any = None):
         self.recorder = recorder
         self.store = store
-        self.wire_server = wire_server
         self._clock = clock
         self._task = PeriodicTask("repro-flight-watchdog", interval_s,
                                   self.check_once, clock)
@@ -857,28 +878,29 @@ class StallWatchdog(TaskDaemon):
                         f"{journal['pending']} records pending, committer "
                         f"heartbeat {age:.1f}s old")
 
-        if self.wire_server is not None:
+            # Writes parked behind a wedged journal are its symptom: the
+            # journal event already names the cause, so only look at ops
+            # while the journal is healthy.
             try:
-                inflight = self.wire_server.dispatch_inflight()
+                oldest = (None if "journal" in failing
+                          else next(iter(store.current_op()), None))
             except Exception:
-                inflight = []
-            for entry in inflight:
-                if entry.get("age_s", 0.0) >= self.stall_timeout_s:
-                    failing["wire"] = (
-                        f"op {entry.get('op')!r} in dispatch for "
-                        f"{entry['age_s']:.1f}s")
-                    break
+                oldest = None
+            if (oldest is not None
+                    and oldest["elapsed_ms"] >= self.stall_timeout_s * 1e3):
+                failing["op"] = (
+                    f"opid {oldest['opid']} ({oldest['op']} on "
+                    f"{oldest['ns']}) running for "
+                    f"{oldest['elapsed_ms'] / 1e3:.1f}s")
 
         events: List[dict] = []
         for probe, detail in failing.items():
-            if probe == "journal" or probe == "wire":
+            if probe == "journal" or probe == "op":
                 # These probes embed their own age measurement; the lock
                 # probe needs sustained failure tracked here.
-                first = now
                 elapsed = self.stall_timeout_s
             else:
-                first = self._failing_since.setdefault(probe, now)
-                elapsed = now - first
+                elapsed = now - self._failing_since.setdefault(probe, now)
             if elapsed >= self.stall_timeout_s and not self._stalled.get(probe):
                 self._stalled[probe] = True
                 events.append(self._fire(probe, detail))
@@ -886,7 +908,7 @@ class StallWatchdog(TaskDaemon):
             if probe not in failing:
                 self._failing_since.pop(probe, None)
                 self._stalled.pop(probe, None)
-        for probe in ("journal", "wire"):
+        for probe in ("journal", "op"):
             if probe not in failing:
                 self._stalled.pop(probe, None)
         return events

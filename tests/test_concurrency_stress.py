@@ -417,9 +417,9 @@ def contend(i):
 
 
 def capture():
-    # The capture the sampling profiler and the stall watchdog make; their
-    # stack walks are left out, since walking frames of a thread that is
-    # exiting can itself crash CPython 3.11.
+    # The capture the sampling profiler makes; its stack walk is left out,
+    # since walking frames of a thread that is exiting can itself crash
+    # CPython 3.11.
     while not stop.is_set():
         Cyclic()
         current_frames()
@@ -448,9 +448,9 @@ print(stats["read_contended"] + stats["write_contended"])
 
 class TestFrameCaptureUnderGC:
     def test_stack_capture_survives_collector_and_thread_churn(self, tmp_path):
-        """Contended lock acquires and a stack-capture loop read every
-        thread's frame while the collector runs finalizers and threads
-        start and exit.  A hang here is the process wedged inside the frame
+        """A stack-capture loop reads every thread's frame beside contended
+        lock acquires while the collector runs finalizers and threads start
+        and exit.  A hang here is the process wedged inside the frame
         capture; faulthandler turns it into a traceback and a non-zero
         exit."""
         script = tmp_path / "frames_child.py"
@@ -464,6 +464,88 @@ class TestFrameCaptureUnderGC:
         )
         assert proc.returncode == 0, proc.stderr[-4000:]
         assert int(proc.stdout.split()[-1]) > 0, "no contended acquire"
+
+
+_CHURN_CHILD = """\
+import faulthandler, sys, threading, time
+from repro.docstore import DocumentStore
+from repro.obs.flight import StallWatchdog, dump_all_stacks
+
+duration = float(sys.argv[1])
+faulthandler.dump_traceback_later(duration + 20, exit=True)
+store = DocumentStore()
+coll = store["mp"]["churn"]
+coll.insert_many([{"i": i, "n": 0} for i in range(8)])
+watchdog = StallWatchdog(None, store=store, stall_timeout_s=0.0)
+stop = threading.Event()
+dumps = [0]
+
+
+class Cyclic:
+    def __init__(self):
+        self.me = self  # only the collector frees it, running __del__
+
+    def __del__(self):
+        sum(range(50))
+
+
+def contend(i):
+    while not stop.is_set():
+        Cyclic()
+        if i % 2:
+            coll.update_one({"i": i}, {"$inc": {"n": 1}})
+        else:
+            coll.find_one({"i": i})
+
+
+def churn():
+    while not stop.is_set():
+        t = threading.Thread(target=coll.find_one, args=({"i": 1},))
+        t.start()
+        t.join()
+
+
+def watch():
+    while not stop.is_set():
+        Cyclic()
+        watchdog.check_once()
+        dump_all_stacks()
+        dumps[0] += 1
+
+
+threads = [threading.Thread(target=contend, args=(i,)) for i in range(6)]
+threads += [threading.Thread(target=churn), threading.Thread(target=watch)]
+sys.setswitchinterval(1e-6)
+for t in threads:
+    t.start()
+time.sleep(duration)
+stop.set()
+for t in threads:
+    t.join()
+locks = store.lock_report()["totals"]
+print(locks["read_contended"] + locks["write_contended"], dumps[0])
+"""
+
+
+class TestOpAttributionUnderChurn:
+    def test_lock_labels_and_stall_dumps_survive_thread_churn(self, tmp_path):
+        """Contended acquires label their waiter and holder from the ops
+        table while threads start and exit, and a watchdog loop probes and
+        dumps every stack.  A crash or hang in the labelling or the dump
+        fails the child; faulthandler turns a hang into a traceback."""
+        script = tmp_path / "churn_child.py"
+        script.write_text(_CHURN_CHILD)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, str(script), str(DURATION_S)],
+            env=env, timeout=DURATION_S + 60, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        contended, dumps = map(int, proc.stdout.split()[-2:])
+        assert contended > 0, "no contended acquire"
+        assert dumps > 0, "no stack dump"
 
 
 _CRASH_CHILD = """\

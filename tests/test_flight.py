@@ -43,6 +43,7 @@ from repro.obs.flight import (
     detect_unclean_shutdown,
     dict_delta,
     diff_window,
+    dump_all_stacks,
     enable_fault_handler,
     generate_crash_report,
     read_crash_report,
@@ -655,20 +656,40 @@ class TestStallWatchdog:
         rec.stop()
         store.close()
 
-    def test_wire_stall_detection(self, tmp_path, store):
-        with DatastoreServer(store, port=0).start() as server:
-            # Backdate a fake in-flight dispatch past the timeout.
-            server._inflight[999] = ("find", time.monotonic() - 10.0)
-            rec = FlightRecorder(None, str(tmp_path))
-            wd = StallWatchdog(rec, store=None, wire_server=server,
-                               stall_timeout_s=5.0)
+    def test_op_stall_detection(self, tmp_path, store):
+        """A find parked mid-scan past the timeout fires the op probe, which
+        names it; the probe re-arms once the find is done."""
+        coll = store["mp"]["m"]
+        coll.insert_one({"i": 1})
+        started, release = threading.Event(), threading.Event()
+        original = coll._select
+
+        def gated(*args, **kwargs):
+            for hit in original(*args, **kwargs):
+                started.set()
+                release.wait(timeout=5)
+                yield hit
+
+        coll._select = gated
+        finder = threading.Thread(
+            target=lambda: coll.find({"i": 1}).to_list())
+        rec = FlightRecorder(None, str(tmp_path))
+        wd = StallWatchdog(rec, store=store, stall_timeout_s=0.05)
+        finder.start()
+        try:
+            assert started.wait(timeout=5)
+            time.sleep(0.1)
             events = wd.check_once()
-            assert len(events) == 1
-            assert events[0]["probe"] == "wire"
-            assert "'find'" in events[0]["detail"]
-            server._inflight.clear()
-            assert wd.check_once() == []
-            rec.stop()
+            assert [e["probe"] for e in events] == ["op"]
+            assert "(find on mp.m) running for" in events[0]["detail"]
+            assert any("test_flight:gated" in s["stack"]
+                       for s in events[0]["stacks"])
+            assert wd.check_once() == []  # debounced while still stalled
+        finally:
+            release.set()
+            finder.join(timeout=5)
+        assert wd.check_once() == []
+        rec.stop()
 
     def test_daemon_lifecycle(self, tmp_path, store):
         wd = StallWatchdog(None, store=store, interval_s=0.05,
@@ -677,6 +698,32 @@ class TestStallWatchdog:
         assert wd.running
         wd.stop()
         assert not wd.running
+
+
+class TestDumpAllStacks:
+    def test_parked_thread_outermost_first_without_caller(self):
+        started, release = threading.Event(), threading.Event()
+
+        def parked_target():
+            started.set()
+            release.wait(timeout=10)
+
+        t = threading.Thread(target=parked_target, name="parked")
+        t.start()
+        try:
+            assert started.wait(timeout=5)
+            rows = dump_all_stacks()
+        finally:
+            release.set()
+            t.join()
+        frames = next(r for r in rows if r["thread"] == "parked")[
+            "stack"].split(";")
+        assert frames[0] == "threading:_bootstrap"
+        assert "test_flight:parked_target" in frames
+        assert threading.current_thread().name not in {
+            r["thread"] for r in rows}
+        assert not any("test_parked_thread_outermost_first" in r["stack"]
+                       for r in rows)
 
 
 # -- changestream backlog accounting --------------------------------------

@@ -6,6 +6,7 @@ import urllib.request
 import pytest
 
 from repro.docstore import DocumentStore
+from repro.docstore import database as database_module
 from repro.errors import DocstoreError, ReproError
 from repro.obs import (
     MetricsRegistry,
@@ -163,6 +164,14 @@ class TestProfiler:
         db["t"].insert_one({"x": 1})      # fast write: not recorded
         db["t"].find({}).to_list()        # read: always recorded
         assert [e["op"] for e in db.profile_log] == ["find"]
+
+    def test_cap_evicts_exactly_the_oldest(self, db, monkeypatch):
+        monkeypatch.setattr(database_module, "PROFILE_CAP", 5)
+        db.set_profiling_level(2)
+        for i in range(8):
+            db["t"].count_documents({"i": i})
+        assert [e["query"] for e in db.profile_log] == [
+            {"i": i} for i in range(3, 8)]
 
 
 class TestExplain:

@@ -2,8 +2,10 @@
 attribution, per-stage aggregation executionStats, and the surfacing layer
 (wire ops, /debug endpoints, CLI, warehouse persistence)."""
 
+import ast
 import gc
 import json
+import pathlib
 import random
 import sys
 import threading
@@ -13,6 +15,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.api import MaterialsAPI, MaterialsAPIServer, QueryEngine
 from repro.docstore import (
     DatastoreServer,
@@ -207,6 +210,23 @@ class TestSamplingProfiler:
                 assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_only_the_sampler_reads_other_threads_frames(self):
+        """Lock attribution and the stall dump read no frames: the one
+        cross-thread frame capture in the package is the opt-in sampler's."""
+        root = pathlib.Path(repro.__file__).parent
+        callers = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name in ("current_frames", "_current_frames"):
+                    callers.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert callers
+        assert all(c.startswith("obs/profiler.py:") for c in callers), callers
 
     def test_global_profiler_shared_and_idempotent(self):
         assert get_profiler() is None or not get_profiler().running
@@ -426,10 +446,40 @@ class TestLockContention:
         assert report["totals"]["read_contended"] >= 1
         top = report["top_contended"]
         assert top and top[0]["db"] == "mp" and top[0]["coll"] == "materials"
-        assert "find_one" in top[0]["waiter"]
+        assert top[0]["waiter"].startswith("findOne mp.materials")
+        assert "writer_hold_site" in top[0]["holder"]
         # server_status carries the same rows
         status_top = store.server_status()["locks"]["top_contended"]
         assert status_top and status_top[0]["waiter"] == top[0]["waiter"]
+
+    def test_rows_name_ops_and_keep_opids(self, store):
+        """A gated update holds mp.materials while a find_one waits: the
+        row names both ops, and its holder opid is the update's."""
+        coll = store["mp"]["materials"]
+        coll.insert_one({"x": 1})
+        held, release = threading.Event(), threading.Event()
+
+        def gate(op, payload):  # change listeners run under the write lock
+            held.set()
+            release.wait(timeout=5)
+
+        coll.add_change_listener(gate)
+        writer = threading.Thread(target=coll.update_one,
+                                  args=({"x": 1}, {"$set": {"y": 2}}))
+        writer.start()
+        assert held.wait(timeout=5)
+        update_opid = store.current_op()[0]["opid"]
+        reader = threading.Thread(target=lambda: coll.find_one({"x": 1}))
+        reader.start()
+        time.sleep(0.05)
+        release.set()
+        reader.join(timeout=5)
+        writer.join(timeout=5)
+        row = store.lock_report()["top_contended"][0]
+        assert row["waiter"].startswith("findOne mp.materials")
+        assert row["holder"].startswith("update mp.materials")
+        assert row["holder_opid"] == update_opid
+        assert row["waiter_opid"] > update_opid
 
     def test_lock_report_totals_match_server_status(self, store):
         """Both store-wide lock views are one rollup: on two databases

@@ -17,6 +17,7 @@ from repro.docstore import (
     ShardedCluster,
     query_shape,
 )
+from repro.docstore.ops import thread_op
 from repro.errors import DeadlineExceeded, NotFoundError, OperationKilled
 from repro.fireworks import LaunchPad, Rocket, Workflow
 from repro.matgen import make_prototype
@@ -214,6 +215,16 @@ class TestCurrentOpKillOp:
         assert shape["n"] == {"$lte": "?int"}
         assert shape["tags"]["$in"][-1] == "..."
 
+    def test_thread_op_is_the_innermost_and_nesting_restores(self, store):
+        me = threading.get_ident()
+        assert thread_op(me) is None
+        with store._ops.track("findAndModify", "mp.t", {"x": 1}) as outer:
+            assert thread_op(me) is outer
+            with store._ops.track("findOne", "mp.t", {"_id": 1}) as inner:
+                assert thread_op(me) is inner
+            assert thread_op(me) is outer
+        assert thread_op(me) is None
+
     def test_current_op_empty_when_idle(self, store):
         assert store.current_op() == []
         assert store.kill_op(999) is False
@@ -339,6 +350,35 @@ class TestCurrentOpKillOp:
         assert not worker.is_alive()
         assert len(failures) == 1 and isinstance(failures[0], OperationKilled)
         assert store.current_op() == []
+
+    def test_inflight_write_listed_killable_and_completes(self, store):
+        """A write is in current_op() while it runs and gone after; killOp
+        flags it and it still runs to completion."""
+        coll = store["mp"]["materials"]
+        coll.insert_one({"x": 1})
+        held, release = threading.Event(), threading.Event()
+
+        def gate(op, payload):  # change listeners run under the write lock
+            held.set()
+            release.wait(timeout=5)
+
+        coll.add_change_listener(gate)
+        writer = threading.Thread(target=coll.update_one,
+                                  args=({"x": 1}, {"$set": {"y": 2}}))
+        writer.start()
+        try:
+            assert held.wait(timeout=5)
+            ops = store.current_op()
+            assert [(o["op"], o["ns"], o["query_shape"]) for o in ops] == [
+                ("update", "mp.materials", {"x": "?int"})]
+            assert store.kill_op(ops[0]["opid"]) is True
+            assert store.current_op()[0]["killed"] is True
+        finally:
+            release.set()
+            writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert store.current_op() == []
+        assert coll.find_one({"x": 1})["y"] == 2
 
     def test_wire_count_stops_at_its_deadline(self, store, client):
         coll = store["mp"]["tasks"]
