@@ -84,10 +84,6 @@ class Shard:
         with self._owned_lock:
             return chunk_id in self._owned.get(ns, set())
 
-    def owned_chunks(self, ns: str) -> Set[str]:
-        with self._owned_lock:
-            return set(self._owned.get(ns, set()))
-
     # -- routed execution ---------------------------------------------------
 
     @staticmethod

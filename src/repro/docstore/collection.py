@@ -36,12 +36,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from functools import partial
 from operator import itemgetter
 from typing import (
-    Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Mapping,
-    Optional, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple,
 )
 
 from ..errors import DocstoreError, DuplicateKeyError
@@ -162,6 +160,14 @@ class Collection:
         # under the read lock by unprojected wire reads; dropped under the
         # write lock wherever ``_docs[pos]`` is swapped or removed.
         self._fragments: Dict[int, Tuple[dict, bytes]] = {}
+        # Where this collection's ops go: the owning store's current_op()
+        # table and the database's report funnel.  Neither for a detached
+        # collection, nor for ``system.*`` so the profiler's own writes
+        # never show; a database without a store still gets reports.
+        reported = database is not None and not name.startswith("system.")
+        self._report = database._observe_op if reported else None
+        client = database.client if reported else None
+        self._registry = client._ops if client is not None else None
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -188,58 +194,27 @@ class Collection:
         db = self.database
         return f"{db.name}.{self.name}" if db is not None else self.name
 
-    def _track(self, op: str, query: Any
-               ) -> ContextManager[Optional[ActiveOp]]:
-        """List the block in the owning store's ``current_op()``; yields
-        None when detached, and for ``system.*`` namespaces so the
-        profiler's own writes never appear there."""
-        registry = getattr(getattr(self.database, "client", None), "_ops", None)
-        if registry is None or self.name.startswith("system."):
-            return nullcontext()
-        return registry.track(op, self.namespace, query)
-
-    def _observe(
-        self,
-        op: str,
-        kind: str,
-        query: Any,
-        started: float,
-        nreturned: int = 0,
-        n_ops: int = 1,
-        docs_examined: Optional[int] = None,
-        plan: Optional[str] = None,
-        stages: Optional[List[dict]] = None,
-    ) -> None:
-        """Report a finished operation to the database's instrumentation
-        funnel (opcounters, profiler, metrics, tracing).  A no-op for
-        detached collections and ``system.*`` namespaces."""
-        db = self.database
-        if db is None or self.name.startswith("system."):
-            return
-        observer = getattr(db, "_observe_op", None)
-        if observer is None:
-            return
-        observer(
-            self.name, op, kind, query, time.perf_counter() - started,
-            nreturned=nreturned, n_ops=n_ops,
-            docs_examined=docs_examined, plan=plan, stages=stages,
-        )
+    def _op(self, op: str, kind: str, query: Any) -> ActiveOp:
+        """The record of one ``op`` of opcounter category ``kind``, for
+        ``with self._op(...) as active:``.  Listed in the store's
+        ``current_op()`` while the block runs, reported to the database
+        when it exits cleanly; see ``__init__`` for where neither holds."""
+        if self._registry is not None:
+            return self._registry.register(op, self.namespace, query, kind,
+                                           self._report)
+        return ActiveOp(op, self.namespace, query, kind, self._report)
 
     # -- inserts ----------------------------------------------------------
 
     def insert_one(self, document: Mapping[str, Any]) -> InsertResult:
         """Insert a single document, assigning an ObjectId if needed."""
-        t0 = time.perf_counter()
-        with self._track("insert", {}):
-            result = InsertResult([self._insert(document)])
-        self._observe("insert", "insert", {}, t0)
-        return result
+        with self._op("insert", "insert", {}):
+            return InsertResult([self._insert(document)])
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertResult:
-        t0 = time.perf_counter()
-        with self._track("insert", {}):
+        with self._op("insert", "insert", {}) as active:
             ids = [self._insert(d) for d in documents]
-        self._observe("insert", "insert", {}, t0, n_ops=len(ids))
+            active.n_ops = len(ids)
         return InsertResult(ids)
 
     def _insert(self, document: Mapping[str, Any], _notify: bool = True) -> Any:
@@ -279,12 +254,12 @@ class Collection:
         self,
         query: Mapping[str, Any],
         matcher: Matcher,
+        active: ActiveOp,
         sort: Optional[List[tuple]] = None,
         skip: int = 0,
         limit: Optional[int] = None,
         hint: Optional[str] = None,
         projection: Optional[Mapping[str, Any]] = None,
-        active: Any = None,
     ) -> Iterator[Tuple[dict, int]]:
         """The one selector-resolution path: plan ``query`` once and yield
         ``(stored_document, position)`` per match, in final order, after
@@ -294,8 +269,8 @@ class Collection:
         holds the collection lock, copies or projects what it exposes (a
         covered plan yields pseudo-documents rebuilt from index keys), and
         drains the generator before mutating the collection.  ``active``
-        is the op's ``currentOp`` entry, checked for ``killOp`` per
-        candidate.
+        is the op's record: checked for ``killOp`` per candidate, and given
+        the plan summary and the documents and keys examined.
         """
         result = self._planner.plan(
             query, matcher, sort_spec=sort, projection=projection, hint=hint,
@@ -311,8 +286,7 @@ class Collection:
         n = 0
         try:
             for hit in iter_plan(self, winner, matcher, stats):
-                if active is not None:
-                    active.check_killed()
+                active.check_killed()
                 n += 1
                 if not ordered:
                     unsorted.append(hit)
@@ -324,13 +298,17 @@ class Collection:
                 yield from sort_documents(
                     unsorted, sort, doc_of=itemgetter(0))[skip:stop]
         finally:
-            self._plan_local.plan = _plan_report(result, stats, n)
+            plan = self._plan_local.plan = _plan_report(result, stats, n)
+            active.plan_summary = plan.summary
+            active.docs_examined = stats["docs"]
+            active.keys_examined = stats["keys"]
             if winner.index is not None:
                 self._record_usage(winner.index.name)
             self._planner.note_execution(result, stats, n)
 
     def _matched_positions(
-        self, query: Mapping[str, Any], matcher: Matcher, multi: bool
+        self, query: Mapping[str, Any], matcher: Matcher, multi: bool,
+        active: ActiveOp,
     ) -> List[int]:
         """Positions a write to ``query`` targets, in insertion order.
 
@@ -340,7 +318,7 @@ class Collection:
         single-target write takes the document ``find_one(query)`` returns.
         """
         return sorted(pos for _doc, pos in self._select(
-            query, matcher, limit=None if multi else 1))
+            query, matcher, active, limit=None if multi else 1))
 
     def explain(
         self,
@@ -407,17 +385,12 @@ class Collection:
         ``_select`` under the read lock, ``each(stored_doc, position,
         projection)`` per survivor, reported to the instrumentation funnel.
         The verbs differ only in ``each``."""
-        t0 = time.perf_counter()
-        with self._track(op, query) as active, self._lock.read():
+        with self._op(op, "command" if op == "count" else "query",
+                      query) as active, self._lock.read():
             docs = [each(doc, pos, projection) for doc, pos in self._select(
-                query, matcher, sort, skip, limit,
-                hint if hint is not None else default_hint, projection, active)]
-            plan = self.last_plan
-            if active is not None:
-                active.plan_summary = plan.summary
-        self._observe(op, "command" if op == "count" else "query", query, t0,
-                      nreturned=len(docs), plan=plan.summary,
-                      docs_examined=plan.candidates_examined)
+                query, matcher, active, sort, skip, limit,
+                hint if hint is not None else default_hint, projection)]
+            active.nreturned = len(docs)
         return docs
 
     def _cursor(self, op: str, query: Any, projection: Any, hint: Any,
@@ -494,9 +467,8 @@ class Collection:
         if query:
             return len(self._read("count", query, compile_query(query), None,
                                   _as_stored))
-        t0 = time.perf_counter()
-        n = len(self._docs)
-        self._observe("count", "command", {}, t0, nreturned=n)
+        with self._op("count", "command", {}) as active:
+            n = active.nreturned = len(self._docs)
         return n
 
     def distinct(
@@ -540,19 +512,18 @@ class Collection:
         multi: bool,
         upsert: bool,
     ) -> UpdateResult:
-        t0 = time.perf_counter()
         matcher = compile_query(query)
         is_operator_update(update)  # validates mixing eagerly
         matched = modified = 0
         upserted_id = None
-        with self._track("update", query), self._lock.write():
-            for pos in self._matched_positions(query, matcher, multi):
+        with self._op("update", "update", query) as active, self._lock.write():
+            for pos in self._matched_positions(query, matcher, multi, active):
                 matched += 1
                 if self._apply_to_position(pos, update):
                     modified += 1
             if matched == 0 and upsert:
                 upserted_id = self._insert(self._build_upsert_doc(query, update))
-        self._observe("update", "update", query, t0, nreturned=matched)
+            active.nreturned = matched
         return UpdateResult(matched, modified, upserted_id)
 
     def _apply_to_position(self, pos: int, update: Mapping[str, Any]) -> bool:
@@ -622,27 +593,24 @@ class Collection:
         if return_document not in ("before", "after"):
             raise DocstoreError("return_document must be 'before' or 'after'")
         matcher = compile_query(query)
-        t0 = time.perf_counter()
-        with self._track("findAndModify", query), self._lock.write():
-            hits = list(self._select(query, matcher, sort=sort, limit=1))
+        with self._op("findAndModify", "update",
+                      query) as active, self._lock.write():
+            hits = list(self._select(query, matcher, active, sort=sort, limit=1))
             if not hits:
-                if upsert:
-                    new_doc = self._build_upsert_doc(query, update)
-                    new_id = self._insert(new_doc)
-                    self._observe("findAndModify", "update", query, t0,
-                                  nreturned=1)
-                    if return_document == "after":
-                        return self.find_one({"_id": new_id}, projection)
-                else:
-                    self._observe("findAndModify", "update", query, t0)
+                if not upsert:
+                    return None
+                active.nreturned = 1
+                new_id = self._insert(self._build_upsert_doc(query, update))
+                if return_document == "after":
+                    return self.find_one({"_id": new_id}, projection)
                 return None
+            active.nreturned = 1
             stored, pos = hits[0]
             before = deep_copy_doc(stored)
             self._apply_to_position(pos, update)
             result = before if return_document == "before" else deep_copy_doc(
                 self._docs[pos]
             )
-            self._observe("findAndModify", "update", query, t0, nreturned=1)
             return apply_projection(result, projection) if projection else result
 
     def find_one_and_delete(
@@ -652,15 +620,14 @@ class Collection:
     ) -> Optional[dict]:
         """Atomically find one matching document and remove it."""
         matcher = compile_query(query)
-        t0 = time.perf_counter()
-        with self._track("findAndModify", query), self._lock.write():
-            hits = list(self._select(query, matcher, sort=sort, limit=1))
+        with self._op("findAndModify", "delete",
+                      query) as active, self._lock.write():
+            hits = list(self._select(query, matcher, active, sort=sort, limit=1))
             if not hits:
-                self._observe("findAndModify", "delete", query, t0)
                 return None
             target = hits[0][0]
             self._delete_by_id(target["_id"])
-            self._observe("findAndModify", "delete", query, t0, nreturned=1)
+            active.nreturned = 1
             return deep_copy_doc(target)
 
     # -- deletes -------------------------------------------------------------
@@ -673,13 +640,12 @@ class Collection:
 
     def _delete(self, query: Mapping[str, Any], multi: bool) -> DeleteResult:
         matcher = compile_query(query)
-        t0 = time.perf_counter()
-        with self._track("delete", query), self._lock.write():
+        with self._op("delete", "delete", query) as active, self._lock.write():
             ids = [self._docs[pos]["_id"] for pos in
-                   self._matched_positions(query, matcher, multi)]
+                   self._matched_positions(query, matcher, multi, active)]
             for _id in ids:
                 self._delete_by_id(_id)
-        self._observe("delete", "delete", query, t0, nreturned=len(ids))
+            active.nreturned = len(ids)
         return DeleteResult(len(ids))
 
     def _delete_by_id(self, _id: Any) -> None:
@@ -948,25 +914,22 @@ class Collection:
         """
         from .aggregation import pipeline_stage_names, run_pipeline
 
-        t0 = time.perf_counter()
         head = pipeline[0] if isinstance(pipeline, list) and pipeline else None
         absorbed = isinstance(head, Mapping) and list(head) == ["$match"]
         query = head["$match"] if absorbed else {}
         matcher = compile_query(query)
-        with self._track("aggregate", {"pipeline": pipeline}) as active:
+        with self._op("aggregate", "command",
+                      {"pipeline": pipeline}) as active:
             with self._lock.read():
-                hits = sorted(self._select(query, matcher, active=active),
+                hits = sorted(self._select(query, matcher, active),
                               key=itemgetter(1))
-                plan = self.last_plan
-            if active is not None:
-                active.plan_summary = plan.summary
-            examined = plan.candidates_examined
+            examined = active.docs_examined
             stage_stats: List[dict] = [{
                 "stage": "$cursor", "docs_in": examined,
                 "docs_out": len(hits),
-                "elapsed_ms": (time.perf_counter() - t0) * 1e3,
-                "planSummary": plan.summary, "docsExamined": examined,
-                "keysExamined": plan.keys_examined,
+                "elapsed_ms": (time.perf_counter() - active.started_s) * 1e3,
+                "planSummary": active.plan_summary, "docsExamined": examined,
+                "keysExamined": active.keys_examined,
             }]
             if absorbed:
                 stage_stats.append({
@@ -977,19 +940,21 @@ class Collection:
                                pipeline[1:] if absorbed else pipeline,
                                database=self.database,
                                stage_stats=stage_stats)
-        if explain:
-            return {
-                "ns": self.namespace,
-                "pipeline": pipeline_stage_names(pipeline),
-                "stages": stage_stats,
-                "nReturned": len(out),
-                "executionTimeMillis": (time.perf_counter() - t0) * 1e3,
-            }
-        out = [deep_copy_doc(row) for row in out]
-        self._observe("aggregate", "command",
-                      {"pipeline": pipeline_stage_names(pipeline)}, t0,
-                      nreturned=len(out), docs_examined=examined,
-                      plan=plan.summary, stages=stage_stats)
+            if explain:
+                active.report = None  # an explain is listed, never reported
+                return {
+                    "ns": self.namespace,
+                    "pipeline": pipeline_stage_names(pipeline),
+                    "stages": stage_stats,
+                    "nReturned": len(out),
+                    "executionTimeMillis":
+                        (time.perf_counter() - active.started_s) * 1e3,
+                }
+            out = [deep_copy_doc(row) for row in out]
+            active.nreturned = len(out)
+            active.stages = stage_stats
+            # The profile keeps the stage-name shape the advisor mines.
+            active.query = {"pipeline": pipeline_stage_names(pipeline)}
         return out
 
     def map_reduce(
@@ -1000,14 +965,17 @@ class Collection:
         finalize: Optional[Callable[[Any, Any], Any]] = None,
     ) -> List[dict]:
         """Built-in single-threaded MapReduce (see :mod:`.mapreduce`) over
-        the documents matching ``query``; listed in ``current_op()`` and
-        killable between documents."""
+        the documents matching ``query`` (read by a ``find`` of its own);
+        listed in ``current_op()``, killable between documents, and
+        reported as a ``command`` like ``aggregate``."""
         from .mapreduce import map_reduce
 
         docs = self.find(query).to_list()
-        with self._track("mapreduce", query or {}) as active:
-            return map_reduce(docs, mapper, reducer, finalize, kill_check=(
-                active.check_killed if active is not None else None)).rows
+        with self._op("mapreduce", "command", query or {}) as active:
+            rows = map_reduce(docs, mapper, reducer, finalize,
+                              kill_check=active.check_killed).rows
+            active.nreturned = len(rows)
+        return rows
 
     def stats(self) -> dict:
         """Collection statistics (counts, sizes, index info).  Sizes are

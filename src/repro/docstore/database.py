@@ -4,8 +4,11 @@ A :class:`Database` is a namespace of collections; :class:`DocumentStore`
 plays the role of ``MongoClient`` — it owns databases and the optional
 persistence layer.
 
-Every collection operation reports into :meth:`Database._observe_op`, the
-single instrumentation funnel behind four consumers:
+Every collection operation is described by one record, its
+:class:`~repro.docstore.ops.ActiveOp`: the ``current_op()`` row while it
+runs (for a database of a :class:`DocumentStore`), and, when it finishes
+cleanly, the one argument of :meth:`Database._observe_op`, the single
+instrumentation funnel behind five consumers:
 
 * **opcounters** — MongoDB ``serverStatus``-style totals per op category
   (insert/query/update/delete/getmore/command), see :meth:`server_status`;
@@ -17,11 +20,13 @@ single instrumentation funnel behind four consumers:
   paper's Figure 5);
 * **the metrics registry** — ``repro_docstore_ops_total`` and
   ``repro_docstore_op_millis`` in :mod:`repro.obs.metrics`;
-* **tracing** — when a span is current (e.g. inside a firework launch),
-  each op attaches itself as a timed ``docstore.<op>`` child span.
+* **tracing** — when a span was current as the op started (e.g. inside a
+  firework launch), the op attaches itself to it as a timed
+  ``docstore.<op>`` child span.
 
-``system.*`` collections are exempt from observation, so the profiler can
-write its own records without recursing.
+Reporting runs after the op has released its collection lock.  An op that
+raises is not reported.  ``system.*`` collections are exempt from
+observation, so the profiler can write its own records without recursing.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..background import task_table
 from ..errors import CollectionNotFound, DocstoreError
-from ..obs import current_span, get_registry
+from ..obs import get_registry
 from ..obs.procstats import process_status
 from .collection import Collection
+from .ops import ActiveOp, OperationRegistry
 
 __all__ = ["Database", "DocumentStore"]
 
@@ -147,31 +153,19 @@ class Database:
 
     # -- the instrumentation funnel ---------------------------------------
 
-    def _observe_op(
-        self,
-        coll_name: str,
-        op: str,
-        kind: str,
-        query: Any,
-        elapsed_s: float,
-        nreturned: int = 0,
-        n_ops: int = 1,
-        docs_examined: Optional[int] = None,
-        plan: Optional[str] = None,
-        stages: Optional[List[dict]] = None,
-    ) -> None:
-        """Called by :class:`Collection` after every operation.
+    def _observe_op(self, active: ActiveOp) -> None:
+        """Report a finished operation; its record calls this as its
+        block exits cleanly.
 
-        ``op`` is the precise operation name (``find``, ``insert``,
-        ``findAndModify``...), ``kind`` its opcounter category.
+        ``active.op`` is the precise operation name (``find``, ``insert``,
+        ``findAndModify``...), ``active.kind`` its opcounter category,
+        ``active.n_ops`` how many operations it counts for.
         """
-        if coll_name.startswith("system."):
-            return
-        millis = elapsed_s * 1e3
+        millis, kind, n_ops = active.millis, active.kind, active.n_ops
         side = "write" if kind in _WRITE_KINDS else "read"
         with self._stats_lock:
             self._opcounters[kind] = self._opcounters.get(kind, 0) + n_ops
-            bucket = self._top.setdefault(coll_name, {
+            bucket = self._top.setdefault(active.ns, {
                 "total_ms": 0.0, "read_ms": 0.0, "write_ms": 0.0,
                 "read_count": 0, "write_count": 0,
             })
@@ -187,26 +181,19 @@ class Database:
             "repro_docstore_op_millis", "datastore op latency"
         ).observe(millis, db=self.name, op=kind)
 
-        parent = current_span()
-        if parent is not None:
-            parent.record(
-                f"docstore.{op}", duration_ms=millis,
-                ns=f"{self.name}.{coll_name}", nreturned=nreturned,
+        if active.span is not None:
+            active.span.record(
+                f"docstore.{active.op}", duration_ms=millis, ns=active.ns,
+                nreturned=active.nreturned,
             )
 
         level = self._profile_level
-        if level >= 2 or (level == 1 and (op in _READ_OPS
+        if level >= 2 or (level == 1 and (active.op in _READ_OPS
                                           or millis >= self._slowms)):
             # Per-stage executionStats are bulky; attach them only for
             # pipelines worth dissecting — slow ones, or full profiling.
-            if stages is not None and not (level >= 2
-                                           or millis >= self._slowms):
-                stages = None
-            self._record_profile(coll_name, op, query, millis, nreturned,
-                                 docs_examined, plan,
-                                 trace_id=parent.trace_id
-                                 if parent is not None else None,
-                                 stages=stages)
+            self._record_profile(active, with_stages=level >= 2
+                                 or millis >= self._slowms)
 
     # -- profiling (per-query timing, powers Fig. 5 reproduction) ---------
 
@@ -231,45 +218,38 @@ class Database:
     def slowms(self) -> float:
         return self._slowms
 
-    def _record_profile(
-        self,
-        ns: str,
-        op: str,
-        query: Any,
-        millis: float,
-        nreturned: int,
-        docs_examined: Optional[int],
-        plan: Optional[str],
-        trace_id: Optional[str] = None,
-        stages: Optional[List[dict]] = None,
-    ) -> None:
+    def _record_profile(self, active: ActiveOp, with_stages: bool) -> None:
         entry = {
-            "ns": f"{self.name}.{ns}",
-            "op": op,
-            "query": query,
-            "millis": millis,
-            "nreturned": nreturned,
+            "ns": active.ns,
+            "op": active.op,
+            "query": active.query,
+            "millis": active.millis,
+            "nreturned": active.nreturned,
             "ts": time.time(),
         }
-        if trace_id is not None:
+        if active.opid is not None:
+            # The currentOp opid: joins this entry to lock-contention rows
+            # (``holder_opid``/``waiter_opid``) naming the same op.
+            entry["opid"] = active.opid
+        if active.span is not None:
             # Distributed tracing: the profile entry names the trace that
             # caused it, so a slow server-side op links back to the client.
-            entry["trace_id"] = trace_id
-        if docs_examined is not None:
-            entry["docsExamined"] = docs_examined
-        if plan is not None:
-            entry["planSummary"] = plan
-        if stages is not None:
+            entry["trace_id"] = active.span.trace_id
+        if active.docs_examined is not None:
+            entry["docsExamined"] = active.docs_examined
+        if active.plan_summary is not None:
+            entry["planSummary"] = active.plan_summary
+        if with_stages and active.stages is not None:
             # Per-stage aggregation executionStats (docs in/out, elapsed,
             # $group/$sort state size) — the advisor's $match-first signal.
-            entry["stages"] = stages
+            entry["stages"] = active.stages
         profile = self.get_collection("system.profile")
         with profile._lock:
             try:
                 profile._insert(entry, _notify=False)
             except DocstoreError:
                 # Query held a value the store cannot hold; keep its repr.
-                entry["query"] = repr(query)
+                entry["query"] = repr(active.query)
                 profile._insert(entry, _notify=False)
             # Capped-collection behavior: evict the oldest records.  Docs
             # are keyed by ever-growing positions in insertion order, so
@@ -284,14 +264,6 @@ class Database:
         with self._lock:
             profile = self._collections.get("system.profile")
         return profile.all_documents() if profile is not None else []
-
-    def clear_profile_log(self) -> None:
-        with self._lock:
-            profile = self._collections.get("system.profile")
-        if profile is not None:
-            with profile._lock:
-                for _id in [d["_id"] for d in profile._docs.values()]:
-                    profile._delete_by_id(_id)
 
     # -- serverStatus / dbStats -------------------------------------------
 
@@ -363,10 +335,7 @@ class Database:
         per-interval activity.
         """
         with self._stats_lock:
-            return {
-                f"{self.name}.{coll}": dict(bucket)
-                for coll, bucket in self._top.items()
-            }
+            return {ns: dict(bucket) for ns, bucket in self._top.items()}
 
     def command_stats(self) -> dict:
         """dbStats-like summary across collections."""
@@ -397,8 +366,6 @@ class DocumentStore:
     def __init__(self, persistence_dir: Optional[str] = None,
                  fsync: str = "interval", fsync_interval_s: float = 0.05,
                  clock: Any = None):
-        from .ops import OperationRegistry
-
         self._clock = clock
         self._databases: Dict[str, Database] = {}
         self._lock = threading.RLock()

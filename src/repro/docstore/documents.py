@@ -10,7 +10,6 @@ dotted-path semantics live in exactly one place.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from collections.abc import Mapping
 from typing import Any, Iterator, List, Tuple
@@ -326,10 +325,3 @@ def document_from_json(text: str) -> Any:
 def doc_size_bytes(doc: Any) -> int:
     """Approximate on-disk size of a document (its JSON byte length)."""
     return len(document_to_json(doc).encode("utf-8"))
-
-
-def floats_equal(a: float, b: float, rel: float = 1e-12) -> bool:
-    """Tolerant float comparison used by V&V consistency rules."""
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return math.isclose(a, b, rel_tol=rel, abs_tol=1e-15)

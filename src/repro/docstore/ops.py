@@ -3,19 +3,26 @@
 Saxton (2022) makes the operational case: running a sharded MongoDB on HPC
 lives or dies on per-shard operation visibility — "what is this server
 executing right now, and can I stop the scan that is eating it?".  This
-module is that capability for the reproduction's store: every long-running
-dispatched operation registers itself in a process-wide active-ops table
-with an opid, its namespace, the query *shape* (field names and operators,
-values elided), elapsed time, and a cooperative kill flag.
+module is that capability for the reproduction's store.  Each operation
+has one record, an :class:`ActiveOp`, as MongoDB has one ``CurOp``: every
+collection verb registers it in a process-wide active-ops table with an
+opid, its namespace, the raw query (shown as a *shape*, values elided),
+elapsed time and a cooperative kill flag; while the op runs it collects
+its plan summary, documents and keys examined and documents returned; and
+when its block exits cleanly it is deregistered and handed to the
+database, which writes opcounters, ``top``, metrics, the span child and
+the ``system.profile`` entry (carrying the opid) from it.
 
 The kill is cooperative, exactly like MongoDB's: ``killOp(opid)`` only sets
-the flag; the executing operation notices at its next check point (cursor
-scans check per candidate document, MapReduce per input document) and
+the flag; the executing operation notices at its next check point and
 raises :class:`~repro.errors.OperationKilled` out of the caller's stack.
-
-Writes register too; they have no check point, so a killed write runs to
-completion.  :func:`thread_op` names the op a thread is running, which is
-how a contended :class:`~repro.docstore.locks.RWLock` labels both sides.
+The check points are per candidate document wherever a selector is
+resolved (``Collection._select``) and per input document in MapReduce.
+Writes resolve their selector there too, so a write is killable while it
+selects, before it changes anything; once it is applying its change it has
+no check point left, and a killed write runs to completion.
+:func:`thread_op` names the op a thread is running, which is how a
+contended :class:`~repro.docstore.locks.RWLock` labels both sides.
 
 Exposure: :meth:`DocumentStore.current_op` / :meth:`DocumentStore.kill_op`
 in-process, ``op: "current_op"`` / ``op: "kill_op"`` on the wire protocol,
@@ -28,7 +35,7 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..errors import DeadlineExceeded, OperationKilled
 from ..obs import current_span, get_registry
@@ -80,29 +87,63 @@ def query_shape(query: Any) -> Any:
 
 
 class ActiveOp:
-    """One in-flight operation: identity, query, and the kill flag."""
+    """One operation's record, from registration to report.
 
-    __slots__ = ("opid", "op", "ns", "query", "started_s", "started_wall",
-                 "trace_id", "deadline", "plan_summary", "killed",
-                 "thread", "outer")
+    A context manager: ``with`` a registered op, leaving the block takes it
+    out of ``current_op()``; on a clean exit ``report(op)`` then runs.  An
+    op that raises is not reported.  ``kind`` is its opcounter category;
+    ``nreturned``, ``n_ops`` (opcounter increments) and ``stages`` are set
+    by the verb, the plan fields by ``Collection._select``.
+    """
 
-    def __init__(self, opid: int, op: str, ns: str, query: Any):
-        self.opid = opid
+    __slots__ = ("opid", "op", "kind", "ns", "query", "started_s",
+                 "started_wall", "span", "deadline", "plan_summary",
+                 "docs_examined", "keys_examined", "nreturned", "n_ops",
+                 "stages", "millis", "killed", "thread", "outer", "registry",
+                 "report")
+
+    def __init__(self, op: str, ns: str, query: Any, kind: str = "command",
+                 report: Optional[Callable[["ActiveOp"], None]] = None):
+        #: Set by :meth:`OperationRegistry.register`, with the deadline.
+        self.opid: Optional[int] = None
         self.op = op
+        self.kind = kind
         self.ns = ns
         #: Shaped only when described: registration is on every verb's path.
         self.query = query
         #: MongoDB-style planSummary, filled in once the planner has run.
         self.plan_summary: Optional[str] = None
+        self.docs_examined: Optional[int] = None
+        self.keys_examined: Optional[int] = None
+        self.nreturned = 0
+        self.n_ops = 1
+        self.stages: Optional[List[dict]] = None
+        #: Duration, stamped as the block exits.
+        self.millis = 0.0
         self.started_s = time.perf_counter()
         self.started_wall = time.time()
-        s = current_span()
-        self.trace_id = s.trace_id if s is not None else None
-        self.deadline = current_deadline()
+        self.span = current_span()
+        self.deadline: Optional[float] = None
         self.killed = False
         self.thread = threading.get_ident()
         #: The op this one shadows in :func:`thread_op` while it runs.
         self.outer: Optional[ActiveOp] = None
+        self.registry: Optional[OperationRegistry] = None
+        self.report = report
+
+    def __enter__(self) -> "ActiveOp":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.millis = (time.perf_counter() - self.started_s) * 1e3
+        if self.registry is not None:
+            self.registry.finish(self)
+        if exc_type is None and self.report is not None:
+            self.report(self)
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        return self.span.trace_id if self.span is not None else None
 
     @property
     def shape(self) -> Any:
@@ -162,8 +203,17 @@ class OperationRegistry:
         self._lock = threading.Lock()
         self._opids = itertools.count(1)
 
-    def register(self, op: str, ns: str, query: Any = None) -> ActiveOp:
-        active = ActiveOp(next(self._opids), op, ns, query)
+    def register(self, op: str, ns: str, query: Any = None,
+                 kind: str = "command",
+                 report: Optional[Callable[[ActiveOp], None]] = None
+                 ) -> ActiveOp:
+        """Register an op and return it, for ``with registry.register(...)
+        as op:`` — the block's exit deregisters it (see :class:`ActiveOp`).
+        A registered op gets an opid and this thread's deadline."""
+        active = ActiveOp(op, ns, query, kind, report)
+        active.opid = next(self._opids)
+        active.deadline = current_deadline()
+        active.registry = self
         active.outer = _by_thread.get(active.thread)
         _by_thread[active.thread] = active
         with self._lock:
@@ -173,9 +223,7 @@ class OperationRegistry:
         ).inc(1, op=op)
         return active
 
-    def finish(self, active: Optional[ActiveOp]) -> None:
-        if active is None:
-            return
+    def finish(self, active: ActiveOp) -> None:
         with self._lock:
             self._ops.pop(active.opid, None)
         if active.outer is None:
@@ -185,15 +233,6 @@ class OperationRegistry:
         get_registry().gauge(
             "repro_docstore_active_ops", "operations currently executing"
         ).dec(1, op=active.op)
-
-    @contextmanager
-    def track(self, op: str, ns: str, query: Any = None) -> Iterator[ActiveOp]:
-        """Register for the duration of a block; always deregisters."""
-        active = self.register(op, ns, query)
-        try:
-            yield active
-        finally:
-            self.finish(active)
 
     def current_op(self) -> List[dict]:
         """Snapshot of every in-flight op, oldest first (``db.currentOp``)."""

@@ -389,6 +389,61 @@ class TestAggregateStress:
         assert checked[0] > 0
 
 
+class TestOpReportStress:
+    def test_concurrent_claims_each_reported_once(self):
+        """Claims are reported after the write lock is released, from
+        many threads at once: every claim still counts exactly once in
+        the opcounters, ``top`` and the profile, under its own opid."""
+        store = DocumentStore()
+        db = store["mp"]
+        queue = db["queue"]
+        n_tasks = 400
+        queue.insert_many([{"_id": i, "state": "READY"}
+                           for i in range(n_tasks)])
+        db.set_profiling_level(2)
+        seeded_writes = db.top()["mp.queue"]["write_count"]
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        claimed: list = []
+        attempts = [0] * n_threads
+        errors: list = []
+        deadline = time.monotonic() + DURATION_S
+
+        def claim(k):
+            try:
+                while time.monotonic() < deadline:
+                    attempts[k] += 1
+                    doc = queue.find_one_and_update(
+                        {"state": "READY"}, {"$set": {"state": "RUNNING"}})
+                    if doc is None:
+                        return
+                    claimed.append(doc["_id"])
+            except Exception as exc:  # pragma: no cover - failure reporting
+                errors.append(f"claimer {k}: {exc!r}")
+
+        threads = [threading.Thread(target=claim, args=(k,))
+                   for k in range(n_threads)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+        finally:
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads), "claimer wedged"
+        assert errors == [], errors
+        assert len(claimed) == len(set(claimed)) > 0
+        total = sum(attempts)
+        assert db.server_status()["opcounters"]["update"] == total
+        assert db.top()["mp.queue"]["write_count"] - seeded_writes == total
+        entries = [e for e in db.profile_log if e["op"] == "findAndModify"]
+        assert len(entries) == total
+        assert len({e["opid"] for e in entries}) == total
+        assert sum(e["nreturned"] for e in entries) == len(claimed)
+        assert store.current_op() == []
+
+
 _FRAMES_CHILD = """\
 import faulthandler, sys, threading, time
 from repro.docstore.locks import RWLock

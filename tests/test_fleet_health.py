@@ -269,6 +269,24 @@ class TestIndexAdvisor:
         assert len(db.profile_log) == before
         assert db.get_profiling_level() == 2  # restored
 
+    def test_task_queue_claims_yield_a_state_index(self, db):
+        """The claim path is mined too: findAndModify entries carry their
+        plan, so COLLSCAN claims on ``state`` earn an index on it."""
+        tasks = db["tasks"]
+        tasks.insert_many([
+            {"state": "READY" if i % 100 == 99 else "WAITING", "i": i}
+            for i in range(500)])
+        db.set_profiling_level(2)
+        for _ in range(5):
+            assert tasks.find_one_and_update(
+                {"state": "READY"}, {"$set": {"state": "RUNNING"}})
+        claims = [e for e in db.profile_log if e["op"] == "findAndModify"]
+        assert [e["planSummary"] for e in claims] == ["COLLSCAN"] * 5
+        assert all(e["docsExamined"] >= 100 for e in claims)
+        recs = IndexAdvisor(db).analyze()
+        assert [(r.collection, r.field, r.occurrences) for r in recs] == [
+            ("tasks", "state", 5)]
+
     def test_unused_indexes_reported(self, db):
         coll = db["materials"]
         coll.create_index("dead_field")

@@ -127,6 +127,93 @@ class TestOpcounters:
         assert counters["update"] == 1
         assert counters["delete"] == 1
 
+    # (verb, opcounter delta, top (read, write) count delta, profile
+    # entries as sorted (op, nreturned)) on five docs {_id: i, a: i,
+    # g: i % 2}.  repro_docstore_ops_total moves exactly as the opcounters.
+    VERBS = [
+        ("insert_one", lambda c: c.insert_one({"a": 9}),
+         {"insert": 1}, (0, 1), [("insert", 0)]),
+        ("insert_many", lambda c: c.insert_many([{"a": 9}, {"a": 10},
+                                                  {"a": 11}]),
+         {"insert": 3}, (0, 3), [("insert", 0)]),
+        ("find", lambda c: c.find({"g": 0}).to_list(),
+         {"query": 1}, (1, 0), [("find", 3)]),
+        ("find_one", lambda c: c.find_one({"a": 2}),
+         {"query": 1}, (1, 0), [("findOne", 1)]),
+        ("count_query", lambda c: c.count_documents({"g": 1}),
+         {"command": 1}, (1, 0), [("count", 2)]),
+        ("count_all", lambda c: c.count_documents(),
+         {"command": 1}, (1, 0), [("count", 5)]),
+        ("distinct", lambda c: c.distinct("g"),
+         {"query": 1}, (1, 0), [("find", 5)]),
+        ("update_one", lambda c: c.update_one({"g": 0}, {"$set": {"b": 1}}),
+         {"update": 1}, (0, 1), [("update", 1)]),
+        ("update_many", lambda c: c.update_many({"g": 0},
+                                                {"$set": {"b": 1}}),
+         {"update": 1}, (0, 1), [("update", 3)]),
+        ("replace_one", lambda c: c.replace_one({"a": 1}, {"a": 1, "r": 1}),
+         {"update": 1}, (0, 1), [("update", 1)]),
+        ("find_one_and_update_hit",
+         lambda c: c.find_one_and_update({"a": 3}, {"$set": {"b": 1}}),
+         {"update": 1}, (0, 1), [("findAndModify", 1)]),
+        ("find_one_and_update_miss",
+         lambda c: c.find_one_and_update({"a": 99}, {"$set": {"b": 1}}),
+         {"update": 1}, (0, 1), [("findAndModify", 0)]),
+        ("find_one_and_update_upsert",
+         lambda c: c.find_one_and_update({"a": 99}, {"$set": {"b": 1}},
+                                         upsert=True,
+                                         return_document="after"),
+         {"update": 1, "query": 1}, (1, 1),
+         [("findAndModify", 1), ("findOne", 1)]),
+        ("find_one_and_delete_hit", lambda c: c.find_one_and_delete({"a": 4}),
+         {"delete": 1}, (0, 1), [("findAndModify", 1)]),
+        ("find_one_and_delete_miss",
+         lambda c: c.find_one_and_delete({"a": 99}),
+         {"delete": 1}, (0, 1), [("findAndModify", 0)]),
+        ("delete_one", lambda c: c.delete_one({"g": 1}),
+         {"delete": 1}, (0, 1), [("delete", 1)]),
+        ("delete_many", lambda c: c.delete_many({"g": 0}),
+         {"delete": 1}, (0, 1), [("delete", 3)]),
+        ("aggregate", lambda c: c.aggregate([
+            {"$match": {"g": 0}},
+            {"$group": {"_id": None, "n": {"$sum": 1}}}]),
+         {"command": 1}, (1, 0), [("aggregate", 1)]),
+        ("aggregate_explain", lambda c: c.aggregate(
+            [{"$match": {"g": 0}}], explain=True),
+         {}, (0, 0), []),
+        ("map_reduce", lambda c: c.map_reduce(
+            lambda d: [(d["g"], 1)], lambda k, vs: sum(vs)),
+         {"query": 1, "command": 1}, (2, 0),
+         [("find", 5), ("mapreduce", 2)]),
+    ]
+
+    @pytest.mark.parametrize("verb,call,counts,top_counts,entries", VERBS,
+                             ids=[row[0] for row in VERBS])
+    def test_every_verb_reports_once(self, db, fresh_registry, verb, call,
+                                     counts, top_counts, entries):
+        coll = db["things"]
+        coll.insert_many([{"_id": i, "a": i, "g": i % 2} for i in range(5)])
+        db.set_profiling_level(2)
+        ops_total = fresh_registry.counter("repro_docstore_ops_total")
+
+        def snapshot():
+            top = db.top().get("mp.things", {})
+            return (db.server_status()["opcounters"],
+                    {k: ops_total.value(db="mp", op=k)
+                     for k in database_module.OPCOUNTER_KEYS},
+                    (top.get("read_count", 0), top.get("write_count", 0)),
+                    len(db.profile_log))
+
+        before = snapshot()
+        call(coll)
+        after = snapshot()
+        expected = {k: counts.get(k, 0) for k in database_module.OPCOUNTER_KEYS}
+        assert {k: after[0][k] - before[0][k] for k in expected} == expected
+        assert {k: after[1][k] - before[1][k] for k in expected} == expected
+        assert tuple(a - b for a, b in zip(after[2], before[2])) == top_counts
+        new = db.profile_log[before[3]:]
+        assert sorted((e["op"], e["nreturned"]) for e in new) == entries
+
     def test_store_aggregates_across_databases(self):
         store = DocumentStore()
         store["a"]["c"].insert_one({})
@@ -164,6 +251,20 @@ class TestProfiler:
         db["t"].insert_one({"x": 1})      # fast write: not recorded
         db["t"].find({}).to_list()        # read: always recorded
         assert [e["op"] for e in db.profile_log] == ["find"]
+
+    def test_map_reduce_reports_as_a_command(self, db):
+        coll = db["t"]
+        coll.insert_many([{"g": i % 3} for i in range(9)])
+        db.set_profiling_level(2)
+        rows = coll.map_reduce(lambda d: [(d["g"], 1)],
+                               lambda k, vs: sum(vs), query={"g": {"$lt": 2}})
+        assert len(rows) == 2
+        (entry,) = [e for e in db.profile_log if e["op"] == "mapreduce"]
+        assert entry["ns"] == "mp.t" and entry["nreturned"] == 2
+        assert entry["query"] == {"g": {"$lt": 2}}
+        assert entry["opid"] >= 1
+        assert db.server_status()["opcounters"]["command"] == 1
+        assert db.top()["mp.t"]["read_count"] == 2  # its find, and itself
 
     def test_cap_evicts_exactly_the_oldest(self, db, monkeypatch):
         monkeypatch.setattr(database_module, "PROFILE_CAP", 5)

@@ -481,6 +481,34 @@ class TestLockContention:
         assert row["holder_opid"] == update_opid
         assert row["waiter_opid"] > update_opid
 
+    def test_profile_entry_joins_the_holder_opid(self, store):
+        """The update that held the lock is the profile entry carrying
+        the row's holder_opid; the waiting find_one carries its own."""
+        store["mp"].set_profiling_level(2)
+        coll = store["mp"]["materials"]
+        coll.insert_one({"x": 1})
+        held, release = threading.Event(), threading.Event()
+
+        def gate(op, payload):  # change listeners run under the write lock
+            held.set()
+            release.wait(timeout=5)
+
+        coll.add_change_listener(gate)
+        writer = threading.Thread(target=coll.update_one,
+                                  args=({"x": 1}, {"$set": {"y": 2}}))
+        writer.start()
+        assert held.wait(timeout=5)
+        reader = threading.Thread(target=lambda: coll.find_one({"x": 1}))
+        reader.start()
+        time.sleep(0.05)
+        release.set()
+        reader.join(timeout=5)
+        writer.join(timeout=5)
+        row = store.lock_report()["top_contended"][0]
+        by_opid = {e.get("opid"): e for e in store["mp"].profile_log}
+        assert by_opid[row["holder_opid"]]["op"] == "update"
+        assert by_opid[row["waiter_opid"]]["op"] == "findOne"
+
     def test_lock_report_totals_match_server_status(self, store):
         """Both store-wide lock views are one rollup: on two databases
         after a contended write, the totals agree key for key."""

@@ -218,9 +218,9 @@ class TestCurrentOpKillOp:
     def test_thread_op_is_the_innermost_and_nesting_restores(self, store):
         me = threading.get_ident()
         assert thread_op(me) is None
-        with store._ops.track("findAndModify", "mp.t", {"x": 1}) as outer:
+        with store._ops.register("findAndModify", "mp.t", {"x": 1}) as outer:
             assert thread_op(me) is outer
-            with store._ops.track("findOne", "mp.t", {"_id": 1}) as inner:
+            with store._ops.register("findOne", "mp.t", {"_id": 1}) as inner:
                 assert thread_op(me) is inner
             assert thread_op(me) is outer
         assert thread_op(me) is None
