@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ..errors import DocstoreError, DuplicateKeyError
-from .cursor import Cursor, apply_projection
+from .cursor import Cursor, apply_projection, distinct_values
 from .documents import (
     deep_copy_doc,
     document_to_json,
@@ -380,7 +380,7 @@ class Collection:
               skip: int = 0, limit: Optional[int] = None,
               hint: Optional[str] = None) -> List[dict]:
         """The one read helper behind ``find``, ``find_one``,
-        ``count_documents``, ``distinct`` and :meth:`_find_stored`: listed
+        ``count_documents`` and :meth:`_find_stored`: listed
         in ``current_op()`` as ``op``, planned and scanned through
         ``_select`` under the read lock, ``each(stored_doc, position,
         projection)`` per survivor, reported to the instrumentation funnel.
@@ -474,8 +474,17 @@ class Collection:
     def distinct(
         self, field: str, query: Optional[Mapping[str, Any]] = None
     ) -> List[Any]:
-        cursor = self._cursor("find", query, None, None, _as_stored)
-        return [deep_copy_doc(v) for v in cursor.distinct(field)]
+        """Distinct values of ``field`` over the documents matching
+        ``query``: a ``distinct`` command of its own, whose ``nreturned``
+        is the number of values."""
+        query = query or {}
+        matcher = compile_query(query)
+        with self._op("distinct", "command", query) as active:
+            with self._lock.read():
+                docs = [doc for doc, _pos in self._select(query, matcher, active)]
+            values = [deep_copy_doc(v) for v in distinct_values(docs, field)]
+            active.nreturned = len(values)
+        return values
 
     # -- updates ------------------------------------------------------------
 
@@ -965,13 +974,18 @@ class Collection:
         finalize: Optional[Callable[[Any, Any], Any]] = None,
     ) -> List[dict]:
         """Built-in single-threaded MapReduce (see :mod:`.mapreduce`) over
-        the documents matching ``query`` (read by a ``find`` of its own);
-        listed in ``current_op()``, killable between documents, and
-        reported as a ``command`` like ``aggregate``."""
+        the documents matching ``query``, selected inside the op under the
+        read lock; the mapper, user code, gets copies.  Listed in
+        ``current_op()``, killable while it selects and between documents,
+        and reported once, as a ``command`` like ``aggregate``."""
         from .mapreduce import map_reduce
 
-        docs = self.find(query).to_list()
-        with self._op("mapreduce", "command", query or {}) as active:
+        query = query or {}
+        matcher = compile_query(query)
+        with self._op("mapreduce", "command", query) as active:
+            with self._lock.read():
+                docs = [deep_copy_doc(doc)
+                        for doc, _pos in self._select(query, matcher, active)]
             rows = map_reduce(docs, mapper, reducer, finalize,
                               kill_check=active.check_killed).rows
             active.nreturned = len(rows)

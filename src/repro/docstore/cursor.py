@@ -9,14 +9,14 @@ find() does no work until iteration starts — so a query that is immediately
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..errors import DocstoreError
 from .aggregation import _group_key
 from .documents import MISSING, deep_copy_doc, get_path, set_path, unset_path
 from .matching import _values_equal
 
-__all__ = ["Cursor", "apply_projection"]
+__all__ = ["Cursor", "apply_projection", "distinct_values"]
 
 
 def _split_projection(projection: Mapping[str, Any]) -> tuple:
@@ -35,6 +35,26 @@ def _split_projection(projection: Mapping[str, Any]) -> tuple:
         raise DocstoreError("cannot mix inclusion and exclusion in a projection")
     id_flag = projection.get("_id", None)
     return inc_set, exc_set, id_flag
+
+
+def distinct_values(docs: Iterable[Mapping[str, Any]], field: str) -> List[Any]:
+    """Distinct values of ``field`` across ``docs`` (an array contributes
+    its elements), first-seen order.  Values are bucketed by a hashable key
+    (bools apart from numbers, as BSON has them) and confirmed by Mongo
+    equality inside the bucket, so the cost is linear in the number of
+    values."""
+    distinct: List[Any] = []
+    buckets: Dict[Any, List[Any]] = {}
+    for doc in docs:
+        value = get_path(doc, field)
+        if value is MISSING:
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            bucket = buckets.setdefault((isinstance(v, bool), _group_key(v)), [])
+            if not any(_values_equal(v, s) for s in bucket):
+                bucket.append(v)
+                distinct.append(v)
+    return distinct
 
 
 def apply_projection(doc: Mapping[str, Any], projection: Optional[Mapping[str, Any]]) -> dict:
@@ -152,19 +172,5 @@ class Cursor:
 
     def distinct(self, field: str) -> List[Any]:
         """Distinct values of ``field`` across the result set, first-seen
-        order.  Values are bucketed by a hashable key (bools apart from
-        numbers, as BSON has them) and confirmed by Mongo equality inside
-        the bucket, so the cost is linear in the number of values."""
-        distinct: List[Any] = []
-        buckets: Dict[Any, List[Any]] = {}
-        for doc in self._execute():
-            value = get_path(doc, field)
-            if value is MISSING:
-                continue
-            for v in value if isinstance(value, list) else [value]:
-                bucket = buckets.setdefault(
-                    (isinstance(v, bool), _group_key(v)), [])
-                if not any(_values_equal(v, s) for s in bucket):
-                    bucket.append(v)
-                    distinct.append(v)
-        return distinct
+        order (see :func:`distinct_values`)."""
+        return distinct_values(self._execute(), field)

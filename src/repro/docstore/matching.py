@@ -7,10 +7,13 @@ runnable jobs with queries like::
 
 (§III-B2), the web back-end answers ad-hoc user queries over deeply nested
 task documents, and the QueryEngine abstraction layer rewrites queries before
-they reach the store.  A query document compiles to a :class:`Matcher`, a
-callable predicate over documents, so a query parsed once can be evaluated
-against many documents (the collection scan and the index subsystem both use
-this).
+they reach the store.  A query document compiles once to a :class:`Matcher`
+that the collection scan and the index subsystem evaluate against many
+documents.  Each field clause becomes an accessor, the path split once and
+read with one ``dict.get`` per component, and an operand-typed test of one
+value; only arrays fan out (:func:`_compile_field`).  The generic rules,
+:func:`_values_equal` and :func:`compare_values`, are what the specialised
+tests must agree with.
 
 Supported operators
 -------------------
@@ -28,13 +31,12 @@ numbers, strings with strings); ``$ne``/``$nin`` match missing fields.
 
 from __future__ import annotations
 
-import operator
 import re
 from collections.abc import Mapping, Sequence
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from ..errors import QuerySyntaxError
-from .documents import MISSING, get_path, get_path_multi
+from .documents import MISSING, get_path, get_path_multi, split_path
 from .objectid import ObjectId
 
 __all__ = [
@@ -192,54 +194,59 @@ def _values_equal(a: Any, b: Any) -> bool:
 
 Predicate = Callable[[Any], bool]
 
-_OPERATORS = frozenset(
-    {
-        "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin",
-        "$exists", "$type", "$mod", "$regex", "$options", "$where",
-        "$all", "$elemMatch", "$size", "$not",
-    }
-)
+#: A compiled field condition ``(one, many, if_missing)``: the tests of one value and of a
+#: fanned-out candidate list (``many([v])`` is ``one(v)``), and the answer for a missing field.
+_FieldTest = Tuple[Predicate, Callable[[List[Any]], bool], bool]
+
+_OPERATORS = frozenset({
+    "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin", "$exists", "$type",
+    "$mod", "$regex", "$options", "$where", "$all", "$elemMatch", "$size", "$not",
+})
 
 _LOGICAL = frozenset({"$and", "$or", "$nor"})
 
 
 def _is_operator_doc(value: Any) -> bool:
-    return (
-        isinstance(value, Mapping)
-        and len(value) > 0
-        and all(isinstance(k, str) and k.startswith("$") for k in value)
-    )
+    return isinstance(value, Mapping) and len(value) > 0 and all(
+        isinstance(k, str) and k.startswith("$") for k in value)
 
 
-#: Range tests; ``$gte`` is ``not <`` and ``$lte`` ``not >``, so NaN answers
-#: as under :func:`compare_values`.
-_RANGE_CMP: Dict[str, Callable[[Any, Any], bool]] = {
-    "$gt": operator.gt, "$gte": lambda v, x: not v < x,
-    "$lt": operator.lt, "$lte": lambda v, x: not v > x,
+_NUMBER = (int, float)  # and not bool: ``v.__class__ is not bool``
+
+#: Number range tests by operator and bound; ``$gte`` is ``not <`` and
+#: ``$lte`` ``not >``, so NaN answers as under :func:`compare_values`.
+_NUMBER_RANGE: Dict[str, Callable[[Any], Predicate]] = {
+    "$gt": lambda x: lambda v: isinstance(v, _NUMBER) and v.__class__ is not bool and v > x,
+    "$gte": lambda x: lambda v: isinstance(v, _NUMBER) and v.__class__ is not bool and not v < x,
+    "$lt": lambda x: lambda v: isinstance(v, _NUMBER) and v.__class__ is not bool and v < x,
+    "$lte": lambda x: lambda v: isinstance(v, _NUMBER) and v.__class__ is not bool and not v > x,
 }
+
+_REGEX_FLAGS = {"i": re.IGNORECASE, "m": re.MULTILINE, "s": re.DOTALL, "x": re.VERBOSE}
 
 
 def _bracketed_cmp(op: str, operand: Any) -> Predicate:
     """Range comparison with type bracketing (Mongo semantics); a number
     compares natively, anything else through :func:`compare_values`."""
-    rank, cmp = type_rank(operand), _RANGE_CMP[op]
+    rank, test = type_rank(operand), _NUMBER_RANGE[op]
     if rank == 10:
-        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and cmp(v, operand)
-    return lambda v: type_rank(v) == rank and cmp(compare_values(v, operand), 0)
+        return test(operand)
+    sign = test(0)  # the range test applied to compare_values' answer
+    return lambda v: type_rank(v) == rank and sign(compare_values(v, operand))
 
 
 def _compile_value_test(operand: Any) -> Predicate:
     """Equality test for bare values, $eq, $ne and non-scalar members: by
     operand type for strings, bools and numbers (bools apart from numbers,
-    as in BSON), :func:`_values_equal` for the rest."""
+    as in BSON), :func:`_values_equal` for the rest.  Regexes search."""
     if isinstance(operand, re.Pattern):
         return lambda v: isinstance(v, str) and bool(operand.search(v))
     if isinstance(operand, str):
-        return lambda v: isinstance(v, str) and v == operand
+        return lambda v: v == operand and isinstance(v, str)
     if isinstance(operand, bool):
         return lambda v: v is operand
-    if isinstance(operand, (int, float)):
-        return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v == operand
+    if isinstance(operand, _NUMBER):
+        return lambda v: v == operand and isinstance(v, _NUMBER) and v.__class__ is not bool
     return lambda v: _values_equal(v, operand)
 
 
@@ -255,7 +262,7 @@ def _member_keys(members: Iterable[Any]) -> Tuple[set, List[Any]]:
     rest: List[Any] = []
     for m in members:
         if isinstance(m, _SET_SCALARS) and m == m:
-            keys.add((isinstance(m, bool), m))
+            keys.add((m.__class__ is bool, m))
         else:
             rest.append(m)
     return keys, rest
@@ -268,124 +275,81 @@ def _any_member(op: str, members: Any) -> Predicate:
         raise QuerySyntaxError(f"{op} requires an array")
     keys, rest = _member_keys(members)
     tests = [_compile_value_test(m) for m in rest]
-    return lambda v: ((isinstance(v, _SET_SCALARS) and (isinstance(v, bool), v) in keys)
+    return lambda v: ((isinstance(v, _SET_SCALARS) and (v.__class__ is bool, v) in keys)
                       or any(t(v) for t in tests))
 
 
-def _compile_operator(field_ops: Mapping[str, Any]) -> Callable[[List[Any]], bool]:
+def _compile_operator(field_ops: Mapping[str, Any]) -> _FieldTest:
     """Compile an operator document like ``{"$gte": 3, "$lt": 7}`` into a
-    predicate over a field's candidate values (``[]`` when it is missing;
-    only negative operators — $ne, $nin, $exists:false, $not — match that).
-    """
+    :data:`_FieldTest`.  Only negative operators — $ne, $nin, $exists:false,
+    $not — match a missing field."""
     preds: List[Predicate] = []
     neg_preds: List[Predicate] = []
-    negated: List[Callable[[List[Any]], bool]] = []  # $not {...}: all values
+    negated: List[_FieldTest] = []  # $not {...}: negates the whole test
     all_keys: set = set()  # scalar $all members, one set lookup per document
     null_negative = False  # $ne null / $nin [... null]: missing must NOT match
 
-    keys = set(field_ops)
-    unknown = {k for k in keys if k not in _OPERATORS}
+    unknown = set(field_ops) - _OPERATORS
     if unknown:
         raise QuerySyntaxError(f"unknown query operator(s): {sorted(unknown)}")
-    if "$options" in keys and "$regex" not in keys:
+    if "$options" in field_ops and "$regex" not in field_ops:
         raise QuerySyntaxError("$options requires $regex")
 
-    positive = False
     for op, operand in field_ops.items():
         if op == "$eq":
             preds.append(_compile_value_test(operand))
-            positive = True
-        elif op in ("$gt", "$gte", "$lt", "$lte"):
+        elif op in _NUMBER_RANGE:
             preds.append(_bracketed_cmp(op, operand))
-            positive = True
         elif op == "$in":
             preds.append(_any_member(op, operand))
-            positive = True
         elif op == "$ne":
             neg_preds.append(_compile_value_test(operand))
-            if operand is None:
-                # Mongo treats a missing field as null: {$ne: null} must
-                # NOT match documents lacking the field.
-                null_negative = True
+            # Mongo treats a missing field as null: {$ne: null} must NOT
+            # match documents lacking the field.
+            null_negative |= operand is None
         elif op == "$nin":
             neg_preds.append(_any_member(op, operand))
-            if any(v is None for v in operand):
-                null_negative = True
+            null_negative |= any(v is None for v in operand)
         elif op == "$exists":
-            want = bool(operand)
-            if want:
-                preds.append(lambda v: True)
-                positive = True
-            else:
-                neg_preds.append(lambda v: True)
+            (preds if operand else neg_preds).append(lambda v: True)
         elif op == "$type":
-            if isinstance(operand, str):
-                names = [operand]
-            elif isinstance(operand, list):
-                names = operand
-            else:
+            names = [operand] if isinstance(operand, str) else operand
+            if not isinstance(names, list):
                 raise QuerySyntaxError("$type requires a type name or list of names")
-            tests = []
             for name in names:
                 if name not in _TYPE_NAMES:
                     raise QuerySyntaxError(f"unknown $type name {name!r}")
-                tests.append(_TYPE_NAMES[name])
+            tests = [_TYPE_NAMES[name] for name in names]
             preds.append(lambda v, _t=tests: any(t(v) for t in _t))
-            positive = True
         elif op == "$mod":
-            if (
-                not isinstance(operand, (list, tuple))
-                or len(operand) != 2
-                or isinstance(operand[0], bool)
-                or not all(isinstance(x, (int, float)) for x in operand)
-            ):
+            if not (isinstance(operand, (list, tuple)) and len(operand) == 2
+                    and not isinstance(operand[0], bool)
+                    and all(isinstance(x, _NUMBER) for x in operand)):
                 raise QuerySyntaxError("$mod requires [divisor, remainder]")
             divisor, remainder = int(operand[0]), int(operand[1])
             if divisor == 0:
                 raise QuerySyntaxError("$mod divisor cannot be 0")
-            preds.append(
-                lambda v: isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and int(v) % divisor == remainder
-            )
-            positive = True
+            preds.append(lambda v: isinstance(v, _NUMBER) and v.__class__ is not bool
+                         and int(v) % divisor == remainder)
         elif op == "$regex":
-            flags = 0
-            opts = field_ops.get("$options", "")
-            if "i" in opts:
-                flags |= re.IGNORECASE
-            if "m" in opts:
-                flags |= re.MULTILINE
-            if "s" in opts:
-                flags |= re.DOTALL
-            if "x" in opts:
-                flags |= re.VERBOSE
-            if isinstance(operand, re.Pattern):
-                pattern = operand
-            elif isinstance(operand, str):
+            if isinstance(operand, str):
+                flags = 0
+                for opt in field_ops.get("$options", ""):
+                    flags |= _REGEX_FLAGS.get(opt, 0)
                 try:
-                    pattern = re.compile(operand, flags)
+                    operand = re.compile(operand, flags)
                 except re.error as exc:
                     raise QuerySyntaxError(f"invalid $regex: {exc}") from exc
-            else:
+            elif not isinstance(operand, re.Pattern):
                 raise QuerySyntaxError("$regex requires a string or pattern")
-            preds.append(
-                lambda v, _p=pattern: isinstance(v, str) and bool(_p.search(v))
-            )
-            positive = True
-        elif op == "$options":
-            continue
-        elif op == "$where":
-            if not callable(operand):
-                raise QuerySyntaxError("$where requires a callable")
-            # $where sees the whole document, handled at the field level by
-            # the caller; here it would be ambiguous.
-            raise QuerySyntaxError("$where is only valid at the top level")
+            preds.append(_compile_value_test(operand))
+        elif op == "$where":  # it sees the whole document: top level only
+            raise QuerySyntaxError("$where is only valid at the top level" if callable(
+                operand) else "$where requires a callable")
         elif op == "$size":
             if isinstance(operand, bool) or not isinstance(operand, int):
                 raise QuerySyntaxError("$size requires an integer")
             preds.append(lambda v, _n=operand: isinstance(v, list) and len(v) == _n)
-            positive = True
         elif op == "$all":
             if not isinstance(operand, list):
                 raise QuerySyntaxError("$all requires an array")
@@ -395,30 +359,13 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Callable[[List[Any]], boo
             all_keys |= keys
             for member in rest:
                 if _is_operator_doc(member) and "$elemMatch" in member:
-                    inner = compile_query(member["$elemMatch"])
-                    preds.append(
-                        lambda v, _m=inner: isinstance(v, list)
-                        and any(_m.matches(e) for e in v)
-                    )
+                    preds.append(_elem_match(member["$elemMatch"]))
                 else:
                     preds.append(_compile_value_test(member))
-            positive = True
         elif op == "$elemMatch":
             if not isinstance(operand, Mapping):
                 raise QuerySyntaxError("$elemMatch requires a document")
-            if _is_operator_doc(operand):
-                inner_pred = _compile_operator(operand)
-                preds.append(
-                    lambda v, _p=inner_pred: isinstance(v, list)
-                    and any(_p([e]) for e in v)
-                )
-            else:
-                inner = compile_query(operand)
-                preds.append(
-                    lambda v, _m=inner: isinstance(v, list)
-                    and any(_m.matches(e) for e in v)
-                )
-            positive = True
+            preds.append(_elem_match(operand))
         elif op == "$not":
             if isinstance(operand, re.Pattern):
                 neg_preds.append(_compile_value_test(operand))
@@ -426,106 +373,158 @@ def _compile_operator(field_ops: Mapping[str, Any]) -> Callable[[List[Any]], boo
                 negated.append(_compile_operator(operand))
             else:
                 raise QuerySyntaxError("$not requires an operator document or regex")
-        else:  # pragma: no cover - exhaustive
-            raise QuerySyntaxError(f"unhandled operator {op}")
 
-    def matches(values: List[Any]) -> bool:
-        if any(sub(values) for sub in negated):
-            return False
-        if not values:
-            return not positive and not null_negative
-        # Each positive predicate must hold of at least one candidate value
-        # (Mongo array fan-out); negatives must hold of none.
-        for p in preds:
-            if not any(p(v) for v in values):
+    positive = bool(preds or all_keys) or "$all" in field_ops  # $all: [] too
+    if_missing = not (positive or null_negative or any(sub[2] for sub in negated))
+    # One value: every positive test holds of it, no negative one does.
+    tests = preds + [lambda v, _t=t: not _t(v)
+                     for t in neg_preds + [sub[0] for sub in negated]]
+    if all_keys:
+        tests.append(lambda v: isinstance(v, _SET_SCALARS)
+                     and all_keys <= {(v.__class__ is bool, v)})
+
+    # Many values: a string member is found by ``in`` (only a string
+    # equals a string), the other scalar members through their keys.
+    all_strs = [m for _, m in all_keys if m.__class__ is str]
+    other_keys = {key for key in all_keys if key[1].__class__ is not str}
+
+    def many(values: List[Any]) -> bool:
+        # Each positive test must hold of some candidate value (Mongo array
+        # fan-out), each negative one of none.
+        for sub in negated:
+            if sub[1](values):
                 return False
-        if all_keys and not all_keys <= {
-                (isinstance(v, bool), v) for v in values
-                if isinstance(v, _SET_SCALARS)}:
+        for test in preds:
+            if not any(map(test, values)):
+                return False
+        for member in all_strs:
+            if member not in values:
+                return False
+        if other_keys and not other_keys <= {
+                (v.__class__ is bool, v) for v in values if isinstance(v, _SET_SCALARS)}:
             return False
-        return not any(np(v) for np in neg_preds for v in values)
+        for test in neg_preds:
+            if any(map(test, values)):
+                return False
+        return True
 
-    return matches
+    return _all_of(tests), many, if_missing
+
+
+def _elem_match(operand: Mapping[str, Any]) -> Predicate:
+    """``$elemMatch``: some element of an array value satisfies ``operand``,
+    an operator document over the element itself or a query over it."""
+    if _is_operator_doc(operand):
+        test = _compile_operator(operand)[0]
+    else:
+        test = compile_query(operand).matches
+    return lambda v: isinstance(v, list) and any(map(test, v))
+
+
+def _all_of(tests: List[Predicate]) -> Predicate:
+    """``tests`` (none: always true) in order as one call; one test is itself."""
+    if len(tests) == 1:
+        return tests[0]
+
+    def every(value: Any) -> bool:
+        for test in tests:
+            if not test(value):
+                return False
+        return True
+
+    return every
+
+
+def _compile_field(path: str, condition: Any) -> Predicate:
+    """One ``path: condition`` clause over whole documents.
+
+    The path is split once.  Through dicts the accessor is a chain of
+    ``.get`` calls, and a value that is not an array goes straight to the
+    compiled test; an array at the end is tested with its elements.  A
+    numeric component, an array or a document that is not a dict on the
+    way takes the generic :func:`~.documents.get_path_multi` fan-out, whose
+    candidates are each value reached and, one level down, each array's
+    elements.
+    """
+    parts = split_path(path)
+    if _is_operator_doc(condition):
+        one, many, if_missing = _compile_operator(condition)
+    else:  # bare value: equality against the value or any array element
+        one = _compile_value_test(condition)
+        many = lambda values: any(map(one, values))  # noqa: E731
+        if_missing = condition is None  # {"a": null} matches a missing a
+
+    def fan_out(doc: Any) -> bool:
+        values = get_path_multi(doc, path)
+        values.extend([e for v in values if isinstance(v, list) for e in v])
+        return many(values) if values else if_missing
+
+    if any(map(str.isdigit, parts)):
+        return fan_out
+    if len(parts) == 1:
+        key = parts[0]
+
+        def field(doc: Any) -> bool:
+            if type(doc) is not dict:
+                return fan_out(doc)
+            value = doc.get(key, MISSING)
+            if value is MISSING:
+                return if_missing
+            return many([value, *value]) if isinstance(value, list) else one(value)
+
+        return field
+
+    def dotted(doc: Any) -> bool:
+        value = doc
+        for key in parts:
+            if type(value) is not dict:
+                return fan_out(doc)
+            value = value.get(key, MISSING)
+            if value is MISSING:
+                return if_missing
+        return many([value, *value]) if isinstance(value, list) else one(value)
+
+    return dotted
+
+
+def _compile_logical(op: str, operand: Any) -> Predicate:
+    if not isinstance(operand, list) or not operand:
+        raise QuerySyntaxError(f"{op} requires a non-empty array of queries")
+    subs = [compile_query(q).matches for q in operand]
+    if op == "$and":
+        return _all_of(subs)
+    if op == "$or":
+        return lambda doc: any(m(doc) for m in subs)
+    return lambda doc: not any(m(doc) for m in subs)
 
 
 class Matcher:
-    """A compiled query: call :meth:`matches` on candidate documents."""
+    """A compiled query: call :attr:`matches` on candidate documents.  It is
+    bound once to the conjunction of the clauses (in query order, ``$where``
+    functions last); a one-clause query's ``matches`` is that clause."""
 
-    __slots__ = ("query", "_clauses", "_where")
+    __slots__ = ("query", "matches")
 
     def __init__(self, query: Mapping[str, Any]):
         if not isinstance(query, Mapping):
             raise QuerySyntaxError("query must be a document")
         self.query = query
-        self._clauses: List[Callable[[Any], bool]] = []
-        self._where: List[Callable[[Any], bool]] = []
+        clauses: List[Predicate] = []
+        where: List[Predicate] = []
         for key, value in query.items():
-            if key == "$where":
+            if not key.startswith("$"):
+                clauses.append(_compile_field(key, value))
+            elif key == "$where":
                 if not callable(value):
                     raise QuerySyntaxError("$where requires a callable")
-                self._where.append(value)
+                where.append(value)
             elif key in _LOGICAL:
-                self._clauses.append(self._compile_logical(key, value))
+                clauses.append(_compile_logical(key, value))
             elif key == "$not":
                 raise QuerySyntaxError("$not is not valid at the top level")
-            elif key.startswith("$"):
-                raise QuerySyntaxError(f"unknown top-level operator {key!r}")
             else:
-                self._clauses.append(self._compile_field(key, value))
-
-    @staticmethod
-    def _compile_logical(op: str, operand: Any) -> Callable[[Any], bool]:
-        if not isinstance(operand, list) or not operand:
-            raise QuerySyntaxError(f"{op} requires a non-empty array of queries")
-        subs = [compile_query(q) for q in operand]
-        if op == "$and":
-            return lambda doc: all(m.matches(doc) for m in subs)
-        if op == "$or":
-            return lambda doc: any(m.matches(doc) for m in subs)
-        return lambda doc: not any(m.matches(doc) for m in subs)
-
-    @staticmethod
-    def _compile_field(path: str, condition: Any) -> Callable[[Any], bool]:
-        if _is_operator_doc(condition):
-            value_pred = _compile_operator(condition)
-
-            def field_op(doc: Any) -> bool:
-                values = get_path_multi(doc, path)
-                # Mongo array fan-out: operators may match the array value
-                # itself ($size, whole-array compare) or any of its elements.
-                expanded = list(values)
-                for v in values:
-                    if isinstance(v, list):
-                        expanded.extend(v)
-                return value_pred(expanded)
-
-            return field_op
-        # Bare value: equality against value or any array element.
-        test = _compile_value_test(condition)
-
-        def field_eq(doc: Any) -> bool:
-            values = get_path_multi(doc, path)
-            for v in values:
-                if test(v):
-                    return True
-                if isinstance(v, list) and any(test(e) for e in v):
-                    return True
-            # {"a": null} also matches documents where a is missing.
-            if condition is None and not values:
-                return True
-            return False
-
-        return field_eq
-
-    def matches(self, doc: Any) -> bool:
-        """Return True if ``doc`` satisfies the query."""
-        for clause in self._clauses:
-            if not clause(doc):
-                return False
-        for fn in self._where:
-            if not fn(doc):
-                return False
-        return True
+                raise QuerySyntaxError(f"unknown top-level operator {key!r}")
+        self.matches: Predicate = _all_of(clauses + where)
 
     def __call__(self, doc: Any) -> bool:
         return self.matches(doc)
@@ -543,7 +542,7 @@ def compile_query(query: Mapping[str, Any]) -> Matcher:
 # Index predicate extraction (consumed by repro.docstore.planner).
 # --------------------------------------------------------------------------
 
-_INDEX_RANGE_OPS = frozenset({"$gt", "$gte", "$lt", "$lte"})
+_INDEX_RANGE_OPS = frozenset(_NUMBER_RANGE)
 #: Operators that may ride alongside range bounds without invalidating the
 #: index interval — the residual matcher enforces them on every candidate.
 _RANGE_COMPANIONS = frozenset({"$ne", "$exists"})

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Tuple
 __all__ = ["IndexRecommendation", "IndexAdvisor"]
 
 #: Profile ops the advisor treats as index-improvable reads.
-_READ_OPS = frozenset({"find", "findOne", "count", "findAndModify"})
+_READ_OPS = frozenset({"find", "findOne", "count", "distinct", "findAndModify"})
 
 #: Operator conditions an index range scan can serve as a trailing key.
 _RANGE_OPS = frozenset({"$gt", "$gte", "$lt", "$lte"})

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
-from repro.docstore import compile_query
-from repro.errors import QuerySyntaxError
+from repro.docstore import compile_query, matching
+from repro.docstore.documents import get_path_multi
+from repro.errors import DocstoreError, QuerySyntaxError
 
 
 def matches(query, doc):
@@ -188,7 +189,54 @@ class TestLogical:
         assert not matches(q, {"a": 1, "b": 2})
 
 
+class TestPathAccess:
+    def test_numeric_component_fans_out_like_get_path_multi(self, monkeypatch):
+        """``a.0.b`` is never read by ``dict.get`` alone: every document
+        goes through the fan-out, and the answer is equality against the
+        values ``get_path_multi`` reaches or their array elements."""
+        walks = []
+
+        def counting(doc, path):
+            walks.append(doc)
+            return get_path_multi(doc, path)
+
+        monkeypatch.setattr(matching, "get_path_multi", counting)
+        matcher = compile_query({"a.0.b": 1})
+        docs = [
+            {"a": [{"b": 1}, {"b": 2}]},
+            {"a": [{"b": 2}, {"b": 1}]},
+            {"a": {"0": {"b": 1}}},
+            {"a": {"0": {"b": [3, 1]}}},
+            {"a": [[{"b": 1}]]},
+            {"a": [{"b": 2}]},
+            {"a": []},
+            {"a": {"b": 1}},
+            {"b": 1},
+        ]
+        for doc in docs:
+            values = get_path_multi(doc, "a.0.b")
+            expected = any(v == 1 or (isinstance(v, list) and 1 in v)
+                           for v in values)
+            assert matcher.matches(doc) is expected, doc
+        assert walks == docs
+
+    def test_dotted_path_through_dicts_and_arrays(self):
+        q = {"structure.lattice.a": {"$gt": 4}}
+        assert matches(q, {"structure": {"lattice": {"a": 5.0}}})
+        assert not matches(q, {"structure": {"lattice": {"a": 3.0}}})
+        assert matches(q, {"structure": [{"lattice": {"a": 3}},
+                                         {"lattice": {"a": 6}}]})
+        assert matches(q, {"structure": {"lattice": {"a": [1, 7]}}})
+        assert not matches(q, {"structure": {"lattice": 5}})
+        assert not matches(q, {"structure": "cubic"})
+
+
 class TestArrayOperators:
+    def test_all_member_elem_match_over_the_elements(self):
+        q = {"a": {"$all": [{"$elemMatch": {"$gt": 5}}, {"$elemMatch": {"$lt": 2}}]}}
+        assert matches(q, {"a": [1, 7]})
+        assert not matches(q, {"a": [3, 7]})
+
     def test_all(self):
         q = {"elements": {"$all": ["Li", "O"]}}
         assert matches(q, {"elements": ["Li", "Fe", "O"]})
@@ -292,6 +340,10 @@ class TestEvaluation:
 
 
 class TestSyntaxErrors:
+    def test_empty_path_component_fails_at_compile(self):
+        with pytest.raises(DocstoreError):
+            compile_query({"a..b": 1})
+
     def test_unknown_operator(self):
         with pytest.raises(QuerySyntaxError):
             compile_query({"a": {"$frobnicate": 1}})

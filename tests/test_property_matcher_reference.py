@@ -16,6 +16,12 @@ missing-field bug.
 The collection-level checks run the same queries through ``find`` on an
 index-free collection, and on a twin with one index per field against its
 own ``hint="$natural"`` scan, so a plan can only ever narrow.
+
+``TestAccessorBoundary`` aims at the compiled accessor: one path, plain or
+dotted, holds the int its conditions expect in some documents and an array,
+a subdocument, nothing, ``None``, NaN, a bool or (under the dotted path) a
+list of subdocuments in others, so each document lands on one side of the
+``dict.get`` fast path or the fan-out.
 """
 
 from typing import Any, Dict, Mapping
@@ -110,16 +116,25 @@ _RANGE = {
 }
 
 
-def _candidates(doc: Any, field: str):
-    """Value + array elements (one level), or [] when the field is missing;
-    a value that is not a document has no fields."""
-    if not isinstance(doc, dict) or field not in doc:
-        return []
-    value = doc[field]
-    out = [value]
+def _reached(value: Any, parts) -> list:
+    """Every value a (dotted) path reaches: a document descends by key, an
+    array on the way applies the rest of the path to each of its documents
+    and arrays; anything else has no fields."""
+    if not parts:
+        return [value]
+    if isinstance(value, dict):
+        return _reached(value[parts[0]], parts[1:]) if parts[0] in value else []
     if isinstance(value, list):
-        out.extend(value)
-    return out
+        return [v for e in value if isinstance(e, (dict, list))
+                for v in _reached(e, parts)]
+    return []
+
+
+def _candidates(doc: Any, field: str):
+    """The values ``field`` reaches plus, one level down, each array's
+    elements; [] when the field is missing."""
+    reached = _reached(doc, field.split("."))
+    return reached + [e for v in reached if isinstance(v, list) for e in v]
 
 
 def _ref_member(cands, member) -> bool:
@@ -132,8 +147,8 @@ def _ref_member(cands, member) -> bool:
 
 
 def _ref_field(doc: Any, field: str, cond: Any) -> bool:
-    present = isinstance(doc, dict) and field in doc
     cands = _candidates(doc, field)
+    present = bool(cands)
     if not (isinstance(cond, dict) and cond and
             all(isinstance(k, str) and k.startswith("$") for k in cond)):
         # Bare equality; null also matches a missing field.
@@ -250,6 +265,76 @@ queries = st.one_of(
 )
 
 
+# -- the accessor's fast-path/fan-out boundary ------------------------------
+
+#: One path read by ``dict.get`` alone, one dotted.
+PATHS = ["p", "q.r"]
+
+ints = st.integers(-2, 2)
+#: What sits at the path: the int the queries expect, or an array, a
+#: subdocument, missing, None, NaN or a bool in its place.
+path_values = st.one_of(
+    ints,
+    st.lists(st.one_of(ints, st.booleans(), subdocs), max_size=3),
+    subdocs,
+    st.just(MISSING),
+    st.none(),
+    st.just(NAN),
+    st.booleans(),
+)
+
+
+@st.composite
+def path_documents(draw, path: str) -> dict:
+    """A document holding a :data:`path_values` draw at ``path``; under a
+    dotted path its head may instead be missing, a scalar, or a list of
+    subdocuments each holding a draw (or not) at the leaf."""
+
+    def holding(key: str) -> dict:
+        value = draw(path_values)
+        return {} if value is MISSING else {key: value}
+
+    doc = {"a": draw(values)} if draw(st.booleans()) else {}
+    head, _, leaf = path.partition(".")
+    if not leaf:
+        doc.update(holding(head))
+        return doc
+    shape = draw(st.sampled_from(["document", "list", "scalar", "missing"]))
+    if shape == "document":
+        doc[head] = holding(leaf)
+    elif shape == "list":
+        doc[head] = [holding(leaf) for _ in range(draw(st.integers(0, 3)))]
+    elif shape == "scalar":
+        doc[head] = draw(leaves)
+    return doc
+
+
+#: Conditions that expect an int, so the bools, NaN and None in its place
+#: meet int operands, plus the general grammar.
+path_conditions = st.one_of(
+    ints,
+    st.fixed_dictionaries({"$eq": ints}),
+    st.fixed_dictionaries({"$ne": ints}),
+    st.dictionaries(st.sampled_from(["$gt", "$gte", "$lt", "$lte"]), ints,
+                    min_size=1, max_size=2),
+    st.fixed_dictionaries({"$in": st.lists(ints, min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"$nin": st.lists(ints, min_size=1, max_size=3)}),
+    field_conditions,
+)
+
+
+@st.composite
+def boundary_cases(draw, max_docs: int):
+    """``(path, documents, query)``: a condition on the path, sometimes
+    alongside one on ``a`` (a conjunction of two clauses)."""
+    path = draw(st.sampled_from(PATHS))
+    docs = draw(st.lists(path_documents(path), min_size=1, max_size=max_docs))
+    query = {path: draw(path_conditions)}
+    if draw(st.booleans()):
+        query["a"] = draw(field_conditions)
+    return path, docs, query
+
+
 def _ids(cursor):
     return sorted(d["_id"] for d in cursor)
 
@@ -289,4 +374,37 @@ class TestMatcherAgainstReference:
         assert _ids(coll.find(query, hint="$natural")) == want
         assert _ids(coll.find(query)) == want, coll.last_plan
         for field in FIELDS:
+            assert _ids(coll.find(query, hint=f"{field}_1")) == want, field
+
+
+class TestAccessorBoundary:
+    """The compiled accessor reads a path with ``dict.get`` and hands a
+    value that is not an array straight to the test; arrays, lists of
+    subdocuments on the way and non-dict heads fan out.  Both must agree
+    with the reference and with every plan of an indexed twin."""
+
+    @given(case=boundary_cases(max_docs=1))
+    @settings(max_examples=600, deadline=None)
+    def test_agreement(self, case):
+        _path, (doc,), query = case
+        expected = _ref_match(doc, query)
+        actual = compile_query(query).matches(doc)
+        assert actual == expected, (
+            f"divergence on doc={doc!r} query={query!r}: "
+            f"matcher={actual} reference={expected}"
+        )
+
+    @given(case=boundary_cases(max_docs=10))
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_find_agrees_with_natural_scan(self, case):
+        path, docs, query = case
+        coll = Collection("ref_boundary")
+        for field in (path, "a"):
+            coll.create_index(field)
+        for i, doc in enumerate(docs):
+            coll.insert_one({**doc, "_id": i})
+        want = [i for i, doc in enumerate(docs) if _ref_match(doc, query)]
+        assert _ids(coll.find(query, hint="$natural")) == want
+        assert _ids(coll.find(query)) == want, coll.last_plan
+        for field in (path, "a"):
             assert _ids(coll.find(query, hint=f"{field}_1")) == want, field

@@ -351,6 +351,37 @@ class TestCurrentOpKillOp:
         assert len(failures) == 1 and isinstance(failures[0], OperationKilled)
         assert store.current_op() == []
 
+    @pytest.mark.parametrize("op", ["distinct", "mapreduce"])
+    def test_distinct_and_map_reduce_select_inside_their_op(self, store, op):
+        """Each selects inside its own op, under the read lock: killing it
+        while it waits for the lock stops the read, and no other op (no
+        inner ``find``) is listed."""
+        coll = store["mp"]["tasks"]
+        coll.insert_many([{"n": i} for i in range(10)])
+        failures = []
+
+        def run():
+            try:
+                if op == "distinct":
+                    coll.distinct("n", {"n": {"$gte": 0}})
+                else:
+                    coll.map_reduce(lambda d: [(d["n"], 1)],
+                                    lambda k, vs: sum(vs), {"n": {"$gte": 0}})
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        worker = threading.Thread(target=run)
+        with coll._lock.write():
+            worker.start()
+            ops = _wait_for_op(store, op)
+            assert ops, f"{op} never appeared in current_op()"
+            assert [o["op"] for o in store.current_op()] == [op]
+            assert store.kill_op(ops[0]["opid"]) is True
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert len(failures) == 1 and isinstance(failures[0], OperationKilled)
+        assert store.current_op() == []
+
     def test_inflight_write_listed_killable_and_completes(self, store):
         """A write is in current_op() while it runs and gone after; killOp
         flags it and it still runs to completion."""
