@@ -69,14 +69,18 @@ def main() -> None:
 
     # The paper's follow-up screen: "screen promising candidates for other
     # important properties such as Li diffusivity (related to power)".
-    from repro.matgen import Structure, estimate_diffusion
+    from repro.matgen import Composition, Structure, estimate_diffusion
 
     print(f"\nrate screen of the top candidates "
           f"(geometric migration barriers):")
     print(f"{'framework':>12s} {'Ea (eV)':>8s} {'D@300K (cm^2/s)':>16s} "
           f"{'class':>14s}")
     for e in electrodes[:8]:
-        doc = db["materials"].find_one({"material_id": e["discharged_material"]})
+        # The discharged end of the voltage curve: the battery's most
+        # lithiated member, the structure Li migrates through.
+        doc = max(
+            db["materials"].find({"material_id": {"$in": e["material_ids"]}}),
+            key=lambda m: Composition(m["formula"]).get_atomic_fraction("Li"))
         est = estimate_diffusion(Structure.from_dict(doc["structure"]), "Li")
         print(f"{e['framework']:>12s} {est.barrier_ev:8.2f} "
               f"{est.diffusivity(300):16.2e} {est.as_dict()['rate_class']:>14s}")

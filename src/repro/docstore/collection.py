@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ..errors import DocstoreError, DuplicateKeyError
-from .cursor import Cursor, apply_projection, distinct_values
+from .cursor import Cursor, compile_projection, distinct_values
 from .documents import (
     deep_copy_doc,
     document_to_json,
@@ -67,12 +67,15 @@ from .updates import apply_update, is_operator_update
 __all__ = ["Collection", "InsertResult", "UpdateResult", "DeleteResult", "BulkWriteResult"]
 
 
-def _as_stored(doc: dict, _pos: int, _projection: Any) -> dict:
+def _as_stored(doc: dict, _pos: int) -> dict:
     return doc
 
 
-def _copied(doc: dict, _pos: int, projection: Any) -> dict:
-    return apply_projection(doc, projection)
+def _projected(projection: Any) -> Callable[[dict, int], dict]:
+    """The ``each`` of a copying read: ``projection`` compiled once, then
+    applied to every survivor."""
+    project = compile_projection(projection)
+    return lambda doc, _pos: project(doc)
 
 
 def _plan_report(result: Any, stats: Mapping[str, int], n: int) -> QueryPlan:
@@ -276,28 +279,12 @@ class Collection:
             query, matcher, sort_spec=sort, projection=projection, hint=hint,
         )
         winner = result.winner
-        stats = {"keys": 0, "docs": 0}
-        # skip+limit push down only when candidates arrive in final order
-        # (index-provided, or no sort requested at all); a blocking sort
-        # needs every match before its first result.
-        ordered = not sort or winner.provides_sort
-        stop = skip + limit if limit is not None else None
-        unsorted: List[Tuple[dict, int]] = []
-        n = 0
+        stats = {"keys": 0, "docs": 0, "n": 0}
         try:
-            for hit in iter_plan(self, winner, matcher, stats):
-                active.check_killed()
-                n += 1
-                if not ordered:
-                    unsorted.append(hit)
-                elif n > skip:
-                    yield hit
-                    if n == stop:
-                        break
-            if unsorted:
-                yield from sort_documents(
-                    unsorted, sort, doc_of=itemgetter(0))[skip:stop]
+            yield from self._execute(winner, matcher, stats, sort, skip, limit,
+                                     active.check_killed)
         finally:
+            n = stats["n"]
             plan = self._plan_local.plan = _plan_report(result, stats, n)
             active.plan_summary = plan.summary
             active.docs_examined = stats["docs"]
@@ -305,6 +292,47 @@ class Collection:
             if winner.index is not None:
                 self._record_usage(winner.index.name)
             self._planner.note_execution(result, stats, n)
+
+    def _execute(self, winner: Any, matcher: Matcher, stats: Dict[str, int],
+                 sort: Optional[List[tuple]], skip: int, limit: Optional[int],
+                 check: Callable[[], None] = lambda: None,
+                 ) -> Iterator[Tuple[dict, int]]:
+        """Drive ``winner`` through :func:`iter_plan`, yielding ``(stored_doc,
+        position)`` in final order after ``skip`` and up to ``limit``;
+        ``check()`` runs per candidate and ``stats["n"]`` counts matches,
+        skipped ones included.
+
+        skip+limit push down only when candidates arrive in final order
+        (index-provided, or no sort requested at all); a blocking sort needs
+        every match before its first result.  A page in final order over
+        one scan of a non-multikey index with an empty filter, where every
+        index entry is a distinct match, also skips on keys: ``iter_plan``
+        passes over its first ``skip`` entries by offset and fetches none
+        of them."""
+        ordered = not sort or winner.provides_sort
+        stop = skip + limit if limit is not None else None
+        n = 0
+        if (ordered and winner.kind == "IXSCAN" and not matcher.query
+                and not winner.index.multikey and len(winner.scans) == 1
+                and winner.allowed is None):
+            spec = winner.scans[0]
+            n = min(skip, winner.index.entry_count_in(spec.prefix, spec.bounds))
+        unsorted: List[Tuple[dict, int]] = []
+        try:
+            for hit in iter_plan(self, winner, matcher, stats, skip=n):
+                check()
+                n += 1
+                if not ordered:
+                    unsorted.append(hit)
+                elif n > skip:
+                    yield hit
+                    if n == stop:
+                        break
+        finally:
+            stats["n"] = n
+        if unsorted:
+            yield from sort_documents(
+                unsorted, sort, doc_of=itemgetter(0))[skip:stop]
 
     def _matched_positions(
         self, query: Mapping[str, Any], matcher: Matcher, multi: bool,
@@ -328,6 +356,8 @@ class Collection:
         hint: Optional[str] = None,
         verbosity: str = "executionStats",
         pipeline: Optional[List[Mapping[str, Any]]] = None,
+        skip: int = 0,
+        limit: Optional[int] = None,
     ) -> dict:
         """Plan and execute ``query``, reporting the chosen plan.
 
@@ -339,7 +369,9 @@ class Collection:
         ``providesSort``/``blockingSort``, ``covered``, ``keyPattern`` and
         the ``rejectedPlans`` the winner beat.  With
         ``verbosity="allPlansExecution"`` each rejected plan includes its
-        trial-run statistics.
+        trial-run statistics.  ``skip`` and ``limit`` execute as a cursor's
+        do, so ``nReturned`` counts the page and ``keysExamined`` /
+        ``docsExamined`` what reading it cost.
 
         With ``pipeline=[...]`` this explains an aggregation instead:
         equivalent to ``aggregate(pipeline, explain=True)`` — per-stage
@@ -352,14 +384,15 @@ class Collection:
         matcher = compile_query(query)
         sort_spec = list(sort) if sort else None
         t0 = time.perf_counter()
-        stats = {"keys": 0, "docs": 0}
+        stats = {"keys": 0, "docs": 0, "n": 0}
         with self._lock.read():
             result = self._planner.plan(
                 query, matcher, sort_spec=sort_spec, projection=projection,
                 hint=hint, use_cache=False,
             )
             winner = result.winner
-            count = sum(1 for _ in iter_plan(self, winner, matcher, stats))
+            count = sum(1 for _ in self._execute(
+                winner, matcher, stats, sort_spec, skip, limit))
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         out = dict(
             _plan_report(result, stats, count).to_dict(),
@@ -375,31 +408,33 @@ class Collection:
         return out
 
     def _read(self, op: str, query: Mapping[str, Any], matcher: Matcher,
-              projection: Any, each: Callable[[dict, int, Any], dict],
+              projection: Any, each: Callable[[dict, int], dict],
               default_hint: Optional[str] = None, sort: Any = None,
               skip: int = 0, limit: Optional[int] = None,
               hint: Optional[str] = None) -> List[dict]:
         """The one read helper behind ``find``, ``find_one``,
         ``count_documents`` and :meth:`_find_stored`: listed
         in ``current_op()`` as ``op``, planned and scanned through
-        ``_select`` under the read lock, ``each(stored_doc, position,
-        projection)`` per survivor, reported to the instrumentation funnel.
-        The verbs differ only in ``each``."""
+        ``_select`` under the read lock, ``each(stored_doc, position)`` per
+        survivor, reported to the instrumentation funnel.  The verbs differ
+        only in ``each``; ``projection`` is passed to the planner, which
+        may cover it from index keys."""
         with self._op(op, "command" if op == "count" else "query",
                       query) as active, self._lock.read():
-            docs = [each(doc, pos, projection) for doc, pos in self._select(
+            docs = [each(doc, pos) for doc, pos in self._select(
                 query, matcher, active, sort, skip, limit,
                 hint if hint is not None else default_hint, projection)]
             active.nreturned = len(docs)
         return docs
 
     def _cursor(self, op: str, query: Any, projection: Any, hint: Any,
-                each: Callable[[dict, int, Any], dict]) -> Cursor:
+                each: Optional[Callable[[dict, int], dict]] = None) -> Cursor:
         """A lazy :meth:`_read` whose sort, skip, limit and hint the cursor
-        chains; the query compiles now, so a malformed one fails here."""
+        chains.  The query and the projection (when ``each`` is not given)
+        compile now, so a malformed one fails here."""
         query = query or {}
         return Cursor(partial(self._read, op, query, compile_query(query),
-                              projection, each, hint))
+                              projection, each or _projected(projection), hint))
 
     def find(
         self,
@@ -415,7 +450,7 @@ class Collection:
         index keys alone (covered query).  ``hint`` forces an index by
         name (``"$natural"`` forces a collection scan).
         """
-        return self._cursor("find", query, projection, hint, _copied)
+        return self._cursor("find", query, projection, hint)
 
     def _find_stored(self, query: Any = None, projection: Any = None,
                      hint: Optional[str] = None, op: str = "find") -> Cursor:
@@ -425,9 +460,9 @@ class Collection:
         Without a projection every document returned also has its JSON
         text in the fragment cache, for :meth:`_json_of`."""
         return self._cursor(op, query, projection, hint,
-                            _copied if projection else self._with_fragment)
+                            None if projection else self._with_fragment)
 
-    def _with_fragment(self, doc: dict, pos: int, _projection: Any) -> dict:
+    def _with_fragment(self, doc: dict, pos: int) -> dict:
         """``each`` of an unprojected :meth:`_find_stored`: ``doc`` itself,
         its fragment encoded now unless the cache holds it already.  Runs
         under the read lock, so ``doc`` is what ``_docs[pos]`` holds;
@@ -460,7 +495,7 @@ class Collection:
         """First matching document or None."""
         query = query or {}
         found = self._read("findOne", query, compile_query(query), projection,
-                           _copied, limit=1)
+                           _projected(projection), limit=1)
         return found[0] if found else None
 
     def count_documents(self, query: Optional[Mapping[str, Any]] = None) -> int:
@@ -602,6 +637,7 @@ class Collection:
         if return_document not in ("before", "after"):
             raise DocstoreError("return_document must be 'before' or 'after'")
         matcher = compile_query(query)
+        project = compile_projection(projection)
         with self._op("findAndModify", "update",
                       query) as active, self._lock.write():
             hits = list(self._select(query, matcher, active, sort=sort, limit=1))
@@ -615,12 +651,10 @@ class Collection:
                 return None
             active.nreturned = 1
             stored, pos = hits[0]
-            before = deep_copy_doc(stored)
+            # The update swaps a new dict in, so ``stored`` stays the before.
             self._apply_to_position(pos, update)
-            result = before if return_document == "before" else deep_copy_doc(
-                self._docs[pos]
-            )
-            return apply_projection(result, projection) if projection else result
+            return project(stored if return_document == "before"
+                           else self._docs[pos])
 
     def find_one_and_delete(
         self,

@@ -5,36 +5,26 @@ nested fields out of large task documents; projections are also how the
 QueryEngine keeps API payloads small.  Cursors are lazy — the underlying
 find() does no work until iteration starts — so a query that is immediately
 ``.limit(1)``-ed after an index probe touches very few documents.
+
+A projection compiles once per query (:func:`compile_projection`), as the
+matcher does, so no document re-parses it.  A page with an empty filter,
+planned as one scan of a non-multikey index in final order, skips on
+index keys: its first ``skip`` entries are passed over by offset, never
+fetched (``Collection._execute``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import DocstoreError
 from .aggregation import _group_key
-from .documents import MISSING, deep_copy_doc, get_path, set_path, unset_path
+from .documents import MISSING, deep_copy_doc, get_path, set_path, split_path, unset_path
 from .matching import _values_equal
 
-__all__ = ["Cursor", "apply_projection", "distinct_values"]
+__all__ = ["Cursor", "compile_projection", "distinct_values", "parse_projection"]
 
-
-def _split_projection(projection: Mapping[str, Any]) -> tuple:
-    include: List[str] = []
-    exclude: List[str] = []
-    for field, flag in projection.items():
-        if flag in (1, True):
-            include.append(field)
-        elif flag in (0, False):
-            exclude.append(field)
-        else:
-            raise DocstoreError(f"projection value for {field!r} must be 0/1")
-    inc_set = [f for f in include if f != "_id"]
-    exc_set = [f for f in exclude if f != "_id"]
-    if inc_set and exc_set:
-        raise DocstoreError("cannot mix inclusion and exclusion in a projection")
-    id_flag = projection.get("_id", None)
-    return inc_set, exc_set, id_flag
+_CONTAINERS = (dict, list, tuple)  # what deep_copy_doc copies
 
 
 def distinct_values(docs: Iterable[Mapping[str, Any]], field: str) -> List[Any]:
@@ -57,30 +47,63 @@ def distinct_values(docs: Iterable[Mapping[str, Any]], field: str) -> List[Any]:
     return distinct
 
 
-def apply_projection(doc: Mapping[str, Any], projection: Optional[Mapping[str, Any]]) -> dict:
-    """Return a new document with the projection applied.
+def parse_projection(projection: Mapping[str, Any]) -> Tuple[List[str], List[str], bool]:
+    """``(included paths, excluded paths, keep _id)``, ``_id`` in neither
+    list.  A flag other than 0/1, an empty path or component, or a mix of
+    inclusion and exclusion raises :class:`DocstoreError`."""
+    include: List[str] = []
+    exclude: List[str] = []
+    for field, flag in projection.items():
+        if flag not in (0, 1):  # True and False are 1 and 0
+            raise DocstoreError(f"projection value for {field!r} must be 0/1")
+        split_path(field)
+        if field != "_id":
+            (include if flag else exclude).append(field)
+    if include and exclude:
+        raise DocstoreError("cannot mix inclusion and exclusion in a projection")
+    return include, exclude, bool(projection.get("_id", 1))
 
-    Follows Mongo rules: inclusion projections whitelist dotted paths (always
-    keeping ``_id`` unless ``_id: 0``); exclusion projections remove paths.
-    """
+
+def compile_projection(
+    projection: Optional[Mapping[str, Any]],
+) -> Callable[[Mapping[str, Any]], dict]:
+    """The function applying ``projection`` to one document, as a new dict
+    that shares nothing with it; a malformed projection raises here.
+
+    Mongo rules: an inclusion whitelists dotted paths (keeping ``_id``
+    unless ``_id: 0``), an exclusion removes paths, no projection copies
+    the document.  A flat top-level inclusion, the paging shape, is one
+    ``dict.get`` per pre-bound key; dotted paths and exclusions walk."""
     if not projection:
-        return deep_copy_doc(doc)
-    include, exclude, id_flag = _split_projection(projection)
-    if include:
-        out: dict = {}
-        if id_flag in (None, 1, True) and "_id" in doc:
-            out["_id"] = doc["_id"]
-        for path in include:
-            value = get_path(doc, path)
-            if value is not MISSING:
-                set_path(out, path, deep_copy_doc(value))
-        return out
-    out = deep_copy_doc(doc)
-    for path in exclude:
-        unset_path(out, path)
-    if id_flag in (0, False):
-        out.pop("_id", None)
-    return out
+        return deep_copy_doc
+    include, exclude, keep_id = parse_projection(projection)
+    if not include:
+        drop = exclude if keep_id else exclude + ["_id"]
+
+        def project(doc: Mapping[str, Any]) -> dict:
+            out = deep_copy_doc(doc)
+            for path in drop:
+                unset_path(out, path)
+            return out
+    elif any("." in f for f in include):
+        def project(doc: Mapping[str, Any]) -> dict:
+            out = {"_id": deep_copy_doc(doc["_id"])} if keep_id and "_id" in doc else {}
+            for path in include:
+                value = get_path(doc, path)
+                if value is not MISSING:
+                    set_path(out, path, deep_copy_doc(value))
+            return out
+    else:
+        keys = tuple(include)
+
+        def project(doc: Mapping[str, Any]) -> dict:
+            out = {"_id": deep_copy_doc(doc["_id"])} if keep_id and "_id" in doc else {}
+            for key in keys:
+                value = doc.get(key, MISSING)
+                if value is not MISSING:
+                    out[key] = deep_copy_doc(value) if isinstance(value, _CONTAINERS) else value
+            return out
+    return project
 
 
 class Cursor:

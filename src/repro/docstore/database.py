@@ -237,6 +237,7 @@ class Database:
             entry["trace_id"] = active.span.trace_id
         if active.docs_examined is not None:
             entry["docsExamined"] = active.docs_examined
+            entry["keysExamined"] = active.keys_examined
         if active.plan_summary is not None:
             entry["planSummary"] = active.plan_summary
         if with_stages and active.stages is not None:

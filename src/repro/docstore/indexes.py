@@ -448,6 +448,7 @@ class Index:
         prefix: Sequence[Any] = (),
         bounds: Optional[Mapping[str, Any]] = None,
         reverse: bool = False,
+        skip: int = 0,
     ) -> Iterator[Tuple[Tuple[Any, ...], int]]:
         """Bounded scan yielding ``(raw_values, position)`` in key order.
 
@@ -457,6 +458,8 @@ class Index:
         ``gt/gte/lt/lte`` value-space limits; bounds are type-bracketed like
         MongoDB, so a numeric range never yields strings even when one side
         is open.  ``reverse=True`` walks the same entries backwards.
+        ``skip`` passes over the first ``skip`` entries of the range (those
+        :meth:`entry_count_in` counts) by offset, without visiting them.
 
         A full-key exact probe short-circuits to the hash bucket — O(1)
         instead of two bisects — which is the hot path for point lookups
@@ -465,10 +468,12 @@ class Index:
         if not bounds:
             bucket = self._point_bucket(prefix)
             if bucket is not None:
-                yield from reversed(bucket) if reverse else bucket
+                yield from itertools.islice(
+                    reversed(bucket) if reverse else bucket, skip, None)
                 return
         lo, hi, n, want_rank = self._probe_range(prefix, bounds)
-        indices = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        indices = (range(hi - 1 - skip, lo - 1, -1) if reverse
+                   else range(lo + skip, hi))
         if bounds and "gte" in bounds and want_rank == 10:
             # NaN is $gte every number (compare_values calls them equal), and
             # its block lies outside the interval: scan it too.

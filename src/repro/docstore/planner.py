@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import DocstoreError
 from ..obs import get_registry
+from .cursor import parse_projection
 from .documents import MISSING, set_path
 from .indexes import Index
 from .matching import Matcher, index_predicates
@@ -124,15 +125,11 @@ def shard_key_predicate(query: Mapping[str, Any], shard_key: str):
     return predicate
 
 
-class ScanSpec:
+class ScanSpec(NamedTuple):
     """Arguments for one contiguous :meth:`Index.scan` segment."""
 
-    __slots__ = ("prefix", "bounds")
-
-    def __init__(self, prefix: Tuple[Any, ...],
-                 bounds: Optional[Dict[str, Any]] = None):
-        self.prefix = prefix
-        self.bounds = bounds
+    prefix: Tuple[Any, ...]
+    bounds: Optional[Dict[str, Any]] = None
 
 
 class CandidatePlan:
@@ -222,14 +219,10 @@ class PlanResult:
         self.shape = shape
 
 
-class _CacheEntry:
-    __slots__ = ("index_name", "trial_productivity", "trial_works")
-
-    def __init__(self, index_name: Optional[str], trial_productivity: float,
-                 trial_works: int):
-        self.index_name = index_name  # None → cached COLLSCAN decision
-        self.trial_productivity = trial_productivity
-        self.trial_works = trial_works
+class _CacheEntry(NamedTuple):
+    index_name: Optional[str]  # None → cached COLLSCAN decision
+    trial_productivity: float
+    trial_works: int
 
 
 class PlanCache:
@@ -320,6 +313,7 @@ def iter_plan(
     matcher: Matcher,
     stats: Dict[str, int],
     max_works: Optional[int] = None,
+    skip: int = 0,
 ) -> Iterator[Tuple[dict, int]]:
     """Execute ``candidate`` against ``collection``, yielding matches.
 
@@ -328,19 +322,19 @@ def iter_plan(
     document table is never consulted).  ``stats`` accumulates ``keys``
     (index entries visited) and ``docs`` (documents fetched); when the
     combined work exceeds ``max_works`` the generator stops and sets
-    ``stats["capped"] = 1`` — the trial-run budget.
+    ``stats["capped"] = 1`` — the trial-run budget.  A one-scan plan's
+    first ``skip`` entries, matches all, are counted as keys, not visited.
 
     The caller must hold the collection lock.
     """
     if candidate.kind == "IDHACK":
         stats["keys"] += 1
         pos = collection._id_to_pos.get(collection._id_key(candidate.id_value))
-        if pos is not None:
-            doc = collection._docs.get(pos)
-            if doc is not None:
-                stats["docs"] += 1
-                if matcher.matches(doc):
-                    yield doc, pos
+        doc = collection._docs.get(pos)
+        if doc is not None:
+            stats["docs"] += 1
+            if matcher.matches(doc):
+                yield doc, pos
         return
     if candidate.kind == "COLLSCAN":
         docs = collection._docs
@@ -361,8 +355,9 @@ def iter_plan(
         set() if (index.multikey or len(candidate.scans) > 1) else None
     )
     allowed = candidate.allowed
+    stats["keys"] += skip
     for spec in candidate.scans:
-        for values, pos in index.scan(spec.prefix, spec.bounds, reverse=reverse):
+        for values, pos in index.scan(spec.prefix, spec.bounds, reverse, skip):
             if max_works is not None and stats["keys"] >= max_works:
                 stats["capped"] = 1
                 return
@@ -541,7 +536,6 @@ class QueryPlanner:
                 return None
             # Sort-only plan: walk the whole index in order.
             scans = [ScanSpec(())]
-            n_points = 0
         covered = self._is_covered(index, query, projection, sort_spec)
         provides = bool(sort_direction)
         candidate = CandidatePlan(
@@ -601,22 +595,11 @@ class QueryPlanner:
         """True when the projection can be answered from index keys alone."""
         if not projection or index.multikey:
             return False
+        include, exclude, keep_id = parse_projection(projection)
         fields = set(index.fields)
-        include: List[str] = []
-        for field, flag in projection.items():
-            if field == "_id":
-                if flag in (0, False):
-                    continue
-                if "_id" not in fields:
-                    return False
-                continue
-            if flag not in (1, True):
-                return False  # exclusion projections are never covered
-            include.append(field)
-        if not include or not set(include) <= fields:
-            return False
-        # _id rides along unless suppressed; it must come from the keys.
-        if projection.get("_id", 1) in (1, True) and "_id" not in fields:
+        # Exclusions are never covered; _id rides along unless suppressed.
+        if exclude or not include or not set(include) <= fields or (
+                keep_id and "_id" not in fields):
             return False
         # Every query clause must be verifiable against the pseudo-document
         # rebuilt from key values: only top-level clauses on indexed fields.
@@ -687,19 +670,13 @@ class QueryPlanner:
         if candidate is None:
             # Unusable for the predicates: hint still forces a full scan
             # of this index, exactly like MongoDB.
+            direction = self._provides_sort(index, 0, 1, sort_spec)
             candidate = CandidatePlan(
-                "IXSCAN",
-                index=index,
-                scans=[ScanSpec(())],
-                provides_sort=bool(self._provides_sort(index, 0, 1,
-                                                       sort_spec)),
-                needs_blocking_sort=bool(sort_spec),
+                "IXSCAN", index=index, scans=[ScanSpec(())],
+                direction=direction or 1, provides_sort=bool(direction),
+                needs_blocking_sort=bool(sort_spec) and not direction,
                 covered=self._is_covered(index, query, projection, sort_spec),
             )
-            direction = self._provides_sort(index, 0, 1, sort_spec)
-            if direction:
-                candidate.direction = direction
-                candidate.needs_blocking_sort = False
         return candidate
 
     # -- ranking -----------------------------------------------------------

@@ -139,6 +139,64 @@ class TestSortPushDown:
         assert got == expected
 
 
+class TestSkipOnKeys:
+    """A sorted page over an index passes over its skip as index keys:
+    ``keysExamined`` = skip + returned, ``docsExamined`` = returned."""
+
+    PAGE = {"e_above_hull": 1, "nsites": 1, "_id": 0}
+
+    @pytest.fixture
+    def db(self, materials):
+        store = DocumentStore()
+        db = store["mp"]
+        db["materials"].insert_many(materials.find({}, {"_id": 0}).to_list())
+        db["materials"].create_index("e_above_hull")
+        db.set_profiling_level(2)
+        return db
+
+    def _page(self, db, sort, skip, limit, query=None):
+        coll = db["materials"]
+        docs = coll.find(query or {}, self.PAGE).sort(sort).skip(skip) \
+            .limit(limit).to_list()
+        entry = [e for e in db.profile_log if e["op"] == "find"][-1]
+        twin = coll.find(query or {}, self.PAGE, hint="$natural") \
+            .sort(sort).to_list()[skip:skip + limit]
+        assert [d["e_above_hull"] for d in docs] == \
+            [d["e_above_hull"] for d in twin]
+        explain = coll.explain(query or {}, sort=sort, projection=self.PAGE,
+                               skip=skip, limit=limit)
+        return docs, entry, explain
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_page_examines_only_what_it_returns(self, db, direction):
+        docs, entry, explain = self._page(
+            db, [("e_above_hull", direction)], 300, 50)
+        assert len(docs) == 50
+        for report in (entry, explain):
+            assert report["keysExamined"] == 350, report
+            assert report["docsExamined"] == 50, report
+        assert explain["nReturned"] == 50
+        assert explain["planSummary"] == "IXSCAN { e_above_hull: 1 }"
+
+    def test_skip_past_the_end_fetches_nothing(self, db):
+        docs, entry, explain = self._page(db, [("e_above_hull", 1)], 800, 50)
+        assert docs == []
+        for report in (entry, explain):
+            assert report["keysExamined"] == 500, report
+            assert report["docsExamined"] == 0, report
+
+    def test_a_filter_fetches_the_skipped_documents(self, db):
+        _docs, entry, explain = self._page(
+            db, [("e_above_hull", 1)], 20, 10, query={"nsites": 3})
+        for report in (entry, explain):
+            assert report["docsExamined"] == report["keysExamined"] > 30
+
+    def test_a_blocking_sort_fetches_everything(self, db):
+        _docs, entry, explain = self._page(db, [("nsites", 1)], 300, 50)
+        for report in (entry, explain):
+            assert report["docsExamined"] == 500, report
+
+
 class TestCoveredQueries:
     def test_covered_with_id_suppressed(self, materials):
         materials.create_index([("formula", 1), ("e_above_hull", -1)])
