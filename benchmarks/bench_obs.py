@@ -1,8 +1,8 @@
 """Continuous observability benchmark: core datastore op latencies.
 
-Measures p50/p95/p99 wall latency of the three operations the fleet
-health monitor watches hardest — indexed ``find``, ``insert_one``, and a
-group-by ``aggregate`` — over a synthetic materials-shaped collection,
+Measures p50/p95/p99 wall latency of three core datastore operations —
+indexed ``find``, ``insert_one``, and a group-by ``aggregate`` — over a
+synthetic materials-shaped collection,
 and writes ``BENCH_obs.json`` at the repo root.  CI re-runs this on every
 push and fails the build when p95 regresses more than the tolerance in
 :mod:`check_bench_regression` against the committed baseline

@@ -7,17 +7,15 @@ and responses are JSON with proper status codes.  This is the "Web API"
 box of the paper's architecture served over an actual socket, so the
 examples and benches exercise a genuine HTTP round trip.
 
-Two operational endpoints ride alongside the data API:
+Operational endpoints ride alongside the data API:
 
 * ``GET /metrics`` — the shared metrics registry in text exposition
   format (counters, gauges, histogram quantiles);
 * ``GET /status`` — JSON: the backing database's ``serverStatus``
   (opcounters, profiling level) plus a registry snapshot;
 * ``GET /ops`` — live ``currentOp()`` output for the backing store;
-* ``GET /health`` — the attached :class:`~repro.obs.health.HealthMonitor`
-  report (gauges + SLO evaluation); 200 while green/warn, 503 once an
-  open alert reaches critical, so load balancers can act on it;
-* ``GET /alerts`` — the SLO engine's alert history (open + recent);
+* ``GET /health`` — liveness for load balancers: ``200 {"status":
+  "green"}`` whenever the server answers;
 * ``GET /provenance/<material_id>`` — the provenance DAG walked back
   from one material to its source tasks and workflows;
 * ``GET /telemetry/access|traces`` — the telemetry warehouse's read
@@ -99,10 +97,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, self._ops_document(api))
             return
         if parsed.path == "/health":
-            self._serve_health()
-            return
-        if parsed.path == "/alerts":
-            self._serve_alerts()
+            self._send_json(200, {"status": "green"})
             return
         if parsed.path.startswith("/telemetry/"):
             self._serve_telemetry(parsed.path, params)
@@ -118,6 +113,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if parsed.path == "/ui" or parsed.path.startswith("/ui/"):
             self._serve_ui(parsed.path, params)
+            return
+        if not parsed.path.startswith("/rest/"):
+            self._send_json(404, {"error": f"no route {parsed.path!r}"})
             return
         api_key = self.headers.get("X-API-KEY") or (
             params.get("API_KEY", [None])[0]
@@ -340,31 +338,6 @@ class _Handler(BaseHTTPRequestHandler):
         inprog = store.current_op() if store is not None else []
         return {"inprog": inprog}
 
-    def _serve_health(self) -> None:
-        """``GET /health``: evaluate the monitor and pick the status code
-        by severity — only *critical* flips to 503 (a warning fleet still
-        serves traffic)."""
-        monitor = getattr(self.server, "health_monitor", None)
-        if monitor is None:
-            self._send_json(200, {"status": "green", "gauges": {},
-                                  "detail": "no health monitor attached"})
-            return
-        report = monitor.report()
-        status = 503 if report["status"] == "critical" else 200
-        self._send_json(status, report)
-
-    def _serve_alerts(self) -> None:
-        monitor = getattr(self.server, "health_monitor", None)
-        engine = getattr(monitor, "engine", None)
-        if engine is None:
-            self._send_json(200, {"open": [], "recent": [], "rules": []})
-            return
-        self._send_json(200, {
-            "open": engine.open_alerts(),
-            "recent": engine.recent_alerts(50),
-            "rules": engine.describe(),
-        })
-
     def _serve_provenance(self, api: MaterialsAPI, material_id: str) -> None:
         from ..errors import NotFoundError
         from ..obs import provenance_graph
@@ -438,31 +411,14 @@ class MaterialsAPIServer(ServerThread):
 
     def __init__(self, api: MaterialsAPI, host: str = "127.0.0.1",
                  port: int = 0, webui: Optional[Any] = None,
-                 monitor: Optional[Any] = None,
                  warehouse: Optional[Any] = None):
         self.api = api
-        self.monitor = monitor if monitor is not None else (
-            self._default_monitor(api)
-        )
         self.warehouse = warehouse
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.materials_api = api  # type: ignore[attr-defined]
         self._httpd.webui = webui  # type: ignore[attr-defined]
-        self._httpd.health_monitor = self.monitor  # type: ignore[attr-defined]
         self._httpd.warehouse = warehouse  # type: ignore[attr-defined]
         super().__init__("http-server", self._httpd)
-
-    @staticmethod
-    def _default_monitor(api: MaterialsAPI) -> Optional[Any]:
-        """A stock :class:`HealthMonitor` with the default SLO rule set
-        over the API's backing database (none when the query engine has
-        no local ``db`` to watch)."""
-        db = getattr(api.qe, "db", None)
-        if db is None:
-            return None
-        from ..obs.health import HealthMonitor
-
-        return HealthMonitor(db)
 
     @property
     def port(self) -> int:

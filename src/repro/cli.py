@@ -149,26 +149,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     store = _open_store(args)
     db = store["mp"]
     warehouse = None
-    monitor = None
     query_log = None
     if not args.no_telemetry:
-        from .obs.health import HealthMonitor
-        from .obs.slo import default_rules
         from .obs.warehouse import TelemetryWarehouse
 
         warehouse = TelemetryWarehouse(store)
         warehouse.tail_sampler.install()
         warehouse.start()
         query_log = warehouse.access
-        # Alerts live in telemetry.alerts: open alerts survive restarts.
-        monitor = HealthMonitor(
-            engine=warehouse.slo_engine(default_rules(db))
-        )
     qe = QueryEngine(db, query_log=query_log)
     api = MaterialsAPI(qe)
     webui = WebUI(qe, AnnotationStore(db))
     server = MaterialsAPIServer(api, port=args.port, webui=webui,
-                                monitor=monitor, warehouse=warehouse)
+                                warehouse=warehouse)
     server.start()
     wire = None
     if args.wire_port is not None:
@@ -841,8 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also serve the wire protocol on this port")
     p.add_argument("--no-telemetry", action="store_true",
                    help="disable the telemetry warehouse (access log, "
-                        "tail-sampled traces, alerts, incident events, "
-                        "TTL retention)")
+                        "tail-sampled traces, TTL retention)")
     p.add_argument("--no-flight", action="store_true",
                    help="disable the flight recorder, stall watchdog, and "
                         "crash forensics")

@@ -2,11 +2,10 @@
 
 MongoDB's balancer is what makes §IV-D2's "just add shards" story true in
 practice: without it, a newly added shard owns nothing and a skewed ingest
-leaves one shard holding most of the data.  This balancer watches the same
-signal the health monitor alerts on — the shard-balance gauge fed by
-``balance_factor()`` — and, whenever either the document skew exceeds its
-threshold or chunk counts differ by more than one, moves the cheapest chunk
-from the most-loaded shard to the least-loaded one via
+leaves one shard holding most of the data.  This balancer watches the
+document skew ``balance_factor()`` reports and, whenever either that skew
+exceeds its threshold or chunk counts differ by more than one, moves the
+cheapest chunk from the most-loaded shard to the least-loaded one via
 :meth:`~repro.docstore.cluster.router.ShardedCluster.move_chunk` (the full
 copy → delta-drain → locked-commit protocol, so it is safe to run against
 live writers).

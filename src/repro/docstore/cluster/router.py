@@ -755,7 +755,7 @@ class ShardedCluster:
             if shard.rs.primary is None:
                 shard.rs.await_primary(timeout_s=timeout_s)
 
-    # -- health-monitor protocol (watch_sharded compatibility) --------------
+    # -- balance (read by the balancer) -------------------------------------
 
     def shard_distribution(self, ns: Optional[str] = None) -> Dict[str, int]:
         """Estimated docs per shard (first/namespace-summed chunk counters)."""

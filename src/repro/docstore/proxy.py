@@ -24,8 +24,7 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, List, Optional
 
 from ..background import ServerThread
 from ..obs import get_registry, remote_span, trace_context
@@ -148,9 +147,6 @@ class DatastoreProxy(ServerThread):
         self.requests_forwarded = 0
         self.bytes_up = 0
         self.bytes_down = 0
-        # (wall ts, forward millis) per relayed request, injected latency
-        # included — the wire-level SLI the SLO engine can window over.
-        self._latency_log: Deque[tuple] = deque(maxlen=4096)
 
     # -- upstream failover -------------------------------------------------
 
@@ -223,8 +219,6 @@ class DatastoreProxy(ServerThread):
             self.requests_forwarded += 1
             self.bytes_up += up
             self.bytes_down += down
-            if elapsed_ms is not None:
-                self._latency_log.append((time.time(), elapsed_ms))
         registry = get_registry()
         registry.counter(
             "repro_proxy_requests_total", "requests relayed by the proxy"
@@ -236,11 +230,6 @@ class DatastoreProxy(ServerThread):
             registry.histogram(
                 "repro_proxy_forward_millis", "proxy forwarding latency"
             ).observe(elapsed_ms)
-
-    def latency_events(self) -> List[tuple]:
-        """Recent ``(wall_ts, millis)`` forward timings (oldest first)."""
-        with self._lock:
-            return list(self._latency_log)
 
     @property
     def port(self) -> int:

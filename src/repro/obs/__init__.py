@@ -24,18 +24,13 @@ end layer their own signals on top.
 
 Fleet-health tooling builds on that substrate:
 
-* :mod:`.health` — mongostat/mongotop-style delta samplers plus the
-  :class:`HealthMonitor` rolling replication lag, shard balance, and
-  changestream backlog gauges into one ``GET /health`` report;
-* :mod:`.slo` — threshold and error-budget burn-rate rules evaluated by
-  an :class:`SLOEngine` that opens/resolves alert documents in a capped
-  ``system.alerts`` history collection;
+* :mod:`.health` — mongostat/mongotop-style delta samplers and their
+  tables;
 * :mod:`.advisor` — the slow-query index advisor mining ``system.profile``
   COLLSCAN shapes into verified ``create_index`` recommendations;
 * :mod:`.warehouse` — the self-hosted telemetry warehouse: the access-log
-  warehouse, tail-sampled traces and alerts, all stored in a
-  ``telemetry`` database with TTL retention — the datastore dogfooding
-  itself;
+  warehouse and tail-sampled traces, stored in a ``telemetry`` database
+  with TTL retention — the datastore dogfooding itself;
 * :mod:`.profiler` — the continuous wall-clock sampling profiler: a
   daemon sampling every thread's stack via ``sys._current_frames`` into
   bounded flamegraph-ready folded stacks, shared process-wide so the wire
@@ -80,19 +75,10 @@ from .tracing import (
 )
 from .provenance import format_provenance, provenance_graph
 from .health import (
-    HealthMonitor,
     ServerStatusSampler,
     TopSampler,
     format_stat_table,
     format_top_table,
-)
-from .slo import (
-    AlertHistory,
-    BurnRateRule,
-    LatencyWindowSource,
-    SLOEngine,
-    ThresholdRule,
-    default_rules,
 )
 from .advisor import IndexAdvisor, IndexRecommendation
 from .profiler import (
@@ -147,15 +133,8 @@ __all__ = [
     "redact",
     "ServerStatusSampler",
     "TopSampler",
-    "HealthMonitor",
     "format_stat_table",
     "format_top_table",
-    "ThresholdRule",
-    "BurnRateRule",
-    "LatencyWindowSource",
-    "AlertHistory",
-    "SLOEngine",
-    "default_rules",
     "IndexAdvisor",
     "IndexRecommendation",
     "add_tail_sampler",

@@ -1,9 +1,8 @@
-"""Fleet health: mongostat/mongotop-style samplers and the health monitor.
+"""Fleet health: mongostat/mongotop-style samplers and their tables.
 
 The paper's operators kept the Materials Project datastore healthy by
 *watching* it — mongostat for opcounter rates, mongotop for per-collection
-time, replication/sharding dashboards for topology drift.  This module is
-that operator loop for the reproduction:
+time.  This module is those two tools' data sources for the reproduction:
 
 * :class:`ServerStatusSampler` — turns successive ``serverStatus``
   snapshots into opcounter deltas (the ``mongostat`` data source).  It
@@ -15,24 +14,16 @@ that operator loop for the reproduction:
 * :class:`TopSampler` — diffs :meth:`Database.top` snapshots into
   per-interval, per-collection read/write time (the ``mongotop`` source),
   likewise keeping only the previous totals.
-* :class:`HealthMonitor` — rolls replication lag, shard balance/chunk
-  skew, and changestream backlog gauges into one report, evaluated
-  against an attached :class:`~repro.obs.slo.SLOEngine` so breaches land
-  in the alert history collection.  ``GET /health`` on the Materials API
-  httpd serves :meth:`HealthMonitor.report`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
-
-from .metrics import get_registry
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "ServerStatusSampler",
     "TopSampler",
-    "HealthMonitor",
     "format_stat_table",
     "format_top_table",
 ]
@@ -210,139 +201,3 @@ def format_top_table(sample: dict, header: bool = True) -> str:
             f"{d.get('write_ms', 0.0):>10.2f}ms"
         )
     return "\n".join(lines)
-
-
-class HealthMonitor:
-    """Rolls topology gauges and SLO evaluation into one health report.
-
-    Components are registered explicitly (``watch_*``); :meth:`gauges`
-    computes the current values, pushes them into the shared metrics
-    registry as ``repro_health_gauge{name=...}``, and :meth:`report`
-    evaluates the attached SLO engine against them so rule breaches open
-    alerts in the alert history collection.
-
-    Gauge keys consumed by the default SLO rules:
-
-    * ``replication_max_lag`` — worst member lag (writes missed while
-      down) across watched replica sets;
-    * ``shard_max_balance_factor`` — worst ``max/mean`` shard-size ratio
-      across watched sharded collections (1.0 is perfectly balanced);
-    * ``changestream_max_backlog_fraction`` — fullest watched change
-      stream buffer, as a fraction of its capacity.
-    """
-
-    def __init__(self, db: Any = None, rules: Optional[List[Any]] = None,
-                 engine: Optional[Any] = None):
-        from .slo import SLOEngine, default_rules
-
-        self.db = db
-        if engine is not None:
-            # A pre-built engine (e.g. the telemetry warehouse's, whose
-            # alert history lives in ``telemetry.alerts`` and survives
-            # restarts) takes precedence over constructing one from db.
-            self.engine = engine
-        else:
-            self.engine = (
-                SLOEngine(db,
-                          rules if rules is not None else default_rules(db))
-                if db is not None else None
-            )
-        self._replica_sets: List[Any] = []
-        self._sharded: Dict[str, Any] = {}
-        self._streams: Dict[str, Any] = {}
-        self._extra_gauges: Dict[str, Callable[[], float]] = {}
-
-    # -- component registration ----------------------------------------
-
-    def watch_replica_set(self, rs: Any) -> "HealthMonitor":
-        self._replica_sets.append(rs)
-        return self
-
-    def watch_sharded(self, name: str, sc: Any) -> "HealthMonitor":
-        self._sharded[name] = sc
-        return self
-
-    def watch_changestream(self, name: str, stream: Any) -> "HealthMonitor":
-        self._streams[name] = stream
-        return self
-
-    def add_gauge(self, name: str, fn: Callable[[], float]) -> "HealthMonitor":
-        """Register a custom gauge callable (value read at report time)."""
-        self._extra_gauges[name] = fn
-        return self
-
-    # -- gauges ---------------------------------------------------------
-
-    def gauges(self) -> Dict[str, float]:
-        g: Dict[str, float] = {}
-        lags = []
-        for rs in self._replica_sets:
-            status = rs.status()
-            for member in status["members"]:
-                if member["role"] != "PRIMARY":
-                    lags.append(member["lag"])
-                    g[f"replication_lag:{member['name']}"] = member["lag"]
-        if lags:
-            g["replication_max_lag"] = max(lags)
-        factors = []
-        for name, sc in self._sharded.items():
-            factor = sc.balance_factor()
-            factors.append(factor)
-            g[f"shard_balance:{name}"] = factor
-            sizes = list(sc.shard_distribution().values())
-            total = sum(sizes)
-            if total:
-                g[f"shard_hottest_fraction:{name}"] = max(sizes) / total
-        if factors:
-            g["shard_max_balance_factor"] = max(factors)
-        backlogs = []
-        for name, stream in self._streams.items():
-            fraction = stream.pending() / stream.max_buffer
-            backlogs.append(fraction)
-            g[f"changestream_backlog:{name}"] = stream.pending()
-            g[f"changestream_backlog_fraction:{name}"] = fraction
-        if backlogs:
-            g["changestream_max_backlog_fraction"] = max(backlogs)
-        for name, fn in self._extra_gauges.items():
-            g[name] = float(fn())
-        gauge_metric = get_registry().gauge(
-            "repro_health_gauge", "fleet health gauges"
-        )
-        for name, value in g.items():
-            gauge_metric.set(value, name=name)
-        return g
-
-    # -- the report -----------------------------------------------------
-
-    def report(self, now: Optional[float] = None) -> dict:
-        """Evaluate SLO rules against current gauges; return the health
-        document served by ``GET /health``."""
-        gauges = self.gauges()
-        opened: List[dict] = []
-        status = "green"
-        alerts: Dict[str, Any] = {"open": [], "recent": []}
-        if self.engine is not None:
-            opened = self.engine.evaluate(gauges, now=now)
-            status = self.engine.status()
-            alerts = {
-                "open": self.engine.open_alerts(),
-                "recent": self.engine.recent_alerts(20),
-            }
-        return {
-            "status": status,
-            "gauges": gauges,
-            "new_alerts": opened,
-            "alerts": alerts,
-            "components": {
-                "replica_sets": [rs.status() for rs in self._replica_sets],
-                "sharded": {
-                    name: sc.shard_distribution()
-                    for name, sc in self._sharded.items()
-                },
-                "changestreams": {
-                    name: {"pending": s.pending(),
-                           "max_buffer": s.max_buffer}
-                    for name, s in self._streams.items()
-                },
-            },
-        }

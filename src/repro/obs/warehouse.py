@@ -2,10 +2,10 @@
 
 The paper's operational stance is that a datastore's own telemetry is best
 served *by* the datastore — Materials Project runs query logs and usage
-analytics through the same MongoDB that serves science.  Access records,
-sampled traces and alerts evaporate on restart when they live only in
-memory; this module dogfoods the engine by landing them in real
-collections in a ``telemetry`` database:
+analytics through the same MongoDB that serves science.  Access records
+and sampled traces evaporate on restart when they live only in memory;
+this module dogfoods the engine by landing them in real collections in a
+``telemetry`` database:
 
 * ``telemetry.access`` — the :class:`~repro.api.querylog.QueryLog`
   access-log warehouse: one record per Materials API HTTP request (its
@@ -13,9 +13,6 @@ collections in a ``telemetry`` database:
   request and written in batches by the log's own writer task.
 * ``telemetry.traces`` — :class:`TailSampler` keeps only traces whose root
   span breached a latency threshold or whose tree carries an error.
-* ``telemetry.alerts`` — the SLO engine's alert history
-  (:meth:`TelemetryWarehouse.slo_engine`); open alerts persist and are
-  re-adopted after a restart.
 
 Nothing here is a second copy of state the process already holds.
 Metrics history (counter deltas, gauges, histogram quantiles) and
@@ -177,16 +174,6 @@ class TelemetryWarehouse:
             latency_threshold_ms=trace_latency_threshold_ms,
         )
 
-    # -- SLO integration -------------------------------------------------
-
-    def slo_engine(self, rules: Optional[List[Any]] = None) -> Any:
-        """An SLO engine whose alert history lives in ``telemetry.alerts``
-        — open alerts persist through the journal and are re-adopted on
-        construction after a restart."""
-        from .slo import SLOEngine
-
-        return SLOEngine(self.db, rules or [], collection="alerts")
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, reap_interval_s: Optional[float] = None, *,
@@ -214,5 +201,5 @@ class TelemetryWarehouse:
         """Row counts per telemetry collection (the warehouse's own size)."""
         return {
             name: self.db[name].count_documents()
-            for name in ("access", "traces", "alerts")
+            for name in ("access", "traces")
         }

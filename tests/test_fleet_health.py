@@ -1,32 +1,22 @@
-"""Tests for the fleet health monitor: samplers, index advisor, SLO alerts,
-HTTP health endpoints, CLI subcommands, and the benchmark regression gate."""
+"""Tests for the fleet health tooling: samplers, index advisor, the HTTP
+liveness endpoint, CLI subcommands, and the benchmark regression gate."""
 
 import json
 import sys
-import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.api import MaterialsAPI, MaterialsAPIServer, QueryEngine
 from repro.docstore import (
-    DatastoreProxy,
     DatastoreServer,
     DocumentStore,
     RemoteClient,
-    ShardedCluster,
-    ShardReplicaSet,
 )
-from repro.docstore.changestream import ChangeStream
 from repro.obs import (
-    BurnRateRule,
-    HealthMonitor,
     IndexAdvisor,
-    LatencyWindowSource,
     MetricsRegistry,
-    SLOEngine,
     ServerStatusSampler,
-    ThresholdRule,
     TopSampler,
     format_stat_table,
     format_top_table,
@@ -46,16 +36,6 @@ def fresh_registry():
 @pytest.fixture
 def db():
     return DocumentStore()["mp"]
-
-
-def lagging_member(rs, n_writes):
-    """Kill a secondary of ``rs``, then write ``n_writes`` documents it
-    misses; returns its name (``rs.revive`` catches it up)."""
-    down = next(m.name for m in rs.members if m is not rs.primary)
-    rs.kill(down)
-    for i in range(n_writes):
-        rs.write("mp", "m", lambda c, i=i: c.insert_one({"_id": i}))
-    return down
 
 
 class TestServerStatusSampler:
@@ -297,257 +277,15 @@ class TestIndexAdvisor:
         assert [u["field"] for u in unused] == ["dead_field"]
 
 
-class TestSLOWindowMath:
-    def test_burn_rate_exact_window_math(self):
-        # 100 events in-window, 10 bad at threshold 250ms, objective 99%
-        events = [(100.0 + i, 5.0 if i % 10 else 500.0) for i in range(100)]
-        source = LatencyWindowSource(250.0, lambda: events)
-        assert source.window_counts(100.0, 199.0) == (90, 100)
-        rule = BurnRateRule("burn", source, objective=0.99, window_s=300.0)
-        breach = rule.evaluate({}, now=199.0)
-        # bad_fraction 0.10 / budget 0.01 = burn rate 10
-        assert breach["value"] == pytest.approx(10.0)
-        assert breach["detail"]["bad"] == 10
-        assert breach["detail"]["total"] == 100
-        assert breach["detail"]["bad_fraction"] == pytest.approx(0.10)
-        assert breach["detail"]["budget"] == pytest.approx(0.01)
-
-    def test_window_excludes_old_events(self):
-        events = [(10.0, 999.0)] + [(100.0 + i, 1.0) for i in range(50)]
-        source = LatencyWindowSource(250.0, lambda: events)
-        rule = BurnRateRule("burn", source, objective=0.99, window_s=60.0)
-        # the one bad event at t=10 is outside [90, 150]
-        assert rule.evaluate({}, now=150.0) is None
-
-    def test_no_traffic_means_no_breach(self):
-        source = LatencyWindowSource(250.0, lambda: [])
-        rule = BurnRateRule("burn", source, objective=0.99, window_s=60.0)
-        assert rule.evaluate({}, now=100.0) is None
-
-    def test_threshold_rule_skips_missing_gauge(self):
-        rule = ThresholdRule("lag", gauge="replication_max_lag",
-                             threshold=100.0)
-        assert rule.evaluate({}, now=0.0) is None
-        assert rule.evaluate({"replication_max_lag": 50.0}, now=0.0) is None
-        breach = rule.evaluate({"replication_max_lag": 150.0}, now=0.0)
-        assert breach["value"] == 150.0
-
-
-class TestSLOEngineLifecycle:
-    def test_alert_document_lands_with_correct_window_math(self, db):
-        events = [(100.0 + i, 500.0) for i in range(20)]
-        source = LatencyWindowSource(250.0, lambda: events)
-        rule = BurnRateRule("latency", source, objective=0.99,
-                            window_s=300.0, severity="critical")
-        engine = SLOEngine(db, [rule])
-        opened = engine.evaluate(now=150.0)
-        assert len(opened) == 1
-        stored = db["system.alerts"].find_one({"rule": "latency"})
-        assert stored["state"] == "open"
-        assert stored["severity"] == "critical"
-        assert stored["opened_at"] == 150.0
-        assert stored["value"] == pytest.approx(100.0)  # all-bad burn rate
-        assert stored["detail"]["total"] == 20
-        assert engine.status() == "critical"
-
-    def test_persisting_breach_touches_not_duplicates(self, db):
-        events = [(100.0, 500.0)]
-        rule = BurnRateRule(
-            "latency", LatencyWindowSource(250.0, lambda: events),
-            objective=0.99, window_s=300.0)
-        engine = SLOEngine(db, [rule])
-        engine.evaluate(now=110.0)
-        assert engine.evaluate(now=120.0) == []  # second pass: touch
-        docs = db["system.alerts"].find({"rule": "latency"}).to_list()
-        assert len(docs) == 1
-        assert docs[0]["evaluations"] == 2
-        assert docs[0]["last_seen"] == 120.0
-
-    def test_recovery_resolves_alert(self, db):
-        events = [(100.0, 500.0)]
-        rule = BurnRateRule(
-            "latency", LatencyWindowSource(250.0, lambda: events),
-            objective=0.99, window_s=50.0)
-        engine = SLOEngine(db, [rule])
-        engine.evaluate(now=110.0)
-        assert engine.status() == "critical"
-        engine.evaluate(now=500.0)  # event aged out of the window
-        assert engine.status() == "green"
-        doc = db["system.alerts"].find_one({"rule": "latency"})
-        assert doc["state"] == "resolved"
-        assert doc["resolved_at"] == 500.0
-
-    def test_injected_proxy_latency_lands_alert(self, db):
-        """The existing failure-injection hook (proxy forward_latency_s)
-        drives a burn-rate breach end to end over the wire."""
-        store = DocumentStore()
-        server = DatastoreServer(store)
-        server.start()
-        proxy = DatastoreProxy("127.0.0.1", server.port,
-                               forward_latency_s=0.02)
-        proxy.start()
-        try:
-            with proxy.client() as client:
-                coll = client["mp"]["materials"]
-                coll.insert_one({"material_id": "mp-1"})
-                for _ in range(5):
-                    coll.find_one({"material_id": "mp-1"})
-            rule = BurnRateRule(
-                "proxy-latency",
-                LatencyWindowSource.from_proxy(proxy, threshold_ms=5.0),
-                objective=0.99, window_s=300.0, severity="critical")
-            engine = SLOEngine(db, [rule])
-            opened = engine.evaluate()
-            assert len(opened) == 1
-            stored = db["system.alerts"].find_one({"rule": "proxy-latency"})
-            assert stored["detail"]["total"] >= 6
-            assert stored["detail"]["bad"] == stored["detail"]["total"]
-            assert stored["value"] == pytest.approx(100.0)
-        finally:
-            proxy.stop()
-            server.stop()
-
-    def test_profile_source_windows_over_system_profile(self, db):
-        db.set_profiling_level(2)
-        db["m"].insert_one({"x": 1})
-        db["m"].find({"x": 1}).to_list()
-        source = LatencyWindowSource.from_profile(db, threshold_ms=1e6)
-        good, total = source.window_counts(0.0, 1e12)
-        assert total >= 2
-        assert good == total  # nothing slower than 1e6 ms
-
-
-class TestHealthMonitor:
-    def test_green_on_fresh_store(self, db):
-        report = HealthMonitor(db).report()
-        assert report["status"] == "green"
-        assert report["new_alerts"] == []
-
-    def test_replication_lag_opens_then_resolves(self, db):
-        rs = ShardReplicaSet("rs0")
-        monitor = HealthMonitor(db).watch_replica_set(rs)
-        down = lagging_member(rs, 150)
-        report = report_open = monitor.report(now=1000.0)
-        assert report_open["status"] == "warn"
-        assert report_open["gauges"]["replication_max_lag"] == 150
-        assert report_open["gauges"][f"replication_lag:{down}"] == 150
-        assert [a["rule"] for a in report_open["new_alerts"]] == [
-            "replication-lag"]
-        stored = db["system.alerts"].find_one({"rule": "replication-lag"})
-        assert stored["state"] == "open"
-        assert stored["value"] == 150
-        rs.revive(down)
-        report = monitor.report(now=1010.0)
-        assert report["status"] == "green"
-        assert report["gauges"]["replication_max_lag"] == 0
-        assert db["system.alerts"].find_one(
-            {"rule": "replication-lag"})["state"] == "resolved"
-
-    def test_shard_imbalance_gauge(self, db):
-        cluster = ShardedCluster(n_replicas=1)
-        for shard_id in ("s0", "s1", "s2"):
-            cluster.add_shard(shard_id)
-        coll = cluster.shard_collection("mp.m", "k", strategy="range")
-        for i in range(42):
-            coll.insert_one({"k": i})  # the single initial chunk is on s0
-        monitor = HealthMonitor(db).watch_sharded("m", cluster)
-        report = monitor.report(now=0.0)
-        # 42/0/0 docs: max 42 over mean 14 is a 3x imbalance
-        assert report["gauges"]["shard_max_balance_factor"] == 3.0
-        assert report["gauges"]["shard_hottest_fraction:m"] == 1.0
-        assert report["status"] == "warn"
-        assert [a["rule"] for a in report["new_alerts"]] == [
-            "shard-imbalance"]
-
-    def test_changestream_backlog_gauge(self, db):
-        coll = db["m"]
-        stream = ChangeStream(coll, max_buffer=10)
-        for i in range(8):
-            coll.insert_one({"i": i})
-        monitor = HealthMonitor(db).watch_changestream("m", stream)
-        report = monitor.report(now=0.0)
-        assert report["gauges"][
-            "changestream_max_backlog_fraction"] == pytest.approx(0.8)
-        assert [a["rule"] for a in report["new_alerts"]] == [
-            "changestream-backlog"]
-        stream.drain()
-        assert monitor.report(now=1.0)["status"] == "green"
-
-    def test_gauges_exported_to_metrics_registry(self, db):
-        rs = ShardReplicaSet("rs0")
-        down = lagging_member(rs, 1)
-        monitor = HealthMonitor(db).watch_replica_set(rs)
-        monitor.gauges()
-        gauge = get_registry().gauge("repro_health_gauge")
-        assert "repro_health_gauge" in get_registry().render_text()
-        assert gauge.value(name="replication_max_lag") == 1
-        rs.revive(down)
-        monitor.gauges()
-        assert gauge.value(name="replication_max_lag") == 0
-
-    def test_custom_gauge_and_rule(self, db):
-        monitor = HealthMonitor(
-            db, rules=[ThresholdRule("queue-depth", gauge="queue_depth",
-                                     threshold=10.0)])
-        monitor.add_gauge("queue_depth", lambda: 25.0)
-        report = monitor.report(now=0.0)
-        assert report["status"] == "warn"
-        assert report["new_alerts"][0]["rule"] == "queue-depth"
-
-
 class TestHealthEndpoints:
-    def _server(self, db, monitor=None):
-        api = MaterialsAPI(QueryEngine(db))
-        return MaterialsAPIServer(api, monitor=monitor).start()
-
     def test_health_green_on_fresh_store(self, db):
+        """``/health`` is liveness: a bare server answers 200 green."""
         db["materials"].insert_one({"material_id": "mp-1"})
-        server = self._server(db)
-        try:
+        api = MaterialsAPI(QueryEngine(db))
+        with MaterialsAPIServer(api) as server:
             with urllib.request.urlopen(f"{server.base_url}/health") as r:
                 assert r.status == 200
-                doc = json.load(r)
-            assert doc["status"] == "green"
-            assert doc["alerts"]["open"] == []
-        finally:
-            server.stop()
-
-    def test_health_degrades_with_recorded_alert_on_lag(self, db):
-        rs = ShardReplicaSet("rs0")
-        monitor = HealthMonitor(db).watch_replica_set(rs)
-        server = self._server(db, monitor=monitor)
-        try:
-            down = lagging_member(rs, 200)
-            with urllib.request.urlopen(f"{server.base_url}/health") as r:
-                assert r.status == 200  # warn still serves 200
-                doc = json.load(r)
-            assert doc["status"] == "warn"
-            assert doc["gauges"]["replication_max_lag"] == 200
-            with urllib.request.urlopen(f"{server.base_url}/alerts") as r:
-                alerts = json.load(r)
-            assert [a["rule"] for a in alerts["open"]] == ["replication-lag"]
-            assert {r_["name"] for r_ in alerts["rules"]} >= {
-                "replication-lag", "query-latency-burn"}
-            rs.revive(down)
-            with urllib.request.urlopen(f"{server.base_url}/health") as r:
-                assert json.load(r)["status"] == "green"
-        finally:
-            server.stop()
-
-    def test_critical_alert_returns_503(self, db):
-        monitor = HealthMonitor(
-            db, rules=[ThresholdRule("doom", gauge="doom", threshold=1.0,
-                                     severity="critical")])
-        monitor.add_gauge("doom", lambda: 9.0)
-        server = self._server(db, monitor=monitor)
-        try:
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                urllib.request.urlopen(f"{server.base_url}/health")
-            assert exc.value.code == 503
-            doc = json.load(exc.value)
-            assert doc["status"] == "critical"
-        finally:
-            server.stop()
+                assert json.load(r) == {"status": "green"}
 
 
 class TestCLISubcommands:

@@ -1,7 +1,6 @@
 """Tests for the self-hosted telemetry warehouse: TTL retention in the
 engine, metrics history in the flight ring, the access-log warehouse,
-tail-sampled traces, warehouse-backed SLO alerts, HTTP endpoints, and the
-CLI."""
+tail-sampled traces, HTTP endpoints, and the CLI."""
 
 import json
 import os
@@ -24,12 +23,8 @@ from repro.docstore import (
 from repro.errors import DocstoreError
 from repro.hpc.simclock import SimClock
 from repro.obs import (
-    BurnRateRule,
-    HealthMonitor,
-    LatencyWindowSource,
     MetricsRegistry,
     TelemetryWarehouse,
-    ThresholdRule,
     get_registry,
     labels_key,
     set_registry,
@@ -538,90 +533,6 @@ class TestWireAccess:
                 assert client.ping()
 
 
-# -- warehouse-backed SLO alerts + health endpoint ------------------------
-
-
-class TestWarehouseSLO:
-    def test_burn_rate_from_warehouse_records(self, store):
-        wh = TelemetryWarehouse(store)
-        now = time.time()
-        for i in range(10):
-            wh.access.record_access("api", duration_ms=500.0,
-                                    ts=now - i)
-        rule = BurnRateRule(
-            "api-latency",
-            LatencyWindowSource.from_warehouse(wh, 100.0, endpoint="api"),
-            objective=0.5, window_s=300.0, severity="critical",
-        )
-        engine = wh.slo_engine([rule])
-        opened = engine.evaluate(now=now)
-        assert len(opened) == 1
-        assert engine.status() == "critical"
-        # alert document lives in telemetry.alerts, not system.alerts
-        assert store["telemetry"]["alerts"].count_documents(
-            {"state": "open"}
-        ) == 1
-
-    def test_alert_lifecycle_survives_restart(self, tmp_path):
-        now = time.time()
-        s1 = DocumentStore(persistence_dir=tmp_path)
-        wh1 = TelemetryWarehouse(s1)
-        for i in range(4):
-            wh1.access.record_access("api", duration_ms=500.0, ts=now - i)
-        rule = BurnRateRule(
-            "api-latency",
-            LatencyWindowSource.from_warehouse(wh1, 100.0),
-            objective=0.5, window_s=300.0,
-        )
-        wh1.slo_engine([rule]).evaluate(now=now)
-        s1.snapshot()
-        s1.close()
-
-        s2 = DocumentStore(persistence_dir=tmp_path)
-        wh2 = TelemetryWarehouse(s2)
-        rule2 = BurnRateRule(
-            "api-latency",
-            LatencyWindowSource.from_warehouse(wh2, 100.0),
-            objective=0.5, window_s=300.0,
-        )
-        engine2 = wh2.slo_engine([rule2])
-        # the open alert was adopted from the journal round-trip
-        assert [a["rule"] for a in engine2.open_alerts()] == ["api-latency"]
-        assert engine2.status() == "critical"
-        # healthy traffic resolves the *persisted* alert, not a duplicate
-        later = now + 3600.0
-        for i in range(20):
-            wh2.access.record_access("api", duration_ms=1.0, ts=later - i)
-        assert engine2.evaluate(now=later) == []
-        assert engine2.open_alerts() == []
-        assert s2["telemetry"]["alerts"].count_documents(
-            {"state": "resolved"}
-        ) == 1
-        s2.close()
-
-    def test_health_endpoint_503_on_critical(self, store):
-        db = store["mp"]
-        db["materials"].insert_one({"material_id": "mp-1"})
-        wh = TelemetryWarehouse(store)
-        rule = ThresholdRule("queue-depth", gauge="queue_depth",
-                             threshold=10.0, severity="critical")
-        monitor = HealthMonitor(engine=wh.slo_engine([rule]))
-        depth = {"value": 0.0}
-        monitor.add_gauge("queue_depth", lambda: depth["value"])
-        api = MaterialsAPI(QueryEngine(db, query_log=wh.access))
-        with MaterialsAPIServer(api, monitor=monitor,
-                                warehouse=wh) as server:
-            code, report = _get(server.base_url + "/health")
-            assert code == 200 and report["status"] == "green"
-            depth["value"] = 50.0
-            code, report = _get(server.base_url + "/health")
-            assert code == 503 and report["status"] == "critical"
-            assert report["alerts"]["open"][0]["rule"] == "queue-depth"
-            depth["value"] = 0.0
-            code, report = _get(server.base_url + "/health")
-            assert code == 200 and report["status"] == "green"
-
-
 # -- HTTP surface ---------------------------------------------------------
 
 
@@ -752,6 +663,27 @@ class TestTelemetryEndpoints:
         code, _doc = _get(server.base_url + "/traces/not-a-trace")
         assert code == 404
 
+    def test_alerts_route_is_gone(self, served_warehouse):
+        server, _ = served_warehouse
+        assert _get(server.base_url + "/alerts")[0] == 404
+
+    def test_serve_wiring_creates_no_alerts_collection(self,
+                                                       served_warehouse,
+                                                       store):
+        """The fixture installs the tail sampler and starts the server;
+        with the warehouse started too this is ``repro serve``'s wiring."""
+        server, wh = served_warehouse
+        wh.start()
+        try:
+            assert _get(server.base_url + "/health") == (
+                200, {"status": "green"})
+            _get(server.base_url + "/rest/v1/materials/mp-1")
+            _await_access(wh, 1)
+        finally:
+            wh.stop()
+        assert set(wh.stats()) == {"access", "traces"}
+        assert "alerts" not in store["telemetry"].list_collection_names()
+
     def test_telemetry_404_without_warehouse(self, store):
         api = MaterialsAPI(QueryEngine(store["mp"]))
         with MaterialsAPIServer(api) as server:
@@ -766,7 +698,7 @@ class TestWarehouseLifecycle:
     def test_tick_and_stats(self, store):
         wh = TelemetryWarehouse(store)
         wh.access.record_access("api")
-        assert wh.stats() == {"access": 1, "traces": 0, "alerts": 0}
+        assert wh.stats() == {"access": 1, "traces": 0}
 
     def test_no_events_collection(self, store):
         """Incidents live in the flight ring only: the warehouse creates
