@@ -7,8 +7,10 @@ Three drivers stand in for the paper's roles:
 * the seven ``examples/*.py`` scenarios, each from a scratch directory;
 * the twelve paper benches (the ``bench_*.py`` files that are pytest
   modules) with ``--benchmark-disable``: pytest-benchmark switches the
-  profiler off while it times, so a timed run records nothing.  Like any
-  run of them, they rewrite ``benchmarks/results/*.txt``;
+  profiler off while it times, so a timed run records nothing.  They
+  rewrite ``benchmarks/results/*.txt`` with this machine's timings; the
+  run saves those files' bytes first and writes them back afterwards,
+  also when a driver fails, so it leaves the checkout as it was;
 * ``benchmarks/ladder/run.py --smoke``, whose ``repro serve`` servers are
   processes of their own.
 
@@ -46,11 +48,15 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 SRC = os.path.join(REPO, "src")
+
+#: The figures the paper benches write, committed with the repository.
+RESULTS_GLOB = os.path.join(HERE, "results", "*.txt")
 
 #: The pytest-module benches, one per reproduced figure, table or study.
 PAPER_BENCHES = (
@@ -260,6 +266,22 @@ def drivers() -> List[Tuple[str, List[str], Optional[str]]]:
     return runs
 
 
+@contextmanager
+def files_kept(paths: List[str]) -> Iterator[None]:
+    """Write back the bytes ``paths`` held on entry, however the block
+    exits."""
+    saved = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            saved[path] = fh.read()
+    try:
+        yield
+    finally:
+        for path, data in saved.items():
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+
 def run_drivers(out_dir: str) -> List[dict]:
     site_dir = write_sitecustomize(os.path.join(out_dir, "site"), out_dir,
                                    os.path.realpath(SRC))
@@ -268,19 +290,20 @@ def run_drivers(out_dir: str) -> List[dict]:
         [site_dir, SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                            else []))
     results = []
-    for name, argv, cwd in drivers():
-        t0 = time.monotonic()
-        with tempfile.TemporaryDirectory() as scratch:
-            proc = subprocess.run(argv, cwd=cwd or scratch, env=env,
-                                  stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, text=True)
-        seconds = time.monotonic() - t0
-        results.append({"driver": name, "returncode": proc.returncode,
-                        "seconds": round(seconds, 1)})
-        print(f"# {name}: exit {proc.returncode} in {seconds:.1f} s",
-              flush=True)
-        if proc.returncode:
-            print(proc.stderr[-4000:], file=sys.stderr)
+    with files_kept(glob.glob(RESULTS_GLOB)):
+        for name, argv, cwd in drivers():
+            t0 = time.monotonic()
+            with tempfile.TemporaryDirectory() as scratch:
+                proc = subprocess.run(argv, cwd=cwd or scratch, env=env,
+                                      stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True)
+            seconds = time.monotonic() - t0
+            results.append({"driver": name, "returncode": proc.returncode,
+                            "seconds": round(seconds, 1)})
+            print(f"# {name}: exit {proc.returncode} in {seconds:.1f} s",
+                  flush=True)
+            if proc.returncode:
+                print(proc.stderr[-4000:], file=sys.stderr)
     return results
 
 

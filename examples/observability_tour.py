@@ -106,7 +106,6 @@ def main() -> None:
     #    With a telemetry warehouse attached it also writes every request
     #    into the queryable telemetry.access collection.
     warehouse = TelemetryWarehouse(store)
-    warehouse.tail_sampler.install()
     api = MaterialsAPI(QueryEngine(db))
     with MaterialsAPIServer(api, warehouse=warehouse) as srv:
         urllib.request.urlopen(
@@ -119,9 +118,9 @@ def main() -> None:
     print(f"[/ops]      {ops}")
 
     # 9. The telemetry warehouse dogfoods the datastore: the access log
-    #    above is already sitting in an indexed collection.  TTL indexes on
-    #    every telemetry collection bound retention — the reaper sweep below
-    #    deletes a trace planted with an already-expired timestamp.  Index
+    #    above is already sitting in an indexed collection.  Its TTL index
+    #    bounds retention — the reaper sweep below deletes an access record
+    #    planted with an already-expired timestamp.  Index
     #    advice mines the live system.profile, which the warehouse does not
     #    copy (so advice does not survive a restart); metrics history lives
     #    in the flight ring of step 11, not here.
@@ -134,7 +133,7 @@ def main() -> None:
     plan = warehouse.db["access"].explain(
         {"endpoint": "rest/v1/materials", "ts": {"$gte": 0.0}})
     print(f"[warehouse] access query plan: {plan['planSummary']}")
-    warehouse.db["traces"].insert_one({"ts": 1.0, "trace_id": "tour_stale"})
+    warehouse.db["access"].insert_one({"ts": 1.0, "endpoint": "tour_stale"})
     reaped = store.start_ttl_reaper().sweep()
     store.stop_ttl_reaper()
     print(f"[warehouse] ttl sweep reaped {reaped} expired docs")

@@ -18,11 +18,8 @@ Operational endpoints ride alongside the data API:
   "green"}`` whenever the server answers;
 * ``GET /provenance/<material_id>`` — the provenance DAG walked back
   from one material to its source tasks and workflows;
-* ``GET /telemetry/access|traces`` — the telemetry warehouse's read
-  surface: access-log analytics (filters, ``top=``, ``summary=1``) and
-  tail-sampled traces;
-* ``GET /traces/<trace_id>`` — one tail-sampled trace tree (404 if the
-  trace was dropped by the sampler);
+* ``GET /telemetry/access`` — the telemetry warehouse's read surface:
+  access-log analytics (filters, ``top=``, ``summary=1``);
 * ``GET /debug/profile|flamegraph|locks`` — the continuous profiler:
   JSON snapshot of the process-global sampling profiler (``action=start``
   / ``action=stop`` drive its lifecycle), folded flamegraph stacks as
@@ -102,9 +99,6 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path.startswith("/telemetry/"):
             self._serve_telemetry(parsed.path, params)
             return
-        if parsed.path.startswith("/traces/"):
-            self._serve_trace(parsed.path.rsplit("/", 1)[-1])
-            return
         if parsed.path.startswith("/provenance/"):
             self._serve_provenance(api, parsed.path.rsplit("/", 1)[-1])
             return
@@ -138,7 +132,7 @@ class _Handler(BaseHTTPRequestHandler):
             return "/"
         if parts[0] == "rest" and len(parts) >= 3:
             return "/".join(parts[:3])  # rest/v1/materials
-        if parts[0] in ("provenance", "traces") and len(parts) > 1:
+        if parts[0] == "provenance" and len(parts) > 1:
             return f"{parts[0]}/<id>"
         if parts[0] == "ui" and len(parts) > 2:
             return "/".join(parts[:2]) + "/<id>"
@@ -183,7 +177,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- telemetry warehouse endpoints -----------------------------------
 
     def _serve_telemetry(self, path: str, params: dict) -> None:
-        """``GET /telemetry/access|traces`` — warehouse queries."""
+        """``GET /telemetry/access`` — access-log warehouse queries."""
         warehouse = getattr(self.server, "warehouse", None)
         if warehouse is None:
             self._send_json(
@@ -191,23 +185,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         section = path.split("/", 2)[-1]
+        if section != "access":
+            self._send_json(
+                404, {"error": f"unknown telemetry section {section!r}"}
+            )
+            return
         try:
-            if section == "access":
-                self._serve_telemetry_access(warehouse, params)
-            elif section == "traces":
-                limit = int(params.get("limit", ["50"])[0])
-                min_ms = params.get("min_duration_ms", [None])[0]
-                self._send_json(200, {"traces": warehouse.tail_sampler.query(
-                    min_duration_ms=(
-                        float(min_ms) if min_ms is not None else None
-                    ),
-                    status=params.get("status", [None])[0],
-                    limit=limit,
-                )})
-            else:
-                self._send_json(
-                    404, {"error": f"unknown telemetry section {section!r}"}
-                )
+            self._serve_telemetry_access(warehouse, params)
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
 
@@ -305,20 +289,6 @@ class _Handler(BaseHTTPRequestHandler):
             doc["snapshots"] = recorder.recent(window)
         if params.get("events", [None])[0]:
             doc["events"] = recorder.recent_events(50)
-        self._send_json(200, doc)
-
-    def _serve_trace(self, trace_id: str) -> None:
-        """``GET /traces/<trace_id>`` — one tail-sampled trace tree."""
-        warehouse = getattr(self.server, "warehouse", None)
-        if warehouse is None:
-            self._send_json(
-                404, {"error": "telemetry warehouse not attached"}
-            )
-            return
-        doc = warehouse.tail_sampler.get(trace_id)
-        if doc is None:
-            self._send_json(404, {"error": f"no sampled trace {trace_id!r}"})
-            return
         self._send_json(200, doc)
 
     @staticmethod

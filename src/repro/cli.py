@@ -153,9 +153,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not args.no_telemetry:
         from .obs.warehouse import TelemetryWarehouse
 
-        warehouse = TelemetryWarehouse(store)
-        warehouse.tail_sampler.install()
-        warehouse.start()
+        warehouse = TelemetryWarehouse(store).start()
         query_log = warehouse.access
     qe = QueryEngine(db, query_log=query_log)
     api = MaterialsAPI(qe)
@@ -833,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wire-port", type=int,
                    help="also serve the wire protocol on this port")
     p.add_argument("--no-telemetry", action="store_true",
-                   help="disable the telemetry warehouse (access log, "
-                        "tail-sampled traces, TTL retention)")
+                   help="disable the telemetry warehouse (the access log "
+                        "in telemetry.access and its TTL retention)")
     p.add_argument("--no-flight", action="store_true",
                    help="disable the flight recorder, stall watchdog, and "
                         "crash forensics")

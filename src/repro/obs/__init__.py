@@ -28,9 +28,9 @@ Fleet-health tooling builds on that substrate:
   tables;
 * :mod:`.advisor` — the slow-query index advisor mining ``system.profile``
   COLLSCAN shapes into verified ``create_index`` recommendations;
-* :mod:`.warehouse` — the self-hosted telemetry warehouse: the access-log
-  warehouse and tail-sampled traces, stored in a ``telemetry`` database
-  with TTL retention — the datastore dogfooding itself;
+* :mod:`.warehouse` — the self-hosted telemetry warehouse: the access
+  log, stored in a ``telemetry`` database with TTL retention — the
+  datastore dogfooding itself;
 * :mod:`.profiler` — the continuous wall-clock sampling profiler: a
   daemon sampling every thread's stack via ``sys._current_frames`` into
   bounded flamegraph-ready folded stacks, shared process-wide so the wire
@@ -61,14 +61,12 @@ from .metrics import (
 from .tracing import (
     Span,
     active_span,
-    add_tail_sampler,
     clear_traces,
     current_span,
     export_traces,
     format_trace,
     recent_traces,
     remote_span,
-    remove_tail_sampler,
     span,
     stitch_spans,
     trace_context,
@@ -103,7 +101,7 @@ from .flight import (
     start_flight_recorder,
     stop_flight_recorder,
 )
-from .warehouse import TailSampler, TelemetryWarehouse
+from .warehouse import TelemetryWarehouse
 
 __all__ = [
     "Counter",
@@ -137,10 +135,7 @@ __all__ = [
     "format_top_table",
     "IndexAdvisor",
     "IndexRecommendation",
-    "add_tail_sampler",
-    "remove_tail_sampler",
     "TelemetryWarehouse",
-    "TailSampler",
     "SamplingProfiler",
     "get_profiler",
     "start_profiler",

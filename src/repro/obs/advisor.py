@@ -24,14 +24,6 @@ The flip side of "add an index" is "drop the dead ones":
 :meth:`IndexAdvisor.unused_indexes` walks ``$indexStats``-style usage
 counters (:meth:`~repro.docstore.collection.Collection.index_stats`) for
 indexes no query has touched.
-
-Aggregation pipelines get the same treatment via
-:meth:`IndexAdvisor.pipeline_recommendations`: the profiler records each
-pipeline's ordered stage-name shape (and, for slow runs, per-stage
-docs-in/docs-out executionStats), so the advisor can flag pipelines whose
-``$match`` runs *after* a ``$group``/``$sort``/``$project`` — or that have
-no ``$match`` at all — the "$match-first" signal that fronts the planned
-pushdown work (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -46,12 +38,6 @@ _READ_OPS = frozenset({"find", "findOne", "count", "distinct", "findAndModify"})
 
 #: Operator conditions an index range scan can serve as a trailing key.
 _RANGE_OPS = frozenset({"$gt", "$gte", "$lt", "$lte"})
-
-#: Pipeline stages that do per-document (or worse) work and therefore
-#: benefit from an earlier ``$match`` shrinking their input.
-_HEAVY_STAGES = frozenset(
-    {"$group", "$sort", "$project", "$addFields", "$unwind", "$lookup"}
-)
 
 
 @dataclass
@@ -258,77 +244,6 @@ class IndexAdvisor:
         if range_fields:
             keys.append((range_fields[0], 1))
         return keys, docs_after
-
-    # -- aggregation pipelines -------------------------------------------
-
-    def pipeline_recommendations(self) -> List[dict]:
-        """Mine aggregate profile entries for the ``$match``-first signal.
-
-        The profiler records each pipeline's ordered stage-name shape;
-        slow runs additionally carry per-stage executionStats.  Pipelines
-        whose first ``$match`` sits *behind* a heavy stage (``$group``,
-        ``$sort``, ``$project``, ...) — or that filter nothing at all —
-        get a reorder recommendation, ranked by occurrences x avg millis.
-        Rows carry ``match_docs_in``/``match_docs_out`` evidence when a
-        profiled run recorded stage stats.
-        """
-        groups: Dict[tuple, List[dict]] = {}
-        for entry in self.db.profile_log:
-            if entry.get("op") != "aggregate":
-                continue
-            if entry.get("millis", 0.0) < self.min_millis:
-                continue
-            query = entry.get("query")
-            shape = query.get("pipeline") if isinstance(query, dict) else None
-            if not isinstance(shape, list) or not shape:
-                continue
-            key = (entry["ns"], tuple(str(s) for s in shape))
-            groups.setdefault(key, []).append(entry)
-
-        out: List[dict] = []
-        for (ns, shape), entries in groups.items():
-            if len(entries) < self.min_occurrences:
-                continue
-            names = list(shape)
-            suggestion = None
-            if "$match" in names:
-                ahead = [n for n in names[: names.index("$match")]
-                         if n in _HEAVY_STAGES]
-                if ahead:
-                    suggestion = (
-                        f"move $match before {ahead[0]}: filters should run "
-                        f"first so later stages see fewer documents"
-                    )
-            else:
-                suggestion = (
-                    "pipeline has no $match: every stage processes the full "
-                    "collection; lead with a $match if any filter applies"
-                )
-            if suggestion is None:
-                continue
-            row = {
-                "ns": ns,
-                "pipeline": names,
-                "occurrences": len(entries),
-                "avg_millis": sum(e.get("millis", 0.0)
-                                  for e in entries) / len(entries),
-                "suggestion": suggestion,
-            }
-            # Attach $match selectivity evidence from the most recent
-            # entry that carried per-stage executionStats.
-            for e in reversed(entries):
-                stages = e.get("stages")
-                if not isinstance(stages, list):
-                    continue
-                for stage in stages:
-                    if stage.get("stage") == "$match":
-                        row["match_docs_in"] = stage.get("docs_in")
-                        row["match_docs_out"] = stage.get("docs_out")
-                        break
-                break
-            out.append(row)
-        out.sort(key=lambda r: -(r["occurrences"] * r["avg_millis"]))
-        return out
 
     # -- verification ----------------------------------------------------
 

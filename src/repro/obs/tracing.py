@@ -48,8 +48,6 @@ __all__ = [
     "export_traces",
     "stitch_spans",
     "format_trace",
-    "add_tail_sampler",
-    "remove_tail_sampler",
 ]
 
 #: Finished root spans kept for inspection (oldest evicted).
@@ -65,38 +63,6 @@ _current: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
 )
 _finished: Deque["Span"] = deque(maxlen=TRACE_BUFFER)
 _finished_lock = threading.Lock()
-
-#: Tail-sampling hooks called with every finished *root* span.  A sampler
-#: (see ``repro.obs.warehouse.TailSampler``) decides after the fact —
-#: latency breach, error anywhere in the tree — whether the trace is worth
-#: persisting; cheap traces are dropped, which is what makes keeping the
-#: interesting 1% affordable.
-_tail_samplers: List[Any] = []
-_tail_samplers_lock = threading.Lock()
-
-
-def add_tail_sampler(sampler: Any) -> Any:
-    """Register a callable invoked with each finished root span."""
-    with _tail_samplers_lock:
-        if sampler not in _tail_samplers:
-            _tail_samplers.append(sampler)
-    return sampler
-
-
-def remove_tail_sampler(sampler: Any) -> None:
-    with _tail_samplers_lock:
-        if sampler in _tail_samplers:
-            _tail_samplers.remove(sampler)
-
-
-def _notify_tail_samplers(root: "Span") -> None:
-    with _tail_samplers_lock:
-        samplers = list(_tail_samplers)
-    for sampler in samplers:
-        try:
-            sampler(root)
-        except Exception:  # noqa: BLE001 - sampling must never break work
-            pass
 
 
 def _new_id() -> str:
@@ -219,7 +185,6 @@ def span(name: str, **attributes: Any) -> Iterator[Span]:
         if parent is None:
             with _finished_lock:
                 _finished.append(s)
-            _notify_tail_samplers(s)
         _record_span_metric(s)
 
 
@@ -254,7 +219,6 @@ def remote_span(name: str, context: Optional[Mapping[str, Any]],
         _current.reset(token)
         with _finished_lock:
             _finished.append(s)
-        _notify_tail_samplers(s)
         _record_span_metric(s)
 
 

@@ -658,35 +658,6 @@ class TestAggregationStats:
         assert a == b
         assert random.getstate() == before
 
-    def test_advisor_match_first_recommendation(self, store):
-        from repro.obs.advisor import IndexAdvisor
-
-        db = store["mp"]
-        coll = self._coll(store)
-        db.set_profiling_level(2)
-        for _ in range(3):
-            coll.aggregate([
-                {"$group": {"_id": "$nelements", "n": {"$sum": 1}}},
-                {"$match": {"n": {"$gte": 1}}},
-            ])
-        recs = IndexAdvisor(db).pipeline_recommendations()
-        assert recs
-        rec = recs[0]
-        assert rec["ns"] == "mp.materials"
-        assert "$match" in rec["suggestion"]
-        assert "$group" in rec["suggestion"]
-        assert rec["occurrences"] == 3
-
-    def test_advisor_no_match_recommendation(self, store):
-        from repro.obs.advisor import IndexAdvisor
-
-        db = store["mp"]
-        coll = self._coll(store)
-        db.set_profiling_level(2)
-        coll.aggregate([{"$group": {"_id": "$nelements"}}])
-        recs = IndexAdvisor(db).pipeline_recommendations()
-        assert any("no $match" in r["suggestion"] for r in recs)
-
 
 # -- the surfacing layer: wire, HTTP, CLI, warehouse ----------------------
 

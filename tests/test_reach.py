@@ -168,3 +168,51 @@ def test_killed_child_keeps_what_it_flushed(tree):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
     assert [mod, called] in pairs
+
+
+# -- the committed bench figures survive a run --------------------------------
+
+
+@pytest.fixture
+def figure(tmp_path, monkeypatch):
+    """A committed results file, standing in for
+    ``benchmarks/results/*.txt``."""
+    path = tmp_path / "results" / "fig.txt"
+    path.parent.mkdir()
+    path.write_bytes(b"committed figure\n")
+    monkeypatch.setattr(reach, "RESULTS_GLOB",
+                        str(tmp_path / "results" / "*.txt"))
+    return path
+
+
+def _run(tmp_path, monkeypatch, *argvs):
+    monkeypatch.setattr(reach, "drivers", lambda: [
+        (f"driver {i}", argv, None) for i, argv in enumerate(argvs)])
+    out_dir = tmp_path / "records"
+    out_dir.mkdir(parents=True)
+    return reach.run_drivers(str(out_dir))
+
+
+def _rewrite(path, status=0):
+    return [sys.executable, "-c",
+            f"open({str(path)!r}, 'w').write('this run');"
+            f" raise SystemExit({status})"]
+
+
+def test_results_restored_after_a_driver_rewrites_them(tmp_path, monkeypatch,
+                                                       figure):
+    runs = _run(tmp_path, monkeypatch, _rewrite(figure))
+    assert runs[0]["returncode"] == 0
+    assert figure.read_bytes() == b"committed figure\n"
+
+
+def test_results_restored_after_a_driver_fails(tmp_path, monkeypatch,
+                                               figure):
+    runs = _run(tmp_path, monkeypatch, _rewrite(figure, status=3))
+    assert runs[0]["returncode"] == 3
+    assert figure.read_bytes() == b"committed figure\n"
+    # a driver that cannot even start aborts the run: still restored
+    with pytest.raises(FileNotFoundError, match="no-such-program"):
+        _run(tmp_path / "again", monkeypatch, _rewrite(figure),
+             [str(tmp_path / "no-such-program")])
+    assert figure.read_bytes() == b"committed figure\n"

@@ -1,6 +1,6 @@
 """Tests for the self-hosted telemetry warehouse: TTL retention in the
 engine, metrics history in the flight ring, the access-log warehouse,
-tail-sampled traces, HTTP endpoints, and the CLI."""
+HTTP endpoints, and the CLI."""
 
 import json
 import os
@@ -28,7 +28,6 @@ from repro.obs import (
     get_registry,
     labels_key,
     set_registry,
-    span,
 )
 from repro.obs.flight import (
     FlightRecorder,
@@ -38,7 +37,7 @@ from repro.obs.flight import (
     set_flight_recorder,
 )
 from repro.obs.metrics import MAX_LABEL_SETS, OVERFLOW_LABEL_VALUE
-from repro.obs.warehouse import TRACES_TTL_S, TailSampler
+from repro.obs.warehouse import ACCESS_TTL_S
 
 
 @pytest.fixture(autouse=True)
@@ -444,69 +443,6 @@ class TestAccessWriter:
             store.stop_ttl_reaper()
 
 
-# -- tail-sampled traces --------------------------------------------------
-
-
-class TestTailSampler:
-    def test_keeps_slow_drops_fast(self, store):
-        sampler = TailSampler(store["telemetry"]["traces"],
-                              latency_threshold_ms=5.0)
-        sampler.install()
-        try:
-            with span("slow") as slow:
-                time.sleep(0.01)
-            with span("fast") as fast:
-                pass
-        finally:
-            sampler.uninstall()
-        kept = sampler.get(slow.trace_id)
-        assert kept is not None
-        assert kept["roots"][0]["reason"] == "slow"
-        assert kept["roots"][0]["trace"]["name"] == "slow"
-        assert sampler.get(fast.trace_id) is None
-        decisions = get_registry().counter(
-            "repro_obs_traces_sampled_total", ""
-        )
-        assert decisions.value(decision="kept") == 1
-        assert decisions.value(decision="dropped") == 1
-
-    def test_keeps_errors_below_threshold(self, store):
-        sampler = TailSampler(store["telemetry"]["traces"],
-                              latency_threshold_ms=1e9)
-        sampler.install()
-        try:
-            with pytest.raises(RuntimeError):
-                with span("doomed") as doomed:
-                    raise RuntimeError("boom")
-        finally:
-            sampler.uninstall()
-        kept = sampler.get(doomed.trace_id)
-        assert kept["roots"][0]["reason"] == "error"
-
-    def test_cap_evicts_oldest(self, store):
-        sampler = TailSampler(store["telemetry"]["traces"],
-                              latency_threshold_ms=0.0, cap=3)
-        sampler.install()
-        try:
-            ids = []
-            for i in range(5):
-                with span(f"s{i}") as s:
-                    pass
-                ids.append(s.trace_id)
-        finally:
-            sampler.uninstall()
-        assert sampler.get(ids[0]) is None
-        assert sampler.get(ids[-1]) is not None
-        assert len(sampler.query(limit=0)) == 3
-
-    def test_uninstalled_sampler_sees_nothing(self, store):
-        sampler = TailSampler(store["telemetry"]["traces"],
-                              latency_threshold_ms=0.0)
-        with span("unsampled") as s:
-            pass
-        assert sampler.get(s.trace_id) is None
-
-
 # -- wire-server access accounting ----------------------------------------
 
 
@@ -544,13 +480,11 @@ def served_warehouse(store):
          "band_gap": 1.0}
         for i in range(3)
     ])
-    wh = TelemetryWarehouse(store, trace_latency_threshold_ms=0.0)
-    wh.tail_sampler.install()
+    wh = TelemetryWarehouse(store)
     api = MaterialsAPI(QueryEngine(db, query_log=wh.access))
     server = MaterialsAPIServer(api, warehouse=wh).start()
     yield server, wh
     server.stop()
-    wh.tail_sampler.uninstall()
 
 
 def _await_access(wh, n):
@@ -650,28 +584,17 @@ class TestTelemetryEndpoints:
             set_flight_recorder(None)
             rec.stop()
 
-    def test_trace_endpoints(self, served_warehouse):
-        server, _ = served_warehouse
-        with span("traced-work"):
-            pass
-        code, doc = _get(server.base_url + "/telemetry/traces")
-        assert code == 200 and doc["traces"]
-        trace_id = doc["traces"][0]["trace_id"]
-        code, doc = _get(server.base_url + f"/traces/{trace_id}")
-        assert code == 200 and doc["trace_id"] == trace_id
-        assert doc["roots"][0]["trace"]["name"] == "traced-work"
-        code, _doc = _get(server.base_url + "/traces/not-a-trace")
-        assert code == 404
-
     def test_alerts_route_is_gone(self, served_warehouse):
+        """Neither alerts nor a trace store is served."""
         server, _ = served_warehouse
-        assert _get(server.base_url + "/alerts")[0] == 404
+        for route in ("alerts", "telemetry/traces", "traces/x"):
+            assert _get(f"{server.base_url}/{route}")[0] == 404, route
 
     def test_serve_wiring_creates_no_alerts_collection(self,
                                                        served_warehouse,
                                                        store):
-        """The fixture installs the tail sampler and starts the server;
-        with the warehouse started too this is ``repro serve``'s wiring."""
+        """The fixture starts the server; with the warehouse started too
+        this is ``repro serve``'s wiring."""
         server, wh = served_warehouse
         wh.start()
         try:
@@ -681,14 +604,13 @@ class TestTelemetryEndpoints:
             _await_access(wh, 1)
         finally:
             wh.stop()
-        assert set(wh.stats()) == {"access", "traces"}
-        assert "alerts" not in store["telemetry"].list_collection_names()
+        assert set(wh.stats()) == {"access"}
+        assert store["telemetry"].list_collection_names() == ["access"]
 
     def test_telemetry_404_without_warehouse(self, store):
         api = MaterialsAPI(QueryEngine(store["mp"]))
         with MaterialsAPIServer(api) as server:
             assert _get(server.base_url + "/telemetry/access")[0] == 404
-            assert _get(server.base_url + "/traces/x")[0] == 404
 
 
 # -- warehouse lifecycle ---------------------------------------------------
@@ -698,7 +620,7 @@ class TestWarehouseLifecycle:
     def test_tick_and_stats(self, store):
         wh = TelemetryWarehouse(store)
         wh.access.record_access("api")
-        assert wh.stats() == {"access": 1, "traces": 0}
+        assert wh.stats() == {"access": 1}
 
     def test_no_events_collection(self, store):
         """Incidents live in the flight ring only: the warehouse creates
@@ -752,19 +674,18 @@ class TestWarehouseLifecycle:
         clock = SimClock()
         store = DocumentStore(clock=clock)
         wh = TelemetryWarehouse(store, clock=clock)
-        store["telemetry"]["traces"].insert_one(
-            {"trace_id": "stale", "ts": time.time() - TRACES_TTL_S - 60.0})
+        access = store["telemetry"]["access"]
+        access.insert_one(
+            {"endpoint": "stale", "ts": time.time() - ACCESS_TTL_S - 60.0})
         before = threading.active_count()
         wh.start(reap_interval_s=8.0)
         assert wh.running
         assert store.ttl_reaper is not None and store.ttl_reaper.running
         assert threading.active_count() == before
         clock.run_until(5.0)  # writer passes, no sweep yet
-        assert store["telemetry"]["traces"].count_documents(
-            {"trace_id": "stale"}) == 1
+        assert access.count_documents({"endpoint": "stale"}) == 1
         clock.run_until(8.0)  # the reaper's first sweep
-        assert store["telemetry"]["traces"].count_documents(
-            {"trace_id": "stale"}) == 0
+        assert access.count_documents({"endpoint": "stale"}) == 0
         tasks = store.server_status()["tasks"]
         assert {"repro-access-log", "repro-ttl-reaper"} <= set(tasks)
         assert "repro-telemetry-warehouse" not in tasks
